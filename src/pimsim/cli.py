@@ -244,8 +244,9 @@ def run(net: NetworkDescription, config: RunConfig,
             status = 1
         elif config.mode == "both":
             # Cross-check the executed traces against the analytic counts.
-            # The timing model charges one broadcast command sequence per
-            # pass; the traces log it once per subarray.
+            # Each bank replays one multiply trace per pass across all of its
+            # subarrays' columns and charges it to every subarray, so this is
+            # the model's count exactly.
             expected_events = sum(
                 place.subarrays_used * lat.aap_count
                 for place, lat in zip(plan.layers, latencies)

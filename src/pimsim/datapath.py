@@ -10,15 +10,24 @@ tree level has reconfigurable input routing, which is what lets contiguously
 mapped MAC columns be presented as power-of-two aligned groups; slots outside
 any group read zero. Bit widths grow by one per level (tracked implicitly,
 Python integers never overflow).
+
+bank_execute runs a layer on packed bank states (see subarray): one multiply
+replay per stacked pass drives every subarray of the state at once, and the
+per-MAC sums come from the unpacked product bit-planes, summed per MAC and
+shift-added. That is the arithmetic the tree and accumulators perform;
+build_adder_tree, tree_reduce and accumulate_bitplane are the hardware
+reference it is tested against. The row reads the tree would need are
+counted by tree_loads_per_pass, the same arithmetic the timing model uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
-from .subarray import SubarrayState, multiply
+from .subarray import SubarrayState, multiply, unpack_columns
 
 BN_FRAC_BITS = 16
 BN_SAT_MIN = -(1 << 31)
@@ -41,8 +50,30 @@ class CapacityError(ValueError):
     """Transpose buffer overflow or underflow."""
 
 
-def _pow2ceil(x: int) -> int:
+def pow2ceil(x: int) -> int:
     return 1 << max(0, (x - 1).bit_length())
+
+
+def tree_loads_per_pass(place, tree_width: int) -> int:
+    """Row-buffer loads needed to reduce one pass of a LayerPlacement through
+    the shared tree.
+
+    A MAC wider than the tree folds through it in tree-wide pieces, one load
+    each. Narrower MACs are padded to a power of two and packed into aligned
+    slots, tree_width // pow2ceil(mac_size) per load; a load never spans two
+    subarrays.
+    """
+    if place.macs_per_pass == 0:
+        return 0
+    ms = place.mac_size
+    if ms > tree_width:
+        return place.macs_per_pass * -(-ms // tree_width)
+    per_load = tree_width // pow2ceil(ms)
+    full, rem = divmod(place.macs_per_pass, place.macs_per_subarray)
+    loads = full * -(-place.macs_per_subarray // per_load)
+    if rem:
+        loads += -(-rem // per_load)
+    return loads
 
 
 @dataclass
@@ -85,7 +116,7 @@ def build_adder_tree(num_inputs: int, mac_sizes: list[int]) -> AdderTreeConfig:
             raise TreeConfigError(
                 f"group {idx} of {size} exceeds the {num_inputs}-input tree"
             )
-        padded = _pow2ceil(size)
+        padded = pow2ceil(size)
         start = -(-cursor // padded) * padded
         if start + padded > num_inputs:
             raise TreeConfigError(
@@ -282,7 +313,6 @@ class BankAccounting:
     aap_total: int = 0
     multiplies: int = 0
     plane_reads: int = 0
-    tree_loads: int = 0
 
 
 def _sfu_chain(
@@ -300,8 +330,19 @@ def _sfu_chain(
     return out
 
 
+def mac_plane_sums(planes: np.ndarray) -> np.ndarray:
+    """Dot products from product bit-planes grouped (2n, macs, mac_size).
+
+    Each plane is summed per MAC (the tree's popcount per group), then the
+    2n plane sums are shift-added (the accumulator).
+    """
+    sums = planes.sum(axis=2, dtype=np.int64)
+    shifts = np.arange(planes.shape[0], dtype=np.int64)[:, None]
+    return (sums << shifts).sum(axis=0)
+
+
 def bank_execute(
-    subarrays: list[SubarrayState],
+    subarrays: Iterable[SubarrayState],
     plan_slice,
     layer,
     sfu_params: SfuParams,
@@ -309,74 +350,47 @@ def bank_execute(
 ) -> tuple[list[int], BankAccounting]:
     """Run one layer on one bank: multiply, reduce, accumulate, SFU chain.
 
-    Operands must already sit in the subarray columns per plan_slice (a
-    LayerPlacement). Stacked operand pairs execute as sequential passes.
-    Returns the post-SFU outputs in (channel, pooled position) order plus the
-    phase accounting. Oversized MACs are folded through the tree in chunks,
-    with the accumulator summing the partial tap values.
+    subarrays are packed bank states (see subarray.SubarrayState) covering
+    consecutive whole subarrays of the layer in order, with operands already
+    placed per plan_slice (a LayerPlacement); an iterable lets the caller
+    build them one at a time. Stacked operand pairs execute as sequential
+    passes, one multiply replay per pass and state, charged to every subarray
+    it covers. Returns the post-SFU outputs in (channel, pooled position)
+    order plus the phase accounting. The tree defaults to pow2ceil of one
+    subarray's width.
     """
     acct = BankAccounting()
-    if not subarrays:
+    ms = plan_slice.mac_size
+    mps = plan_slice.macs_per_subarray
+    mpp = plan_slice.macs_per_pass
+    mac_sums = np.zeros(plan_slice.macs_total, dtype=np.int64)
+    sub_cols = n = None
+    for state in subarrays:
+        n = state.n
+        subs = len(state.subarrays)
+        sub_cols = state.cols // subs
+        held = plan_slice.pass_macs(state.subarrays)
+        for p in range(plan_slice.passes):
+            events = multiply(state, pair=p)
+            acct.aap_total += len(events) * subs
+            acct.multiplies += subs
+            planes = unpack_columns(
+                state.cells[list(state.product_rows)], state.cols
+            ).reshape(2 * n, subs, sub_cols)[:, :, : mps * ms]
+            grouped = planes.reshape(2 * n, subs * mps, ms)[:, : len(held)]
+            base = p * mpp
+            mac_sums[base + held.start : base + held.stop] = mac_plane_sums(
+                grouped
+            )
+    if n is None:
         return [], acct
-    n = subarrays[0].n
-    width = tree_width or _pow2ceil(subarrays[0].cols)
-    aap_baseline = sum(s.trace.total_aap for s in subarrays)
-    mac_sums: dict[int, int] = {}
+    width = tree_width or pow2ceil(sub_cols)
+    acct.plane_reads = (
+        2 * n * plan_slice.passes * tree_loads_per_pass(plan_slice, width)
+    )
 
-    for p in range(plan_slice.passes):
-        for sub_idx, macs in plan_slice.subarray_batches(p):
-            state = subarrays[sub_idx]
-            multiply(state, pair=p)
-            acct.multiplies += 1
-            # Chunk each MAC into tree-sized pieces, then batch chunks so
-            # padded groups tile one tree load.
-            chunks = []   # (mac_id, col_start, size)
-            for mac_id, col0 in macs:
-                remaining = plan_slice.mac_size
-                col = col0
-                while remaining > 0:
-                    piece = min(remaining, width)
-                    chunks.append((mac_id, col, piece))
-                    remaining -= piece
-                    col += piece
-            batch: list[tuple[int, int, int]] = []
-            used = 0
-            batches = []
-            for chunk in chunks:
-                padded = _pow2ceil(chunk[2])
-                slot = -(-used // padded) * padded
-                if slot + padded > width:
-                    batches.append(batch)
-                    batch, used = [], 0
-                    slot = 0
-                batch.append(chunk)
-                used = slot + padded
-            if batch:
-                batches.append(batch)
-            for batch in batches:
-                config = build_adder_tree(width, [c[2] for c in batch])
-                accs = {mac_id: AccumulatorState() for mac_id, _, _ in batch}
-                for plane_idx in range(2 * n):
-                    row = state.product_rows[plane_idx]
-                    routed = np.zeros(width, dtype=np.int64)
-                    for group, (_, col, size) in zip(config.groups, batch):
-                        routed[group.start : group.start + size] = state.cells[
-                            row, col : col + size
-                        ]
-                    acct.plane_reads += 1
-                    acct.tree_loads += 1
-                    sums = tree_reduce(config, routed)
-                    per_mac: dict[int, int] = {}
-                    for (mac_id, _, _), s in zip(batch, sums):
-                        per_mac[mac_id] = per_mac.get(mac_id, 0) + int(s)
-                    for mac_id, s in per_mac.items():
-                        accumulate_bitplane(accs[mac_id], s, plane_idx)
-                for mac_id, acc in accs.items():
-                    mac_sums[mac_id] = mac_sums.get(mac_id, 0) + acc.value
-
-    acct.aap_total = sum(s.trace.total_aap for s in subarrays) - aap_baseline
-    ordered_ids = sorted(mac_sums)
-    values = [mac_sums[i] for i in ordered_ids]
+    ordered_ids = range(plan_slice.macs_total)
+    values = mac_sums.tolist()
     channels = [plan_slice.mac_channel(i) for i in ordered_ids]
     post_sfu = _sfu_chain(values, channels, sfu_params)
 

@@ -2,42 +2,43 @@
 against the reference oracle.
 
 Synthetic workloads draw seeded uniform n-bit integers for the input image
-and all weights. Each layer gets its own set of subarray states sized by the
-mapping plan; activations are written once per column, weights once per
-stacked pair, then bank_execute drives multiply, reduction, accumulation and
-the SFU chain. Layer outputs feed the next layer in (channel, position)
-order.
+and all weights. Each layer runs on one packed bank state (see subarray):
+the touched rows of all of its subarrays side by side, bit-packed. Operands
+are gathered im2col-style for all MACs at once and written as packed
+bit-planes, activations once, weights once per stacked pair; bank_execute
+then replays one multiply per pass and reduces, accumulates and runs the SFU
+chain. A layer wider than BANK_CHUNK_COLUMNS runs in chunks of whole
+subarrays, built one at a time. Layer outputs feed the next layer in
+(channel, position) order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import oracle
 from .datapath import BankAccounting, SfuParams, bank_execute
-from .mapper import (
-    LayerPlacement,
-    LayerSpec,
-    MappingPlan,
-    NetworkDescription,
-    num_macs,
-)
+from .mapper import LayerPlacement, LayerSpec, MappingPlan, NetworkDescription
 from .subarray import (
     COMPUTE_ROW_COUNT,
     ConfigurationError,
+    OperandRangeError,
     SubarrayState,
     new_subarray,
-    write_operand_column,
+    pack_columns,
 )
+
+# Columns of one packed bank state. A layer whose subarrays hold more runs in
+# chunks of whole subarrays, which bounds the cell and placement memory.
+BANK_CHUNK_COLUMNS = 1 << 21
 
 
 @dataclass
 class LayerRun:
     outputs: list[int]
     accounting: BankAccounting
-    trace_summaries: list[dict] = field(default_factory=list)
 
 
 @dataclass
@@ -80,32 +81,11 @@ def synth_input(rng: np.random.Generator, layer: LayerSpec, n: int) -> np.ndarra
     return rng.integers(0, hi, size=(layer.w1,), dtype=np.int64)
 
 
-def mac_operands(
-    layer: LayerSpec, x: np.ndarray, w: np.ndarray, mac_id: int
-) -> list[tuple[int, int]]:
-    """(activation, weight) pairs for one MAC, in column order."""
-    if layer.kind == "linear":
-        xf = np.asarray(x).reshape(-1)
-        return [(int(xf[i]), int(w[mac_id, i])) for i in range(layer.w1)]
-    positions = num_macs(layer)
-    f, q = divmod(mac_id, positions)
-    oh, ow = layer.output_hw()
-    oy, ox = divmod(q, ow)
-    pairs = []
-    for ic in range(layer.I):
-        for ky in range(layer.K):
-            for kx in range(layer.L):
-                iy = oy * layer.s + ky - layer.p
-                ix = ox * layer.s + kx - layer.p
-                act = 0
-                if 0 <= iy < layer.H and 0 <= ix < layer.W:
-                    act = int(x[ic, iy, ix])
-                pairs.append((act, int(w[f, ic, ky, kx])))
-    return pairs
-
-
-def build_bank(place: LayerPlacement, rows: int, cols: int, n: int
-               ) -> list[SubarrayState]:
+def build_bank(place: LayerPlacement, rows: int, cols: int, n: int,
+               subarrays: range | None = None) -> list[SubarrayState]:
+    """One packed state for the given subarrays of the layer (default: all),
+    holding only the rows the layer touches; returned as a one-element list.
+    """
     needed = COMPUTE_ROW_COUNT + (n - 1) + 2 * n + (place.passes + 1) * n
     if rows < needed:
         raise ConfigurationError(
@@ -116,7 +96,49 @@ def build_bank(place: LayerPlacement, rows: int, cols: int, n: int
         raise ConfigurationError(
             f"column_size {place.column_size} exceeds subarray width {cols}"
         )
-    return [new_subarray(rows, cols, n) for _ in range(place.subarrays_used)]
+    if subarrays is None:
+        subarrays = range(place.subarrays_used)
+    state = new_subarray(needed, len(subarrays) * cols, n)
+    state.subarrays = subarrays
+    return [state]
+
+
+def _operand_bytes(values, n: int) -> np.ndarray:
+    values = np.asarray(values)
+    if values.size and (values.min() < 0 or values.max() >= 1 << n):
+        raise OperandRangeError(f"operands must fit {n} unsigned bits")
+    return values.astype(np.uint8)
+
+
+def _im2col(layer: LayerSpec, x: np.ndarray) -> np.ndarray:
+    """Activations of every output position, (positions, mac_size), in the
+    column order of a MAC: input channel, kernel row, kernel column."""
+    if layer.kind == "linear":
+        return x.reshape(1, -1)
+    oh, ow = layer.output_hw()
+    p, s = layer.p, layer.s
+    xp = np.zeros((layer.I, layer.H + 2 * p, layer.W + 2 * p), dtype=np.uint8)
+    xp[:, p : p + layer.H, p : p + layer.W] = x.reshape(layer.I, layer.H,
+                                                        layer.W)
+    oy, ox = np.divmod(np.arange(oh * ow), ow)
+    ic, ky, kx = np.unravel_index(np.arange(layer.I * layer.K * layer.L),
+                                  (layer.I, layer.K, layer.L))
+    return xp[ic, oy[:, None] * s + ky, ox[:, None] * s + kx]
+
+
+def _write_operands(state: SubarrayState, rows: tuple[int, ...],
+                    place: LayerPlacement, values: np.ndarray) -> None:
+    """Write one n-bit operand per column of the state's MACs, LSB in
+    rows[0]; values is (macs, mac_size) uint8 in MAC order."""
+    mps, ms = place.macs_per_subarray, place.mac_size
+    subs = len(state.subarrays)
+    grid = np.zeros((subs * mps, ms), dtype=np.uint8)
+    grid[: len(values)] = values
+    cols = np.zeros((subs, state.cols // subs), dtype=np.uint8)
+    cols[:, : mps * ms] = grid.reshape(subs, mps * ms)
+    shifts = np.arange(len(rows), dtype=np.uint8)[:, None]
+    planes = (cols.reshape(1, -1) >> shifts) & 1
+    state.cells[list(rows)] = pack_columns(planes, state.cells.shape[1])
 
 
 def place_operands(
@@ -126,14 +148,24 @@ def place_operands(
     x: np.ndarray,
     w: np.ndarray,
 ) -> None:
-    for p in range(place.passes):
-        for sub_idx, macs in place.subarray_batches(p):
-            state = subarrays[sub_idx]
-            for mac_id, col0 in macs:
-                for off, (act, wgt) in enumerate(
-                    mac_operands(layer, x, w, mac_id)
-                ):
-                    write_operand_column(state, col0 + off, act, wgt, pair=p)
+    """Write every operand of the MACs the given bank states hold.
+
+    Every pass has the same layout (LayerPlacement.pass_macs) and, since
+    passes split the output channels, the same activations.
+    """
+    n = place.precision
+    acts = _im2col(layer, _operand_bytes(x, n))
+    weights = _operand_bytes(w, n).reshape(-1, place.mac_size)
+    positions = place.channel_positions
+    for state in subarrays:
+        held = place.pass_macs(state.subarrays)
+        macs = np.arange(held.start, held.stop)
+        _write_operands(state, state.activation_rows(), place,
+                        acts[macs % positions])
+        for p in range(place.passes):
+            ids = p * place.macs_per_pass + macs
+            _write_operands(state, state.weight_rows(p), place,
+                            weights[ids // positions])
 
 
 def run_layer(
@@ -147,14 +179,17 @@ def run_layer(
     n: int,
     tree_width: int | None = None,
 ) -> LayerRun:
-    subarrays = build_bank(place, rows, cols, n)
-    place_operands(subarrays, place, layer, x, w)
-    outputs, acct = bank_execute(subarrays, place, layer, sfu, tree_width)
-    return LayerRun(
-        outputs=outputs,
-        accounting=acct,
-        trace_summaries=[s.trace.summary() for s in subarrays],
-    )
+    step = max(1, BANK_CHUNK_COLUMNS // cols)
+
+    def banks():
+        for first in range(0, place.subarrays_used, step):
+            bank = build_bank(place, rows, cols, n, range(
+                first, min(first + step, place.subarrays_used)))
+            place_operands(bank, place, layer, x, w)
+            yield bank.pop()
+
+    outputs, acct = bank_execute(banks(), place, layer, sfu, tree_width)
+    return LayerRun(outputs=outputs, accounting=acct)
 
 
 def _to_tensor(layer: LayerSpec, outputs: list[int]) -> np.ndarray:

@@ -94,6 +94,11 @@ class LayerSpec:
                 issues.append("conv dimensions must be positive")
             if self.s < 1:
                 issues.append("stride must be positive")
+            elif min(self.output_hw()) < 1:
+                issues.append(
+                    f"{self.K}x{self.L} kernel does not fit the "
+                    f"{self.H}x{self.W} input with padding {self.p}"
+                )
             if self.O % self.k:
                 issues.append(f"k={self.k} does not divide O={self.O}")
         elif self.kind == "linear":
@@ -245,6 +250,15 @@ class LayerPlacement:
             yield sub, [
                 (base + m, (m - lo) * self.mac_size) for m in range(lo, hi)
             ]
+
+    def pass_macs(self, subarrays: range) -> range:
+        """Pass-local indices of the MACs held by the given subarrays; MAC m
+        of every pass sits in subarray m // macs_per_subarray from column
+        (m % macs_per_subarray) * mac_size."""
+        return range(
+            subarrays.start * self.macs_per_subarray,
+            min(subarrays.stop * self.macs_per_subarray, self.macs_per_pass),
+        )
 
     def placed_bits(self) -> int:
         """Operand bits actually stored: shared activations plus one weight

@@ -1,15 +1,16 @@
 """Reference fixed-point inference, independent of the hardware model.
 
-Plain integer arithmetic over numpy arrays: direct convolution / matrix
-products, then the same SFU definitions (ReLU before BatchNorm, Q16
-round-to-nearest-even BatchNorm, shift-RNE-clamp quantization, window max
-pooling) written out from scratch. Used as the ground truth the simulated
+Plain integer arithmetic over numpy arrays: convolution as im2col plus a
+matrix product, matrix-vector products, then the same SFU definitions (ReLU
+before BatchNorm, Q16 round-to-nearest-even BatchNorm, shift-RNE-clamp
+quantization, window max pooling) written out from scratch. Used as the ground truth the simulated
 datapath must match element for element.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .mapper import LayerSpec
 
@@ -31,21 +32,20 @@ def _round_half_even(num: int, denom_log2: int) -> int:
 
 
 def conv_ref(x: np.ndarray, w: np.ndarray, p: int, s: int) -> np.ndarray:
-    """Direct convolution; x is (I, H, W), w is (O, I, K, L); integer exact."""
+    """Convolution as im2col plus an int64 matrix product; x is (I, H, W),
+    w is (O, I, K, L); integer exact."""
     I, H, W = x.shape
     O, Iw, K, L = w.shape
-    assert I == Iw
-    xp = np.zeros((I, H + 2 * p, W + 2 * p), dtype=np.int64)
-    xp[:, p : p + H, p : p + W] = x
+    if I != Iw:
+        raise ValueError(f"input has {I} channels, weights expect {Iw}")
+    xp = np.pad(x.astype(np.int64), ((0, 0), (p, p), (p, p)))
     oh = (H - K + 2 * p) // s + 1
     ow = (W - L + 2 * p) // s + 1
-    out = np.zeros((O, oh, ow), dtype=np.int64)
-    for f in range(O):
-        for oy in range(oh):
-            for ox in range(ow):
-                patch = xp[:, oy * s : oy * s + K, ox * s : ox * s + L]
-                out[f, oy, ox] = int(np.sum(patch * w[f]))
-    return out
+    windows = sliding_window_view(xp, (K, L), axis=(1, 2))
+    windows = windows[:, : (oh - 1) * s + 1 : s, : (ow - 1) * s + 1 : s]
+    patches = windows.transpose(1, 2, 0, 3, 4).reshape(oh * ow, I * K * L)
+    out = w.reshape(O, I * K * L).astype(np.int64) @ patches.T
+    return out.reshape(O, oh, ow)
 
 
 def linear_ref(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -88,12 +88,8 @@ def maxpool_ref(x: np.ndarray, w: int) -> np.ndarray:
     """Non-overlapping w x w max pool on (O, H, W); trailing remainder drops."""
     O, H, W = x.shape
     oh, ow = H // w, W // w
-    out = np.zeros((O, oh, ow), dtype=np.int64)
-    for f in range(O):
-        for y in range(oh):
-            for xx in range(ow):
-                out[f, y, xx] = x[f, y * w : (y + 1) * w, xx * w : (xx + 1) * w].max()
-    return out
+    blocks = x[:, : oh * w, : ow * w].reshape(O, oh, w, ow, w)
+    return blocks.max(axis=(2, 4)).astype(np.int64)
 
 
 def layer_ref(

@@ -14,13 +14,20 @@ audited exactly:
                        3n^2 + 4(n-1)^3 + 4(n-1)       for n  > 2
 
 Operands live in transposed layout: one multiplication per column, LSB in the
-lowest-indexed data row. The multiply command sequence depends only on n,
-never on operand values, so a single trace describes every column at once
-(SIMD across bitlines).
+lowest-indexed data row. Cells are stored bit-packed, 64 columns per uint64
+word (column c is bit c % 64 of word c // 64), so every AAP is a handful of
+bitwise operations on whole rows. Each event is self-describing (its kind and
+every row it touches), and apply_event is the one place that gives each kind
+its meaning. The multiply command sequence depends only on n and the stacked
+pair, never on operand values: it is recorded once per (n, pair) and replayed
+on every later call, and one replay drives every column at once (SIMD across
+bitlines). A state may hold several equal-width subarrays side by side (a
+packed bank); they share one row layout and one command stream.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -119,16 +126,42 @@ class AapTrace:
 
 
 COMPUTE_ROW_COUNT = 9
+WORD_BITS = 64
+WORD = np.dtype("<u8")
+
+
+def word_count(cols: int) -> int:
+    """uint64 words that hold one row of cols cells."""
+    return -(-cols // WORD_BITS)
+
+
+def pack_columns(bits: np.ndarray, words: int) -> np.ndarray:
+    """Pack a (rows, cols) array of 0/1 cells into (rows, words) uint64."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    out = np.zeros((bits.shape[0], words * (WORD_BITS // 8)), dtype=np.uint8)
+    out[:, : packed.shape[1]] = packed
+    return out.view(WORD)
+
+
+def unpack_columns(words: np.ndarray, cols: int) -> np.ndarray:
+    """Inverse of pack_columns: (rows, words) uint64 to (rows, cols) uint8."""
+    raw = np.ascontiguousarray(words, dtype=WORD).view(np.uint8)
+    return np.unpackbits(raw, axis=1, count=cols, bitorder="little")
 
 
 @dataclass
 class SubarrayState:
-    """One subarray: cell grid, reserved row map and its command trace.
+    """One subarray, or a packed bank of equal-width subarrays side by side:
+    bit-packed cell rows, reserved row map and its command trace.
 
     Row layout (fixed): row0 at index 0, the eight scratch compute rows next,
     then n-1 intermediate rows, then 2n product rows, then operand data rows.
     A data column holds one n-bit activation followed by one n-bit weight per
-    stacked pair, all LSB first.
+    stacked pair, all LSB first. cells is (rows, word_count(cols)) uint64;
+    bits past the last column are don't-care. A packed bank holds the
+    subarrays of its layer numbered in `subarrays`, side by side, each
+    cols // len(subarrays) columns wide.
     """
 
     rows: int
@@ -140,8 +173,8 @@ class SubarrayState:
     product_rows: tuple[int, ...]
     data_base: int
     and_wordline: tuple[tuple[int, int], tuple[int, int]]
-    dcc_rows: tuple[int, ...]
     trace: AapTrace = field(default_factory=AapTrace)
+    subarrays: range = range(1)
 
     def activation_rows(self) -> tuple[int, ...]:
         return tuple(range(self.data_base, self.data_base + self.n))
@@ -181,13 +214,12 @@ def new_subarray(rows: int, cols: int, n: int) -> SubarrayState:
         rows=rows,
         cols=cols,
         n=n,
-        cells=np.zeros((rows, cols), dtype=np.uint8),
+        cells=np.zeros((rows, word_count(cols)), dtype=WORD),
         compute_rows=compute,
         intermediate_rows=inter,
         product_rows=prod,
         data_base=data_base,
         and_wordline=((compute["A"], compute["A1"]), (compute["B"], compute["B1"])),
-        dcc_rows=(compute["Cout"], compute["Cout1"]),
     )
 
 
@@ -197,51 +229,83 @@ def _check_rows(state: SubarrayState, rows: Iterable[int]) -> None:
             raise RowBoundsError(f"row {r} outside 0..{state.rows - 1}")
 
 
+def apply_event(cells: np.ndarray, event: AapEvent) -> None:
+    """Execute one AAP on packed cell rows, every column at once.
+
+    COPY (src, *dst): the destinations take the source row.
+    WRITE_ROW0 (rows): the per-multiply zero write into row0 and the carry
+    pair.
+    AND_STAGE (p0, p1, *dst): the AND wordline senses p0 AND p1; both pair
+    cells and every destination restore to it.
+    TRIPLE (r1, r2, r3, *dst): three-input majority, restored into all
+    activated rows and the destinations.
+    QUINTUPLE (r1, r2, r3, neg, *dst): maj(r1, r2, r3, ~neg, ~neg). neg is a
+    dual-contact cell read through its negated port, contributing its
+    complement twice; restore through that port leaves the complement of the
+    sensed value in it, every other row gets the value itself.
+    """
+    kind, rows = event.kind, event.rows
+    if kind == COPY:
+        src = cells[rows[0]]
+        for d in rows[1:]:
+            cells[d] = src
+    elif kind == TRIPLE:
+        a, b, c = cells[rows[0]], cells[rows[1]], cells[rows[2]]
+        value = (a & b) | (b & c) | (a & c)
+        for d in rows:
+            cells[d] = value
+    elif kind == QUINTUPLE:
+        a, b, c, neg = (cells[r] for r in rows[:4])
+        value = (~neg & (a | b | c)) | (a & b & c)
+        for d in rows:
+            cells[d] = value
+        cells[rows[3]] = ~value
+    elif kind == AND_STAGE:
+        value = cells[rows[0]] & cells[rows[1]]
+        for d in rows:
+            cells[d] = value
+    elif kind == WRITE_ROW0:
+        for d in rows:
+            cells[d] = 0
+    else:
+        raise ValueError(f"unknown AAP event kind {kind!r}")
+
+
+def replay(state: SubarrayState, events: Sequence[AapEvent]) -> list[AapEvent]:
+    """Execute recorded events on state and append them to its trace."""
+    cells = state.cells
+    for event in events:
+        apply_event(cells, event)
+    start = state.trace.total_aap
+    state.trace.events.extend(events)
+    return state.trace.events[start:]
+
+
+def _run(state: SubarrayState, kind: str, rows: Sequence[int]) -> None:
+    apply_event(state.cells, state.trace.log(kind, rows))
+
+
 def _copy(state: SubarrayState, src: int, dsts: Sequence[int]) -> None:
     # Single AAP: activate source, sense, activate all destination wordlines.
-    state.cells[list(dsts)] = state.cells[src]
-    state.trace.log(COPY, (src, *dsts))
+    _run(state, COPY, (src, *dsts))
 
 
 def _write_row0(state: SubarrayState) -> None:
-    # The per-multiply zero write: drives zeros into row0 and the carry pair.
     C = state.compute_rows
-    rows = (C["row0"], C["Cin"], C["Cin1"])
-    state.cells[list(rows)] = 0
-    state.trace.log(WRITE_ROW0, rows)
+    _run(state, WRITE_ROW0, (C["row0"], C["Cin"], C["Cin1"]))
 
 
-def _and_stage(state: SubarrayState, pair: str, dsts: Sequence[int]) -> np.ndarray:
-    """AND-wordline activation, sensing, then destination activation.
-
-    The sense amplifiers settle to pair[0] AND pair[1]; both pair cells and
-    every destination cell restore to that value.
-    """
+def _and_stage(state: SubarrayState, pair: str, dsts: Sequence[int]) -> None:
+    """AND-wordline activation, sensing, then destination activation."""
     p0, p1 = state.and_wordline[0] if pair == "a" else state.and_wordline[1]
-    result = state.cells[p0] & state.cells[p1]
-    state.cells[p0] = result
-    state.cells[p1] = result
-    for d in dsts:
-        state.cells[d] = result
-    state.trace.log(AND_STAGE, (p0, p1, *dsts))
-    return result
+    _run(state, AND_STAGE, (p0, p1, *dsts))
 
 
 def _tra(
     state: SubarrayState, r1: int, r2: int, r3: int, dsts: Sequence[int] = ()
-) -> np.ndarray:
+) -> None:
     """Triple-row activation: three-input majority with destructive restore."""
-    s = (
-        state.cells[r1].astype(np.int8)
-        + state.cells[r2]
-        + state.cells[r3]
-    )
-    maj = (s >= 2).astype(np.uint8)
-    state.cells[[r1, r2, r3]] = maj
-    for d in dsts:
-        state.cells[d] = maj
-    state.trace.log(TRIPLE, (r1, r2, r3, *dsts))
-    return maj
+    _run(state, TRIPLE, (r1, r2, r3, *dsts))
 
 
 def _qra(
@@ -251,27 +315,9 @@ def _qra(
     r3: int,
     neg_row: int,
     dsts: Sequence[int] = (),
-) -> np.ndarray:
-    """Quintuple activation: maj(r1, r2, r3, ~neg, ~neg).
-
-    neg_row is a dual-contact cell read through its negated port, contributing
-    its complement twice. Restore through that port leaves the complement of
-    the sensed value in the cell; the plain participants get the value itself.
-    """
-    neg = 1 - state.cells[neg_row]
-    s = (
-        state.cells[r1].astype(np.int8)
-        + state.cells[r2]
-        + state.cells[r3]
-        + 2 * neg
-    )
-    maj = (s >= 3).astype(np.uint8)
-    state.cells[[r1, r2, r3]] = maj
-    state.cells[neg_row] = 1 - maj
-    for d in dsts:
-        state.cells[d] = maj
-    state.trace.log(QUINTUPLE, (r1, r2, r3, neg_row, *dsts))
-    return maj
+) -> None:
+    """Quintuple activation: maj(r1, r2, r3, ~neg, ~neg)."""
+    _run(state, QUINTUPLE, (r1, r2, r3, neg_row, *dsts))
 
 
 # --------------------------------------------------------------------------
@@ -291,7 +337,8 @@ def row_clone(state: SubarrayState, src_row: int, dst_row: int) -> list[AapEvent
 def multi_row_activate(
     state: SubarrayState, row_set: Sequence[int], use_negated_cout: bool = False
 ) -> np.ndarray:
-    """Simultaneously activate 3 or 5 compute rows and return the majority.
+    """Simultaneously activate 3 or 5 compute rows and return the majority,
+    one 0/1 value per column.
 
     The quintuple form lists the Cout row twice; with use_negated_cout it
     contributes its complement through the dual-contact cell. All activated
@@ -304,7 +351,8 @@ def multi_row_activate(
     if any(r not in compute for r in rows):
         raise ActivationPatternError("multi-row activation is limited to compute rows")
     if len(rows) == 3 and not use_negated_cout:
-        return _tra(state, *rows).copy()
+        _tra(state, *rows)
+        return read_row(state, rows[0])
     if len(rows) == 5 and use_negated_cout:
         cout = state.compute_rows["Cout"]
         if rows.count(cout) != 2:
@@ -314,7 +362,8 @@ def multi_row_activate(
         plain = [r for r in rows if r != cout]
         if len(plain) != 3:
             raise ActivationPatternError("quintuple activation needs 3 plain rows")
-        return _qra(state, plain[0], plain[1], plain[2], cout).copy()
+        _qra(state, plain[0], plain[1], plain[2], cout)
+        return read_row(state, plain[0])
     raise ActivationPatternError(
         f"unsupported activation pattern of {len(rows)} rows"
     )
@@ -568,31 +617,84 @@ def _multiply_wide(state: SubarrayState, pair: int) -> None:
             _fused_add(state, I, dest, carry, seeded=False)
 
 
-def multiply(
-    state: SubarrayState, col_range: Sequence[int] | None = None, pair: int = 0
-) -> list[AapEvent]:
+Schedule = tuple[tuple[AapEvent, ...], tuple[tuple[int, int], ...],
+                 tuple[tuple[int, int], ...]]
+
+
+@functools.lru_cache(maxsize=None)
+def _schedule(n: int, pair: int) -> Schedule:
+    """The multiply command sequence for precision n and stacked pair, with
+    its AND and ADD spans.
+
+    The sequence depends on nothing else, so it is recorded once on a
+    one-column scratch state and replayed everywhere.
+    """
+    state = new_subarray(COMPUTE_ROW_COUNT + (n - 1) + 2 * n + (pair + 2) * n,
+                         1, n)
+    if n <= 2:
+        _multiply_small(state, pair)
+    else:
+        _multiply_wide(state, pair)
+    tr = state.trace
+    return tuple(tr.events), tuple(tr.and_spans), tuple(tr.add_spans)
+
+
+def multiply(state: SubarrayState, pair: int = 0) -> list[AapEvent]:
     """Multiply the operands of every column, product into P0..P(2n-1).
 
-    col_range is advisory (all bitlines execute the same command sequence);
     pair selects which stacked weight block multiplies the shared activation
-    bits. Costs mul_aap_count(n) AAPs regardless of operand values.
+    bits. Replays the recorded sequence for (n, pair): mul_aap_count(n) AAPs
+    regardless of operand values or column count.
     """
     if not 0 <= pair < max(state.pair_capacity, 1):
         raise ConfigurationError(
             f"pair {pair} exceeds stacking capacity {state.pair_capacity}"
         )
     state.weight_rows(pair)  # raises if the stacked pair does not fit
-    start = len(state.trace.events)
-    if state.n <= 2:
-        _multiply_small(state, pair)
-    else:
-        _multiply_wide(state, pair)
-    return state.trace.events[start:]
+    events, and_spans, add_spans = _schedule(state.n, pair)
+    trace = state.trace
+    start = trace.total_aap
+    trace.and_ops += len(and_spans)
+    trace.add_ops += len(add_spans)
+    trace.and_spans.extend((lo + start, hi + start) for lo, hi in and_spans)
+    trace.add_spans.extend((lo + start, hi + start) for lo, hi in add_spans)
+    return replay(state, events)
 
 
 # --------------------------------------------------------------------------
-# Operand access
+# Cell access
 # --------------------------------------------------------------------------
+
+def read_row(state: SubarrayState, row: int) -> np.ndarray:
+    """One row as a 0/1 uint8 array, one entry per column."""
+    _check_rows(state, (row,))
+    return unpack_columns(state.cells[row : row + 1], state.cols)[0]
+
+
+def write_row(state: SubarrayState, row: int, bits) -> None:
+    """Overwrite one row with 0/1 values (one per column, or one for all)."""
+    _check_rows(state, (row,))
+    full = np.broadcast_to(np.asarray(bits, dtype=np.uint8), (state.cols,))
+    state.cells[row] = pack_columns(full[None, :], state.cells.shape[1])[0]
+
+
+def read_bit(state: SubarrayState, row: int, col: int) -> int:
+    _check_rows(state, (row,))
+    if not 0 <= col < state.cols:
+        raise RowBoundsError(f"column {col} outside 0..{state.cols - 1}")
+    word, bit = divmod(col, WORD_BITS)
+    return int(state.cells[row, word]) >> bit & 1
+
+
+def write_bit(state: SubarrayState, row: int, col: int, value: int) -> None:
+    _check_rows(state, (row,))
+    if not 0 <= col < state.cols:
+        raise RowBoundsError(f"column {col} outside 0..{state.cols - 1}")
+    word, bit = divmod(col, WORD_BITS)
+    mask = 1 << bit
+    old = int(state.cells[row, word])
+    state.cells[row, word] = old | mask if value else old & ~mask
+
 
 def write_operand_column(
     state: SubarrayState, col: int, a: int, b: int, pair: int = 0
@@ -604,34 +706,19 @@ def write_operand_column(
     if not 0 <= a < (1 << n) or not 0 <= b < (1 << n):
         raise OperandRangeError(f"operands must fit {n} unsigned bits")
     for k, row in enumerate(state.activation_rows()):
-        state.cells[row, col] = (a >> k) & 1
+        write_bit(state, row, col, (a >> k) & 1)
     for k, row in enumerate(state.weight_rows(pair)):
-        state.cells[row, col] = (b >> k) & 1
+        write_bit(state, row, col, (b >> k) & 1)
 
 
 def read_product_column(state: SubarrayState, col: int) -> int:
     """Read back the 2n-bit product of a column."""
-    if not 0 <= col < state.cols:
-        raise RowBoundsError(f"column {col} outside 0..{state.cols - 1}")
-    value = 0
-    for k, row in enumerate(state.product_rows):
-        value |= int(state.cells[row, col]) << k
-    return value
+    return read_row_bits(state, state.product_rows, col)
 
 
 def read_row_bits(state: SubarrayState, rows: Sequence[int], col: int) -> int:
     """Assemble an integer from the given rows of a column, LSB first."""
     value = 0
     for k, row in enumerate(rows):
-        value |= int(state.cells[row, col]) << k
+        value |= read_bit(state, row, col) << k
     return value
-
-
-def write_row_bits(
-    state: SubarrayState, rows: Sequence[int], col: int, value: int
-) -> None:
-    """Scatter an integer into the given rows of a column, LSB first."""
-    if value < 0 or value >> len(rows):
-        raise OperandRangeError(f"value {value} does not fit {len(rows)} rows")
-    for k, row in enumerate(rows):
-        state.cells[row, col] = (value >> k) & 1

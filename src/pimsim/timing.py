@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
+from .datapath import tree_loads_per_pass
 from .mapper import LayerPlacement, LayerSpec, MappingPlan, NetworkDescription
 from .mapper import ResidualAssignment, map_network
 from .subarray import mul_aap_count
@@ -117,25 +118,6 @@ class LayerLatency:
         return self.total_ns - self.transfer_ns
 
 
-def _pow2ceil(x: int) -> int:
-    return 1 << max(0, (x - 1).bit_length())
-
-
-def _tree_loads_per_pass(place: LayerPlacement, tree_width: int) -> int:
-    """Row-buffer loads needed to reduce one pass through the shared tree."""
-    if place.macs_per_pass == 0:
-        return 0
-    ms = place.mac_size
-    if ms > tree_width:
-        return place.macs_per_pass * -(-ms // tree_width)
-    per_load = tree_width // _pow2ceil(ms)
-    full, rem = divmod(place.macs_per_pass, place.macs_per_subarray)
-    loads = full * -(-place.macs_per_subarray // per_load)
-    if rem:
-        loads += -(-rem // per_load)
-    return loads
-
-
 def layer_latency(
     place: LayerPlacement,
     layer: LayerSpec,
@@ -157,7 +139,7 @@ def layer_latency(
     mul_aaps = mul_aap_count(n) * passes
     multiply_ns = mul_aaps * params.t_aap
 
-    loads = _tree_loads_per_pass(place, tree_width) * passes
+    loads = tree_loads_per_pass(place, tree_width) * passes
     reduce_ns = loads * (
         params.tree_levels * params.logic_ns + 2 * n * params.t_row_read
     )

@@ -36,6 +36,7 @@ from pimsim.subarray import (
     multiply,
     new_subarray,
     read_product_column,
+    read_row,
     read_row_bits,
     write_operand_column,
 )
@@ -132,7 +133,7 @@ def test_criterion_3_mac_pipeline_identity():
         acc = AccumulatorState()
         for plane_idx in range(2 * n):
             plane = np.zeros(64, dtype=np.int64)
-            plane[:size] = st.cells[st.product_rows[plane_idx], :size]
+            plane[:size] = read_row(st, st.product_rows[plane_idx])[:size]
             accumulate_bitplane(acc, int(tree_reduce(cfg, plane)[0]), plane_idx)
         expected = int(np.dot(a.astype(np.int64), b.astype(np.int64)))
         assert acc.value == expected, (n, size)

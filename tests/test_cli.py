@@ -274,6 +274,27 @@ class TestMainEntry:
         assert status == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["timing", "functional", "both"])
+    def test_kernel_larger_than_padded_input_exit_code(self, tmp_path, capsys,
+                                                       mode):
+        # (2 - 5 + 0) // 1 + 1 = -2 output rows: rejected before mapping,
+        # never a made-up latency or a numpy traceback
+        netfile = tmp_path / "bad.json"
+        netfile.write_text(json.dumps({
+            "name": "bad", "precision": 4,
+            "layers": [{"kind": "conv", "H": 2, "W": 2, "I": 1, "O": 1,
+                        "K": 5, "L": 5, "p": 0}],
+        }))
+        status = main([
+            "--model", str(netfile), "--mode", mode,
+            "--output", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err.count("\n") == 1
+        assert "5x5 kernel does not fit the 2x2 input" in err
+        assert not (tmp_path / "out").exists()
+
     def test_timing_config_flag(self, tmp_path):
         cfg = tmp_path / "timing.txt"
         cfg.write_text("t_aap = 97.5\nsfu_cycles.pool = 3\n")

@@ -26,9 +26,9 @@ from pimsim.datapath import (
     transpose_write,
     tree_reduce,
 )
-from pimsim import oracle
+from pimsim import engine, oracle
 from pimsim.mapper import conv_layer, linear_layer, map_network, NetworkDescription
-from pimsim.engine import build_bank, place_operands
+from pimsim.engine import build_bank, place_operands, run_functional
 
 
 # --------------------------------------------------------------------------
@@ -370,3 +370,104 @@ class TestBankExecute:
             quant=(3, 2),
         )
         assert outputs == list(ref.reshape(-1))
+
+
+def _seed_tree_reduction(place, n, width, product):
+    """The bank reduction as the hardware performs it, kept as the reference
+    for bank_execute: each subarray's MACs are cut into tree-wide pieces,
+    packed into power-of-two aligned groups per tree load, reduced plane by
+    plane through the configured tree and shift-added per MAC.
+
+    product(mac_id, j) is the product in column j of the MAC. Returns the
+    per-MAC sums and the number of plane reads.
+    """
+    sums, reads = {}, 0
+    for p in range(place.passes):
+        for _, macs in place.subarray_batches(p):
+            pieces = []   # (mac_id, offset within the MAC, size)
+            for mac_id, _ in macs:
+                for off in range(0, place.mac_size, width):
+                    pieces.append(
+                        (mac_id, off, min(width, place.mac_size - off)))
+            batches, batch, used = [], [], 0
+            for piece in pieces:
+                padded = 1 << max(0, (piece[2] - 1).bit_length())
+                slot = -(-used // padded) * padded
+                if slot + padded > width:
+                    batches.append(batch)
+                    batch, slot = [], 0
+                batch.append(piece)
+                used = slot + padded
+            if batch:
+                batches.append(batch)
+            for batch in batches:
+                config = build_adder_tree(width, [size for _, _, size in batch])
+                accs = {mac_id: AccumulatorState() for mac_id, _, _ in batch}
+                for plane in range(2 * n):
+                    routed = np.zeros(width, dtype=np.int64)
+                    for group, (mac_id, off, size) in zip(config.groups, batch):
+                        routed[group.start : group.start + size] = [
+                            (product(mac_id, off + i) >> plane) & 1
+                            for i in range(size)
+                        ]
+                    reads += 1
+                    per_mac = {}
+                    for (mac_id, _, _), v in zip(batch, tree_reduce(config, routed)):
+                        per_mac[mac_id] = per_mac.get(mac_id, 0) + int(v)
+                    for mac_id, v in per_mac.items():
+                        accumulate_bitplane(accs[mac_id], v, plane)
+                for mac_id, acc in accs.items():
+                    sums[mac_id] = sums.get(mac_id, 0) + acc.value
+    return sums, reads
+
+
+class TestVectorizedReduction:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        size=st.integers(1, 40),
+        macs=st.integers(1, 12),
+        k=st.sampled_from([1, 2]),
+        spare_cols=st.integers(0, 24),
+        width_log2=st.integers(0, 6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_tree_reference(self, n, size, macs, k, spare_cols,
+                                    width_log2, seed):
+        # widths from 1 to 64 against MACs of up to 40: some fold
+        # through the tree in pieces
+        rng = np.random.default_rng(seed)
+        layer = linear_layer(w1=size, w2=macs * k, k=k)
+        cols = size + spare_cols
+        net = NetworkDescription("prop", n, [layer], parallelism=[k])
+        place = map_network(net, column_size=cols).layers[0]
+        x = rng.integers(0, 1 << n, size=size)
+        w = rng.integers(0, 1 << n, size=(macs * k, size))
+        width = 1 << width_log2
+        bank = build_bank(place, 256, cols, n)
+        place_operands(bank, place, layer, x, w)
+        outputs, acct = bank_execute(bank, place, layer, SfuParams(),
+                                     tree_width=width)
+        sums, reads = _seed_tree_reduction(
+            place, n, width, lambda mac, j: int(x[j]) * int(w[mac, j]))
+        assert outputs == [sums[i] for i in range(place.macs_total)]
+        assert outputs == list(w @ x)
+        assert acct.plane_reads == reads
+
+
+class TestBankChunks:
+    def test_chunked_layer_equals_one_bank(self, monkeypatch):
+        net = NetworkDescription("chunks", 3, [
+            conv_layer(H=6, W=6, I=2, O=4, K=3, p=1, pool=2, k=2),
+            linear_layer(w1=36, w2=6),
+        ], parallelism=[2, 1])
+        plan = map_network(net, column_size=40)
+        assert plan.layers[0].subarrays_used == 36
+        whole = run_functional(net, plan, rows=64, cols=48, seed=3)
+        monkeypatch.setattr(engine, "BANK_CHUNK_COLUMNS", 5 * 48)
+        chunked = run_functional(net, plan, rows=64, cols=48, seed=3)
+        assert whole.passed and chunked.passed
+        for a, b in zip(whole.layer_runs, chunked.layer_runs):
+            assert a.outputs == b.outputs
+            assert a.accounting == b.accounting
+        assert chunked.layer_runs[0].accounting.multiplies == 36 * 2

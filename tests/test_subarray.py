@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pimsim import subarray
 from pimsim.subarray import (
     AapTrace,
     ActivationPatternError,
@@ -21,10 +22,16 @@ from pimsim.subarray import (
     multi_row_activate,
     multiply,
     new_subarray,
+    pack_columns,
     read_product_column,
+    read_row,
     read_row_bits,
+    replay,
     row_clone,
+    unpack_columns,
+    write_bit,
     write_operand_column,
+    write_row,
 )
 
 
@@ -70,16 +77,16 @@ class TestNewSubarray:
 class TestRowClone:
     def test_copies_ones(self):
         st_ = make_state(2)
-        st_.cells[20, :] = 1
+        write_row(st_, 20, 1)
         row_clone(st_, 20, 21)
-        assert st_.cells[21].all()
+        assert read_row(st_, 21).all()
         assert st_.trace.total_aap == 1
 
     def test_row0_source_gives_zeros(self):
         st_ = make_state(2)
-        st_.cells[21, :] = 1
+        write_row(st_, 21, 1)
         row_clone(st_, st_.compute_rows["row0"], 21)
-        assert not st_.cells[21].any()
+        assert not read_row(st_, 21).any()
 
     def test_self_clone_rejected(self):
         st_ = make_state(2)
@@ -98,13 +105,13 @@ class TestMultiRowActivate:
         rows = (C["A"], C["B"], C["Cin"])
         for col, bits in enumerate(itertools.product((0, 1), repeat=3)):
             for r, v in zip(rows, bits):
-                st_.cells[r, col] = v
+                write_bit(st_, r, col, v)
         result = multi_row_activate(st_, rows)
         for col, bits in enumerate(itertools.product((0, 1), repeat=3)):
             assert result[col] == (sum(bits) >= 2)
         # destructive restore
         for r in rows:
-            assert np.array_equal(st_.cells[r], result)
+            assert np.array_equal(read_row(st_, r), result)
         assert st_.trace.total_aap == 1
 
     def test_quintuple_with_negated_cout(self):
@@ -116,7 +123,7 @@ class TestMultiRowActivate:
         combos = list(itertools.product((0, 1), repeat=4))
         for col, bits in enumerate(combos):
             for r, v in zip((*plain, cout), bits):
-                st_.cells[r, col] = v
+                write_bit(st_, r, col, v)
         result = multi_row_activate(
             st_, (*plain, cout, cout), use_negated_cout=True
         )
@@ -146,22 +153,22 @@ class TestAndOp:
         st_ = make_state(2, cols=4)
         base = st_.data_base
         for col, (a, b) in enumerate(itertools.product((0, 1), repeat=2)):
-            st_.cells[base, col] = a
-            st_.cells[base + 1, col] = b
+            write_bit(st_, base, col, a)
+            write_bit(st_, base + 1, col, b)
         dst = st_.product_rows[0]
         and_op(st_, base, base + 1, (dst,))
-        assert list(st_.cells[dst, :4]) == [0, 0, 0, 1]
+        assert list(read_row(st_, dst)[:4]) == [0, 0, 0, 1]
         assert st_.trace.total_aap == 3
         assert st_.trace.and_ops == 1
 
     def test_two_destinations_hold_result(self):
         st_ = make_state(2, cols=2)
         base = st_.data_base
-        st_.cells[base, :] = 1
-        st_.cells[base + 1, :] = 1
+        write_row(st_, base, 1)
+        write_row(st_, base + 1, 1)
         C = st_.compute_rows
         and_op(st_, base, base + 1, (C["B"], C["B1"]), pair="b")
-        assert st_.cells[C["B"]].all() and st_.cells[C["B1"]].all()
+        assert read_row(st_, C["B"]).all() and read_row(st_, C["B1"]).all()
 
     def test_dst_alias_rejected(self):
         st_ = make_state(2)
@@ -181,9 +188,9 @@ def _place_add_operands(st_, n, pairs):
     out_rows = list(range(base + 2 * n, base + 3 * n + 1))
     for col, (a, b) in enumerate(pairs):
         for k, r in enumerate(a_rows):
-            st_.cells[r, col] = (a >> k) & 1
+            write_bit(st_, r, col, (a >> k) & 1)
         for k, r in enumerate(b_rows):
-            st_.cells[r, col] = (b >> k) & 1
+            write_bit(st_, r, col, (b >> k) & 1)
     return a_rows, b_rows, out_rows
 
 
@@ -450,3 +457,88 @@ class TestTrace:
         write_operand_column(st_, 0, 3, 3)
         multiply(st_)
         assert st_.trace.to_text() == golden
+
+
+# --------------------------------------------------------------------------
+# Packed cells and the cached multiply program
+# --------------------------------------------------------------------------
+
+def _ragged_state(n, pairs):
+    """State whose last word is ragged: 5 columns past the last full word."""
+    cols = 64 * -(-len(pairs) // 64) + 5
+    st_ = new_subarray(9 + (n - 1) + 4 * n + 4, cols, n)
+    for col, (a, b) in enumerate(pairs):
+        write_operand_column(st_, col, a, b)
+    return st_
+
+
+class TestPackedCells:
+    def test_pack_round_trip_ragged(self):
+        rng = np.random.default_rng(8)
+        bits = rng.integers(0, 2, size=(3, 3 * 64 + 5), dtype=np.uint8)
+        packed = pack_columns(bits, 4)
+        assert packed.shape == (3, 4)
+        assert np.array_equal(unpack_columns(packed, 3 * 64 + 5), bits)
+
+    def test_column_to_bit_mapping(self):
+        st_ = new_subarray(32, 130, 2)
+        write_bit(st_, 20, 129, 1)
+        write_bit(st_, 20, 64, 1)
+        assert int(st_.cells[20, 2]) == 1 << 1
+        assert int(st_.cells[20, 1]) == 1
+        assert list(np.nonzero(read_row(st_, 20))[0]) == [64, 129]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_exhaustive_products_ragged_last_word(self, n):
+        pairs = list(itertools.product(range(1 << n), repeat=2))
+        st_ = _ragged_state(n, pairs)
+        multiply(st_)
+        for col, (a, b) in enumerate(pairs):
+            assert read_product_column(st_, col) == a * b, (n, a, b)
+        for col in range(len(pairs), st_.cols):
+            assert read_product_column(st_, col) == 0
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_random_products_ragged_last_word(self, n):
+        rng = np.random.default_rng(n)
+        pairs = [tuple(int(v) for v in rng.integers(0, 1 << n, 2))
+                 for _ in range(3 * 64 + 5)]
+        st_ = _ragged_state(n, pairs)
+        multiply(st_)
+        for col, (a, b) in enumerate(pairs):
+            assert read_product_column(st_, col) == a * b, (n, a, b)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("pair", [0, 1])
+    def test_cached_replay_equals_fresh_schedule(self, n, pair):
+        fresh = new_subarray(64, 3, n)
+        if n <= 2:
+            subarray._multiply_small(fresh, pair)
+        else:
+            subarray._multiply_wide(fresh, pair)
+        st_ = new_subarray(64, 3, n)
+        row_clone(st_, st_.data_base, st_.data_base + 1)
+        multiply(st_, pair=pair)
+        multiply(st_, pair=pair)
+        once = fresh.trace
+        assert st_.trace.events[1:] == once.events * 2
+        assert st_.trace.and_ops == 2 * once.and_ops
+        assert st_.trace.add_ops == 2 * once.add_ops
+        shifted = [(lo + 1, hi + 1) for lo, hi in once.and_spans]
+        shifted += [(lo + 1 + len(once.events), hi + 1 + len(once.events))
+                    for lo, hi in once.and_spans]
+        assert st_.trace.and_spans == shifted
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_replay_of_parsed_trace_gives_same_products(self, n):
+        rng = np.random.default_rng(40 + n)
+        pairs = [tuple(int(v) for v in rng.integers(0, 1 << n, 2))
+                 for _ in range(70)]
+        st_ = _ragged_state(n, pairs)
+        multiply(st_)
+        parsed = AapTrace.from_text(st_.trace.to_text())
+        again = _ragged_state(n, pairs)
+        replay(again, parsed.events)
+        assert again.trace.events == st_.trace.events
+        for col, (a, b) in enumerate(pairs):
+            assert read_product_column(again, col) == a * b
