@@ -20,18 +20,14 @@ from .datapath import (
     AccumulatorState,
     AdderTreeConfig,
     BatchNormParams,
-    PoolState,
     SfuParams,
-    TransposeBuffer,
     accumulate_bitplane,
     bank_execute,
     batchnorm,
     build_adder_tree,
-    maxpool_step,
+    maxpool,
     quantize,
     relu,
-    transpose_read,
-    transpose_write,
     tree_reduce,
 )
 from .mapper import (

@@ -47,7 +47,6 @@ class RunConfig:
     mode: str = "both"                   # functional | timing | both
     seed: int = 0
     images: int = 4
-    tree_width: int | None = None
     timing: TimingParams = field(default_factory=TimingParams)
 
     def __post_init__(self):
@@ -226,8 +225,7 @@ def run(net: NetworkDescription, config: RunConfig,
         residual = plan_residual(net, banks)
     plan.reserved_banks = residual
 
-    tree_width = config.tree_width or 4096
-    latencies = timing.network_latencies(net, plan, config.timing, tree_width)
+    latencies = timing.network_latencies(net, plan, config.timing)
     pipeline = timing.pipeline_schedule(latencies, config.images)
     residual_ns = timing.residual_overhead(
         residual, net.precision, config.timing, column_size
@@ -237,8 +235,7 @@ def run(net: NetworkDescription, config: RunConfig,
     status = 0
     if config.mode in ("functional", "both"):
         functional = engine.run_functional(
-            net, plan, config.rows, config.cols, config.seed,
-            config.tree_width,
+            net, plan, config.rows, config.cols, config.seed
         )
         if not functional.passed:
             status = 1

@@ -16,18 +16,29 @@ replay per stacked pass drives every subarray of the state at once, and the
 per-MAC sums come from the unpacked product bit-planes, summed per MAC and
 shift-added. That is the arithmetic the tree and accumulators perform;
 build_adder_tree, tree_reduce and accumulate_bitplane are the hardware
-reference it is tested against. The row reads the tree would need are
-counted by tree_loads_per_pass, the same arithmetic the timing model uses.
+reference it is tested against. The row reads the TREE_WIDTH-input tree
+would need are counted by tree_loads_per_pass, the same arithmetic and the
+same width the timing model uses.
+
+The layer's MAC sums stay one int64 array from there on: sfu_stage applies
+ReLU, per-channel BatchNorm and Quantize to the whole (C, H, W) or (C,)
+tensor, then max-pools it, and bank_execute returns the result in the shape
+the next layer reads. The transpose unit has no functional counterpart: the
+engine writes the next layer's operands in transposed layout directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .subarray import SubarrayState, multiply, unpack_columns
+
+# Inputs of the shared adder tree behind the sense amplifiers (the paper's
+# 4096-input adder); the functional run and the timing model both reduce on it.
+TREE_WIDTH = 4096
 
 BN_FRAC_BITS = 16
 BN_SAT_MIN = -(1 << 31)
@@ -44,10 +55,6 @@ class ShapeError(ValueError):
 
 class SequencingError(RuntimeError):
     """Bit-planes presented to an accumulator out of order."""
-
-
-class CapacityError(ValueError):
-    """Transpose buffer overflow or underflow."""
 
 
 def pow2ceil(x: int) -> int:
@@ -92,7 +99,6 @@ class AdderTreeConfig:
     levels: int
     node_modes: list[np.ndarray]    # per level (1-based), True = add
     groups: list[TreeGroup]
-    group_boundaries: list[tuple[int, int]]
     tap_points: list[tuple[int, int]]
 
 
@@ -137,7 +143,6 @@ def build_adder_tree(num_inputs: int, mac_sizes: list[int]) -> AdderTreeConfig:
         levels=levels,
         node_modes=modes,
         groups=groups,
-        group_boundaries=[(g.start, g.start + g.size) for g in groups],
         tap_points=[(g.tap_level, g.tap_node) for g in groups],
     )
 
@@ -187,20 +192,23 @@ def accumulate_bitplane(
 # --------------------------------------------------------------------------
 # Special function units
 # --------------------------------------------------------------------------
+# Each unit takes an int64 array (or a scalar) and applies element-wise, the
+# same arithmetic for every element the hardware unit would see in turn.
 
-def relu(x: int) -> int:
-    return x if x > 0 else 0
+def relu(x):
+    return np.maximum(x, 0)
 
 
-def rne_shift(value: int, shift: int) -> int:
-    """Round value / 2**shift to nearest, ties to even. Exact for ints."""
+def rne_shift(value, shift: int):
+    """Round value / 2**shift to nearest, ties to even; exact on int64 for
+    0 <= shift < 63."""
+    value = np.asarray(value, dtype=np.int64)
     if shift <= 0:
         return value
-    q, r = divmod(value, 1 << shift)
+    q = value >> shift
+    r = value & ((1 << shift) - 1)
     half = 1 << (shift - 1)
-    if r > half or (r == half and q & 1):
-        q += 1
-    return q
+    return q + ((r > half) | ((r == half) & ((q & 1) == 1)))
 
 
 @dataclass
@@ -214,94 +222,65 @@ class BatchNormParams:
         return int(round(self.scale * (1 << BN_FRAC_BITS)))
 
 
-def batchnorm(x: int, params: BatchNormParams) -> int:
-    """(x - mu) * scale + beta in Q16 fixed point, RNE, saturating."""
-    scaled = rne_shift((x - params.mu) * params.scale_fp, BN_FRAC_BITS)
-    out = scaled + params.beta
-    return min(max(out, BN_SAT_MIN), BN_SAT_MAX)
+def batchnorm(x, params: BatchNormParams):
+    """(x - mu) * scale + beta in Q16 fixed point, RNE, saturating.
+
+    Raises OverflowError rather than wrap when an intermediate could leave
+    int64.
+    """
+    x = np.asarray(x, dtype=np.int64)
+    scale = params.scale_fp
+    if x.size:
+        lo, hi = int(x.min()), int(x.max())
+        prod = max(abs(lo - params.mu), abs(hi - params.mu)) * abs(scale)
+        if prod >> 63 or ((prod >> BN_FRAC_BITS) + 1 + abs(params.beta)) >> 63:
+            raise OverflowError(
+                f"batchnorm of [{lo}, {hi}] with mu={params.mu}, "
+                f"scale_fp={scale}, beta={params.beta} leaves int64"
+            )
+    scaled = rne_shift((x - params.mu) * scale, BN_FRAC_BITS)
+    return np.clip(scaled + params.beta, BN_SAT_MIN, BN_SAT_MAX)
 
 
-def quantize(x: int, n: int, shift: int = 0) -> int:
+def quantize(x, n: int, shift: int = 0):
     """Right-shift with round-to-nearest-even, clamp into n unsigned bits."""
-    q = rne_shift(x, shift)
-    return min(max(q, 0), (1 << n) - 1)
+    return np.clip(rne_shift(x, shift), 0, (1 << n) - 1)
 
 
-@dataclass
-class PoolState:
-    window: int | None = None   # None = pass-through
-    count: int = 0
-    best: int = 0
-
-
-def maxpool_step(pool_state: PoolState, x: int) -> int | None:
-    """Feed one element; emit the running maximum once the window fills."""
-    if pool_state.window is None or pool_state.window == 1:
-        return x
-    if pool_state.count == 0 or x > pool_state.best:
-        pool_state.best = x
-    pool_state.count += 1
-    if pool_state.count == pool_state.window:
-        out = pool_state.best
-        pool_state.count = 0
-        pool_state.best = 0
-        return out
-    return None
+def maxpool(x: np.ndarray, window: int) -> np.ndarray:
+    """Max over non-overlapping window x window tiles of a (C, H, W) array,
+    stride window; trailing rows and columns that do not fill a tile drop."""
+    c, h, w = x.shape
+    oh, ow = h // window, w // window
+    tiles = x[:, : oh * window, : ow * window].reshape(c, oh, window, ow, window)
+    return tiles.max(axis=(2, 4))
 
 
 @dataclass
 class SfuParams:
     """Per-layer SFU configuration; None members act as pass-through."""
 
-    batchnorm: list[BatchNormParams] | None = None   # one entry per channel
+    batchnorm: list[BatchNormParams] | None = None   # channel c: [c % len]
     quantize_width: int | None = None
     quantize_shift: int = 0
     pool_window: int | None = None
 
-    def bn_for(self, channel: int) -> BatchNormParams | None:
-        if self.batchnorm is None:
-            return None
-        return self.batchnorm[channel % len(self.batchnorm)]
 
-
-@dataclass
-class TransposeBuffer:
-    """SRAM grid written word-per-row, read word-per-column.
-
-    Element (i, j) of write word i lands at grid[i][j] and is read back as
-    bit i of read word j, so a full write/read cycle is a bit transpose.
-    """
-
-    rows: int = 256
-    width: int = 8
-    grid: np.ndarray = field(default=None)
-    write_cursor: int = 0
-    read_cursor: int = 0
-
-    def __post_init__(self):
-        if self.grid is None:
-            self.grid = np.zeros((self.rows, self.width), dtype=np.uint8)
-
-
-def transpose_write(buf: TransposeBuffer, word: int) -> None:
-    if buf.write_cursor >= buf.rows:
-        raise CapacityError(f"buffer full after {buf.rows} words")
-    if word < 0 or word >> buf.width:
-        raise CapacityError(f"word {word} wider than {buf.width} bits")
-    for k in range(buf.width):
-        buf.grid[buf.write_cursor, k] = (word >> k) & 1
-    buf.write_cursor += 1
-
-
-def transpose_read(buf: TransposeBuffer) -> int:
-    if buf.read_cursor >= buf.width:
-        raise CapacityError(f"all {buf.width} columns already read")
-    col = buf.read_cursor
-    buf.read_cursor = col + 1
-    word = 0
-    for i in range(buf.rows):
-        word |= int(buf.grid[i, col]) << i
-    return word
+def sfu_stage(sums: np.ndarray, sfu: SfuParams) -> np.ndarray:
+    """The SFU chain in fixed order on a layer's MAC sums, (C, H, W) for conv
+    or (C,) for linear: ReLU, per-channel BatchNorm, Quantize, then max
+    pooling (conv only)."""
+    v = relu(sums)
+    if sfu.batchnorm is not None:
+        bns = sfu.batchnorm
+        rows = v.reshape(len(v), -1)
+        v = np.stack([batchnorm(row, bns[c % len(bns)])
+                      for c, row in enumerate(rows)]).reshape(v.shape)
+    if sfu.quantize_width is not None:
+        v = quantize(v, sfu.quantize_width, sfu.quantize_shift)
+    if sfu.pool_window:
+        v = maxpool(v, sfu.pool_window)
+    return v
 
 
 # --------------------------------------------------------------------------
@@ -313,21 +292,6 @@ class BankAccounting:
     aap_total: int = 0
     multiplies: int = 0
     plane_reads: int = 0
-
-
-def _sfu_chain(
-    mac_values: list[int], channels: list[int], sfu: SfuParams
-) -> list[int]:
-    out = []
-    for value, ch in zip(mac_values, channels):
-        v = relu(value)
-        bn = sfu.bn_for(ch)
-        if bn is not None:
-            v = batchnorm(v, bn)
-        if sfu.quantize_width is not None:
-            v = quantize(v, sfu.quantize_width, sfu.quantize_shift)
-        out.append(v)
-    return out
 
 
 def mac_plane_sums(planes: np.ndarray) -> np.ndarray:
@@ -346,8 +310,7 @@ def bank_execute(
     plan_slice,
     layer,
     sfu_params: SfuParams,
-    tree_width: int | None = None,
-) -> tuple[list[int], BankAccounting]:
+) -> tuple[np.ndarray, BankAccounting]:
     """Run one layer on one bank: multiply, reduce, accumulate, SFU chain.
 
     subarrays are packed bank states (see subarray.SubarrayState) covering
@@ -355,18 +318,17 @@ def bank_execute(
     placed per plan_slice (a LayerPlacement); an iterable lets the caller
     build them one at a time. Stacked operand pairs execute as sequential
     passes, one multiply replay per pass and state, charged to every subarray
-    it covers. Returns the post-SFU outputs in (channel, pooled position)
-    order plus the phase accounting. The tree defaults to pow2ceil of one
-    subarray's width.
+    it covers. Returns the post-SFU output tensor, (O, oh', ow') for conv and
+    (w2,) for linear, plus the phase accounting; plane reads are those of
+    the TREE_WIDTH-input tree.
     """
     acct = BankAccounting()
     ms = plan_slice.mac_size
     mps = plan_slice.macs_per_subarray
     mpp = plan_slice.macs_per_pass
+    n = plan_slice.precision
     mac_sums = np.zeros(plan_slice.macs_total, dtype=np.int64)
-    sub_cols = n = None
     for state in subarrays:
-        n = state.n
         subs = len(state.subarrays)
         sub_cols = state.cols // subs
         held = plan_slice.pass_macs(state.subarrays)
@@ -382,45 +344,9 @@ def bank_execute(
             mac_sums[base + held.start : base + held.stop] = mac_plane_sums(
                 grouped
             )
-    if n is None:
-        return [], acct
-    width = tree_width or pow2ceil(sub_cols)
     acct.plane_reads = (
-        2 * n * plan_slice.passes * tree_loads_per_pass(plan_slice, width)
+        2 * n * plan_slice.passes * tree_loads_per_pass(plan_slice, TREE_WIDTH)
     )
-
-    ordered_ids = range(plan_slice.macs_total)
-    values = mac_sums.tolist()
-    channels = [plan_slice.mac_channel(i) for i in ordered_ids]
-    post_sfu = _sfu_chain(values, channels, sfu_params)
-
-    if sfu_params.pool_window and sfu_params.pool_window > 1:
-        outputs = _pool_outputs(post_sfu, ordered_ids, plan_slice, layer, sfu_params)
-    else:
-        outputs = post_sfu
-    return outputs, acct
-
-
-def _pool_outputs(values, mac_ids, plan_slice, layer, sfu):
-    """Max-pool conv outputs per channel over w x w windows, stride w.
-
-    Positions are regrouped so each window's elements reach the pooling unit
-    consecutively; trailing rows or columns that do not fill a window drop.
-    """
-    w = sfu.pool_window
-    oh, ow = layer.output_hw()
-    by_mac = dict(zip(mac_ids, values))
-    pooled = []
-    positions = oh * ow
-    for ch in range(layer.O):
-        base = ch * positions
-        for py in range(oh // w):
-            for px in range(ow // w):
-                pool = PoolState(window=w * w)
-                out = None
-                for dy in range(w):
-                    for dx in range(w):
-                        q = (py * w + dy) * ow + (px * w + dx)
-                        out = maxpool_step(pool, by_mac[base + q])
-                pooled.append(out)
-    return pooled
+    if layer.kind == "conv":
+        mac_sums = mac_sums.reshape(layer.O, *layer.output_hw())
+    return sfu_stage(mac_sums, sfu_params), acct

@@ -8,8 +8,8 @@ are gathered im2col-style for all MACs at once and written as packed
 bit-planes, activations once, weights once per stacked pair; bank_execute
 then replays one multiply per pass and reduces, accumulates and runs the SFU
 chain. A layer wider than BANK_CHUNK_COLUMNS runs in chunks of whole
-subarrays, built one at a time. Layer outputs feed the next layer in
-(channel, position) order.
+subarrays, built one at a time. Each layer's output tensor is compared with
+the oracle's as it is and feeds the next layer unchanged.
 """
 
 from __future__ import annotations
@@ -20,7 +20,13 @@ import numpy as np
 
 from . import oracle
 from .datapath import BankAccounting, SfuParams, bank_execute
-from .mapper import LayerPlacement, LayerSpec, MappingPlan, NetworkDescription
+from .mapper import (
+    LayerPlacement,
+    LayerSpec,
+    MappingError,
+    MappingPlan,
+    NetworkDescription,
+)
 from .subarray import (
     COMPUTE_ROW_COUNT,
     ConfigurationError,
@@ -37,7 +43,7 @@ BANK_CHUNK_COLUMNS = 1 << 21
 
 @dataclass
 class LayerRun:
-    outputs: list[int]
+    outputs: np.ndarray
     accounting: BankAccounting
 
 
@@ -177,7 +183,6 @@ def run_layer(
     rows: int,
     cols: int,
     n: int,
-    tree_width: int | None = None,
 ) -> LayerRun:
     step = max(1, BANK_CHUNK_COLUMNS // cols)
 
@@ -188,17 +193,8 @@ def run_layer(
             place_operands(bank, place, layer, x, w)
             yield bank.pop()
 
-    outputs, acct = bank_execute(banks(), place, layer, sfu, tree_width)
+    outputs, acct = bank_execute(banks(), place, layer, sfu)
     return LayerRun(outputs=outputs, accounting=acct)
-
-
-def _to_tensor(layer: LayerSpec, outputs: list[int]) -> np.ndarray:
-    if layer.kind == "linear":
-        return np.array(outputs, dtype=np.int64)
-    oh, ow = layer.output_hw()
-    if layer.pool and layer.pool > 1:
-        oh, ow = oh // layer.pool, ow // layer.pool
-    return np.array(outputs, dtype=np.int64).reshape(layer.O, oh, ow)
 
 
 def run_functional(
@@ -207,13 +203,22 @@ def run_functional(
     rows: int,
     cols: int,
     seed: int,
-    tree_width: int | None = None,
 ) -> FunctionalResult:
     """Simulate the whole network and cross-check against the oracle.
 
     Returns per-layer runs plus the oracle tensors; mismatch carries the
-    first divergent element if the datapath ever disagrees.
+    first divergent element if the datapath ever disagrees. Raises
+    MappingError if a layer does not take as many elements as the layer
+    before it produces.
     """
+    for idx in range(1, len(net.layers)):
+        made = net.layers[idx - 1].output_elements()
+        taken = net.layers[idx].input_elements()
+        if made != taken:
+            raise MappingError(
+                f"layer {idx} takes {taken} input elements, but layer "
+                f"{idx - 1} produces {made}"
+            )
     rng = np.random.default_rng(seed)
     n = net.precision
     if not net.layers:
@@ -238,10 +243,9 @@ def run_functional(
             quantize_shift=quant[1],
             pool_window=layer.pool if layer.kind == "conv" else None,
         )
-        run = run_layer(place, layer, x, weights[idx], sfu, rows, cols, n,
-                        tree_width)
+        run = run_layer(place, layer, x, weights[idx], sfu, rows, cols, n)
         layer_runs.append(run)
-        got = _to_tensor(layer, run.outputs)
+        got = run.outputs
         want = ref_outputs[idx]
         if got.shape != want.shape:
             mismatch = (

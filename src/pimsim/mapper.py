@@ -70,22 +70,11 @@ class LayerSpec:
             oh, ow = oh // self.pool, ow // self.pool
         return self.O * oh * ow
 
-    def stride_notes(self) -> list[str]:
-        """Non-blocking alignment notes; output sizes floor when the stride
-        does not divide evenly (standard framework behavior)."""
-        notes = []
-        if self.kind == "conv" and self.s > 1:
-            if (self.H - self.K + 2 * self.p) % self.s:
-                notes.append(
-                    f"(H-K+2p)={self.H - self.K + 2 * self.p} not divisible "
-                    f"by s={self.s}; output height floors"
-                )
-            if (self.W - self.L + 2 * self.p) % self.s:
-                notes.append(
-                    f"(W-L+2p)={self.W - self.L + 2 * self.p} not divisible "
-                    f"by s={self.s}; output width floors"
-                )
-        return notes
+    def input_elements(self) -> int:
+        """Elements the layer reads: H*W*I for conv, w1 for linear."""
+        if self.kind == "linear":
+            return self.w1
+        return self.H * self.W * self.I
 
     def validate(self) -> list[str]:
         issues = []
@@ -224,10 +213,6 @@ class LayerPlacement:
     precision: int
     channel_positions: int      # MACs per output channel (1 for linear)
 
-    @property
-    def padding_cols_per_full_subarray(self) -> int:
-        return self.column_size - self.macs_per_subarray * self.mac_size
-
     def mac_location(self, mac_id: int) -> tuple[int, int, int, int]:
         """(pass, sub_no, col_no, pair_depth) for a MAC; 1-based sub/col."""
         if not 0 <= mac_id < self.macs_total:
@@ -235,9 +220,6 @@ class LayerPlacement:
         p, m = divmod(mac_id, self.macs_per_pass)
         sub, slot = divmod(m, self.macs_per_subarray)
         return p, sub + 1, slot * self.mac_size + 1, p
-
-    def mac_channel(self, mac_id: int) -> int:
-        return mac_id // self.channel_positions
 
     def subarray_batches(self, pass_idx: int):
         """Yield (subarray index, [(mac_id, col0), ...]) for one pass."""

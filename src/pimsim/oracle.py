@@ -1,10 +1,12 @@
 """Reference fixed-point inference, independent of the hardware model.
 
-Plain integer arithmetic over numpy arrays: convolution as im2col plus a
-matrix product, matrix-vector products, then the same SFU definitions (ReLU
-before BatchNorm, Q16 round-to-nearest-even BatchNorm, shift-RNE-clamp
-quantization, window max pooling) written out from scratch. Used as the ground truth the simulated
-datapath must match element for element.
+Plain integer arithmetic over whole numpy arrays: convolution as im2col plus
+a matrix product, matrix-vector products, then the same SFU definitions
+(ReLU before BatchNorm, Q16 round-to-nearest-even BatchNorm broadcast per
+channel, shift-RNE-clamp quantization, window max pooling) written out from
+scratch. BatchNorm runs on Python integers (object arrays), so it is exact
+for any parameters. Used as the ground truth the simulated datapath must
+match element for element.
 """
 
 from __future__ import annotations
@@ -19,16 +21,14 @@ _SAT_MIN = -(1 << 31)
 _SAT_MAX = (1 << 31) - 1
 
 
-def _round_half_even(num: int, denom_log2: int) -> int:
+def _round_half_even(num: np.ndarray, denom_log2: int) -> np.ndarray:
+    """num / 2**denom_log2 rounded to nearest, ties to even, element-wise."""
     if denom_log2 <= 0:
         return num
     d = 1 << denom_log2
     q = num // d
-    r = num - q * d
-    twice = 2 * r
-    if twice > d or (twice == d and q % 2 == 1):
-        q += 1
-    return q
+    twice = 2 * (num - q * d)
+    return q + ((twice > d) | ((twice == d) & (q % 2 == 1)))
 
 
 def conv_ref(x: np.ndarray, w: np.ndarray, p: int, s: int) -> np.ndarray:
@@ -58,29 +58,19 @@ def sfu_ref(
     bn: list[tuple[int, int, int]] | None,
     quant: tuple[int, int] | None,
 ) -> np.ndarray:
-    """ReLU, then BatchNorm (mu, scale_fp Q16, beta per channel), then
-    quantize (width, shift). sums is (channels, ...) or flat per channel."""
-    out = np.maximum(sums, 0)
-    flatshape = out.shape
+    """ReLU, then BatchNorm (mu, scale_fp Q16, beta; channel c uses
+    bn[c % len(bn)]), then quantize (width, shift). sums is (channels, ...);
+    a flat array has one element per channel."""
+    out = np.maximum(sums, 0).astype(np.int64)
     if bn is not None:
-        res = np.empty(flatshape, dtype=np.int64)
-        it = np.nditer(out, flags=["multi_index"])
-        for v in it:
-            ch = it.multi_index[0] if out.ndim > 1 else it.multi_index[0]
-            mu, scale_fp, beta = bn[ch % len(bn)]
-            t = (int(v) - mu) * scale_fp
-            r = _round_half_even(t, _BN_FRAC) + beta
-            res[it.multi_index] = min(max(r, _SAT_MIN), _SAT_MAX)
-        out = res
+        per_channel = np.array(bn, dtype=object)[np.arange(len(out)) % len(bn)]
+        mu, scale_fp, beta = per_channel.T.reshape(3, -1, *[1] * (out.ndim - 1))
+        t = (out.astype(object) - mu) * scale_fp
+        out = np.clip(_round_half_even(t, _BN_FRAC) + beta, _SAT_MIN, _SAT_MAX)
+        out = out.astype(np.int64)
     if quant is not None:
         width, shift = quant
-        res = np.empty(flatshape, dtype=np.int64)
-        it = np.nditer(out, flags=["multi_index"])
-        hi = (1 << width) - 1
-        for v in it:
-            q = _round_half_even(int(v), shift)
-            res[it.multi_index] = min(max(q, 0), hi)
-        out = res
+        out = np.clip(_round_half_even(out, shift), 0, (1 << width) - 1)
     return out
 
 

@@ -39,8 +39,6 @@ TRIPLE = "triple_activate"
 QUINTUPLE = "quintuple_activate"
 WRITE_ROW0 = "write_row0"
 
-EVENT_KINDS = (COPY, AND_STAGE, TRIPLE, QUINTUPLE, WRITE_ROW0)
-
 
 class ConfigurationError(ValueError):
     """Subarray geometry cannot support the requested precision."""

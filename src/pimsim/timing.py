@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .datapath import tree_loads_per_pass
+from .datapath import TREE_WIDTH, tree_loads_per_pass
 from .mapper import LayerPlacement, LayerSpec, MappingPlan, NetworkDescription
 from .mapper import ResidualAssignment, map_network
 from .subarray import mul_aap_count
@@ -37,7 +37,7 @@ class TimingParams:
     t_aap: float = 48.75                  # ns per ACTIVATE-ACTIVATE-PRECHARGE
     t_row_read: float = 35.0              # ns per bit-plane row read
     logic_clock: float = 1.0              # ns per datapath cycle, pre-penalty
-    tree_levels: int = 12                 # pipeline depth of the 4096 tree
+    tree_levels: int = TREE_WIDTH.bit_length() - 1   # tree pipeline depth
     sfu_cycles: dict = field(
         default_factory=lambda: {u: 1 for u in SFU_UNITS}
     )
@@ -123,13 +123,12 @@ def layer_latency(
     layer: LayerSpec,
     n: int,
     params: TimingParams,
-    tree_width: int = 4096,
 ) -> LayerLatency:
     """Phase breakdown for one layer on its bank.
 
     multiply: mul_aap_count(n) * t_aap per stacked pair (passes serialize).
-    reduce: per tree load, a levels-deep pipeline fill at logic rate plus 2n
-    bit-plane row reads at DRAM row rate. sfu/transpose: one element per unit
+    reduce: per load of the TREE_WIDTH-input tree, a levels-deep pipeline
+    fill at logic rate plus 2n bit-plane row reads at DRAM row rate. sfu/transpose: one element per unit
     cycle at the penalized logic rate. transfer: RowClone rows to move the
     layer output, at row granularity of the column width.
     """
@@ -139,7 +138,7 @@ def layer_latency(
     mul_aaps = mul_aap_count(n) * passes
     multiply_ns = mul_aaps * params.t_aap
 
-    loads = tree_loads_per_pass(place, tree_width) * passes
+    loads = tree_loads_per_pass(place, TREE_WIDTH) * passes
     reduce_ns = loads * (
         params.tree_levels * params.logic_ns + 2 * n * params.t_row_read
     )
@@ -310,10 +309,9 @@ def network_latencies(
     net: NetworkDescription,
     plan: MappingPlan,
     params: TimingParams,
-    tree_width: int = 4096,
 ) -> list[LayerLatency]:
     return [
-        layer_latency(place, layer, net.precision, params, tree_width)
+        layer_latency(place, layer, net.precision, params)
         for place, layer in zip(plan.layers, net.layers)
     ]
 
@@ -323,7 +321,6 @@ def precision_sweep(
     n_values: list[int],
     column_size: int,
     params: TimingParams,
-    tree_width: int = 4096,
 ) -> list[dict]:
     """Full-pipeline latency at each precision; asserts strict growth in n."""
     series = []
@@ -338,7 +335,7 @@ def precision_sweep(
             residual_edges=list(net.residual_edges),
         )
         plan = map_network(swept, column_size)
-        lats = network_latencies(swept, plan, params, tree_width)
+        lats = network_latencies(swept, plan, params)
         report = pipeline_schedule(lats, 1)
         series.append(
             {

@@ -199,13 +199,12 @@ def test_criterion_6_precision_scaling():
          linear_layer(w1=16, w2=4)],
     )
     increasing = precision_sweep(net, [1, 2, 3, 4, 8], column_size=64,
-                                 params=TimingParams(), tree_width=64)
+                                 params=TimingParams())
     totals = [s["total_ns"] for s in increasing]
     assert all(b > a for a, b in zip(totals, totals[1:]))
 
     series = {s["n"]: s["multiply_ns"]
-              for s in precision_sweep(net, [2, 4, 8], 64, TimingParams(),
-                                       tree_width=64)}
+              for s in precision_sweep(net, [2, 4, 8], 64, TimingParams())}
     # exact 19 : 168 : 1592 by cross-multiplication
     assert series[2] * 168 == series[4] * 19
     assert series[2] * 1592 == series[8] * 19

@@ -295,6 +295,26 @@ class TestMainEntry:
         assert "5x5 kernel does not fit the 2x2 input" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("mode", ["functional", "both"])
+    def test_layers_that_do_not_chain_exit_code(self, tmp_path, capsys, mode):
+        # the conv produces 3x3x2 = 18 elements, the linear layer takes 5
+        netfile = tmp_path / "bad.json"
+        netfile.write_text(json.dumps({
+            "name": "bad", "precision": 3,
+            "layers": [{"kind": "conv", "H": 4, "W": 4, "I": 1, "O": 2,
+                        "K": 2, "L": 2},
+                       {"kind": "linear", "w1": 5, "w2": 4}],
+        }))
+        status = main([
+            "--model", str(netfile), "--mode", mode,
+            "--output", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err.count("\n") == 1
+        assert "layer 1 takes 5 input elements, but layer 0 produces 18" in err
+        assert not (tmp_path / "out").exists()
+
     def test_timing_config_flag(self, tmp_path):
         cfg = tmp_path / "timing.txt"
         cfg.write_text("t_aap = 97.5\nsfu_cycles.pool = 3\n")

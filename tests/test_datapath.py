@@ -1,4 +1,4 @@
-"""Adder tree, accumulator, SFU and transpose unit tests."""
+"""Adder tree, accumulator, SFU and whole-bank execution tests."""
 
 import numpy as np
 import pytest
@@ -6,24 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pimsim.datapath import (
+    TREE_WIDTH,
     AccumulatorState,
     BatchNormParams,
-    CapacityError,
-    PoolState,
     SequencingError,
     SfuParams,
     ShapeError,
-    TransposeBuffer,
     TreeConfigError,
     accumulate_bitplane,
     bank_execute,
     batchnorm,
     build_adder_tree,
-    maxpool_step,
+    maxpool,
     quantize,
     relu,
-    transpose_read,
-    transpose_write,
+    sfu_stage,
+    tree_loads_per_pass,
     tree_reduce,
 )
 from pimsim import engine, oracle
@@ -197,78 +195,76 @@ class TestSfu:
         assert quantize(12, 4, shift=3) == 2   # 1.5 rounds to even 2
 
     def test_maxpool_window(self):
-        pool = PoolState(window=4)
-        outs = [maxpool_step(pool, x) for x in (1, 9, 3, 4)]
-        assert outs == [None, None, None, 9]
+        x = np.array([[[1, 9], [3, 4]]])
+        assert maxpool(x, 2).tolist() == [[[9]]]
 
     def test_maxpool_window_one_is_identity(self):
-        pool = PoolState(window=1)
-        assert [maxpool_step(pool, x) for x in (5, 2)] == [5, 2]
+        x = np.array([[[5, 2]]])
+        assert maxpool(x, 1).tolist() == [[[5, 2]]]
 
     def test_maxpool_two_windows(self):
-        pool = PoolState(window=2)
-        outs = [maxpool_step(pool, x) for x in (2, 8, 5, 1)]
-        assert outs == [None, 8, None, 5]
+        x = np.array([[[2, 8, 5, 1], [2, 8, 5, 1]]])
+        assert maxpool(x, 2).tolist() == [[[8, 5]]]
 
     def test_passthrough_pooling(self):
-        pool = PoolState(window=None)
         stream = [3, 1, 4, 1, 5]
-        assert [maxpool_step(pool, x) for x in stream] == stream
+        assert sfu_stage(np.array(stream), SfuParams()).tolist() == stream
+
+    def test_units_take_arrays(self):
+        x = np.array([-7, 0, 7, 300])
+        assert relu(x).tolist() == [0, 0, 7, 300]
+        assert quantize(x, 4).tolist() == [0, 0, 7, 15]
+        assert quantize(np.array([4, 12, 37]), 4, shift=3).tolist() == [0, 2, 5]
+        p = BatchNormParams(mu=2, scale=0.5, beta=1)
+        assert batchnorm(np.array([10, 2, 3]), p).tolist() == [5, 1, 1]
+
+    def test_batchnorm_raises_instead_of_wrapping(self):
+        # scale_fp = 2**56: 2**6 * 2**56 still fits and saturates, 2**7 not
+        big = BatchNormParams(scale=float(1 << 40))
+        assert batchnorm(1 << 6, big) == (1 << 31) - 1
+        with pytest.raises(OverflowError):
+            batchnorm(np.array([0, 1 << 7]), big)
+        with pytest.raises(OverflowError):
+            batchnorm(0, BatchNormParams(beta=(1 << 63) - 1))
 
 
-# --------------------------------------------------------------------------
-# Transpose buffer
-# --------------------------------------------------------------------------
-
-class TestTranspose:
-    def test_element_mapping(self):
-        buf = TransposeBuffer(rows=2, width=2)
-        transpose_write(buf, 0b01)
-        transpose_write(buf, 0b10)
-        # element (i, j) written horizontally reads back at (j, i)
-        assert buf.grid[0, 0] == 1 and buf.grid[1, 1] == 1
-        first, second = transpose_read(buf), transpose_read(buf)
-        assert (first >> 0) & 1 == 1 and (second >> 1) & 1 == 1
-
-    def test_identity_matrix_round_trip(self):
-        buf = TransposeBuffer(rows=4, width=4)
-        for i in range(4):
-            transpose_write(buf, 1 << i)
-        assert [transpose_read(buf) for _ in range(4)] == [1, 2, 4, 8]
-
-    def test_double_transpose_is_identity(self):
-        rng = np.random.default_rng(3)
-        words = [int(w) for w in rng.integers(0, 256, size=8)]
-        buf = TransposeBuffer(rows=8, width=8)
-        for w in words:
-            transpose_write(buf, w)
-        once = [transpose_read(buf) for _ in range(8)]
-        buf2 = TransposeBuffer(rows=8, width=8)
-        for w in once:
-            transpose_write(buf2, w)
-        assert [transpose_read(buf2) for _ in range(8)] == words
-
-    def test_capacity_errors(self):
-        buf = TransposeBuffer(rows=1, width=2)
-        transpose_write(buf, 1)
-        with pytest.raises(CapacityError):
-            transpose_write(buf, 1)
-        transpose_read(buf)
-        transpose_read(buf)
-        with pytest.raises(CapacityError):
-            transpose_read(buf)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.lists(st.integers(0, 255), min_size=8, max_size=8))
-    def test_involution_property(self, words):
-        buf = TransposeBuffer(rows=8, width=8)
-        for w in words:
-            transpose_write(buf, w)
-        once = [transpose_read(buf) for _ in range(8)]
-        buf2 = TransposeBuffer(rows=8, width=8)
-        for w in once:
-            transpose_write(buf2, w)
-        assert [transpose_read(buf2) for _ in range(8)] == words
+class TestSfuStageMatchesOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equals_sfu_ref_and_maxpool_ref(self, data):
+        channels = data.draw(st.integers(1, 4))
+        conv = data.draw(st.booleans())
+        shape = ((channels, data.draw(st.integers(1, 7)),
+                  data.draw(st.integers(1, 7))) if conv else (channels,))
+        seed = data.draw(st.integers(0, 2**16))
+        rng = np.random.default_rng(seed)
+        sums = rng.integers(-(1 << 20), 1 << 20, size=shape)
+        shift = data.draw(st.integers(0, 6))
+        if shift:
+            # exact halves q + 1/2 after the shift, with q odd and even
+            ties = rng.integers(-64, 64, size=shape) * (1 << shift) + (
+                1 << (shift - 1))
+            sums = np.where(rng.random(shape) < 0.3, ties, sums)
+        bns = data.draw(st.none() | st.lists(
+            st.builds(BatchNormParams,
+                      mu=st.integers(-(1 << 20), 1 << 20),
+                      scale=st.sampled_from([0.25, 0.5, 0.75, 1.0, 1.5, 3.0]),
+                      beta=st.integers(-1000, 1000)),
+            min_size=1, max_size=channels))
+        width = data.draw(st.none() | st.integers(1, 8))
+        window = data.draw(st.integers(1, 3)) if conv else None
+        sfu = SfuParams(batchnorm=bns, quantize_width=width,
+                        quantize_shift=shift, pool_window=window)
+        got = sfu_stage(sums, sfu)
+        want = oracle.sfu_ref(
+            sums,
+            None if bns is None else [(b.mu, b.scale_fp, b.beta) for b in bns],
+            None if width is None else (width, shift),
+        )
+        if window:
+            want = oracle.maxpool_ref(want, window)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
 
 
 # --------------------------------------------------------------------------
@@ -291,7 +287,7 @@ class TestBankExecute:
         x = np.array([3, 2])
         w = np.array([[1, 1]])
         outputs, acct = _run_single_layer(layer, x, w, 2, SfuParams())
-        assert outputs == [5]
+        assert outputs.tolist() == [5]
         assert acct.multiplies == 1
 
     def test_all_zero_weights(self):
@@ -299,7 +295,7 @@ class TestBankExecute:
         x = np.array([1, 2, 3])
         w = np.zeros((4, 3), dtype=np.int64)
         outputs, _ = _run_single_layer(layer, x, w, 3, SfuParams())
-        assert outputs == [0, 0, 0, 0]
+        assert outputs.tolist() == [0, 0, 0, 0]
 
     def test_linear_3_to_4_matches_mvm(self):
         rng = np.random.default_rng(11)
@@ -307,7 +303,7 @@ class TestBankExecute:
         x = rng.integers(0, 16, size=3)
         w = rng.integers(0, 16, size=(4, 3))
         outputs, acct = _run_single_layer(layer, x, w, 4, SfuParams())
-        assert outputs == list(w @ x)
+        assert outputs.tolist() == list(w @ x)
         assert acct.aap_total == acct.multiplies * 168
 
     def test_oversized_mac_folds_through_tree(self):
@@ -319,7 +315,7 @@ class TestBankExecute:
         outputs, _ = _run_single_layer(
             layer, x, w, 2, SfuParams(), rows=64, cols=64
         )
-        assert outputs == [int(x @ w[0])]
+        assert outputs.tolist() == [int(x @ w[0])]
 
     def test_sfu_chain_applies_relu_before_batchnorm(self):
         # x = 3 with mu = 5: relu first leaves -2 after the shift; the
@@ -329,7 +325,7 @@ class TestBankExecute:
         w = np.array([[1]])
         sfu = SfuParams(batchnorm=[BatchNormParams(mu=5)])
         outputs, _ = _run_single_layer(layer, x, w, 3, sfu)
-        assert outputs == [-2]
+        assert outputs.tolist() == [-2]
 
     def test_sfu_chain_quantize_after_batchnorm(self):
         layer = linear_layer(w1=1, w2=1)
@@ -338,7 +334,7 @@ class TestBankExecute:
         sfu = SfuParams(batchnorm=[BatchNormParams(beta=10)],
                         quantize_width=3)
         outputs, _ = _run_single_layer(layer, x, w, 3, sfu)
-        assert outputs == [7]          # 6 + 10 clamps into 3 bits
+        assert outputs.tolist() == [7]  # 6 + 10 clamps into 3 bits
 
     def test_sequential_passes_for_stacked_pairs(self):
         layer = linear_layer(w1=2, w2=2, k=2)
@@ -351,7 +347,7 @@ class TestBankExecute:
         subarrays = build_bank(place, 64, 8, 3)
         place_operands(subarrays, place, layer, x, w)
         outputs, acct = bank_execute(subarrays, place, layer, SfuParams())
-        assert outputs == [5, 6]
+        assert outputs.tolist() == [5, 6]
         assert acct.multiplies == 2
 
     def test_full_sfu_chain_matches_oracle(self):
@@ -369,7 +365,7 @@ class TestBankExecute:
             bn=[(b.mu, b.scale_fp, b.beta) for b in bns],
             quant=(3, 2),
         )
-        assert outputs == list(ref.reshape(-1))
+        assert np.array_equal(outputs, ref)
 
 
 def _seed_tree_reduction(place, n, width, product):
@@ -446,13 +442,17 @@ class TestVectorizedReduction:
         width = 1 << width_log2
         bank = build_bank(place, 256, cols, n)
         place_operands(bank, place, layer, x, w)
-        outputs, acct = bank_execute(bank, place, layer, SfuParams(),
-                                     tree_width=width)
+        outputs, acct = bank_execute(bank, place, layer, SfuParams())
         sums, reads = _seed_tree_reduction(
             place, n, width, lambda mac, j: int(x[j]) * int(w[mac, j]))
-        assert outputs == [sums[i] for i in range(place.macs_total)]
-        assert outputs == list(w @ x)
-        assert acct.plane_reads == reads
+        assert outputs.tolist() == [sums[i] for i in range(place.macs_total)]
+        assert outputs.tolist() == list(w @ x)
+        # the tree-load arithmetic counts the reference's reads at any width;
+        # the bank counts them on the one TREE_WIDTH-input tree
+        loads = 2 * n * place.passes
+        assert reads == loads * tree_loads_per_pass(place, width)
+        assert acct.plane_reads == loads * tree_loads_per_pass(place,
+                                                               TREE_WIDTH)
 
 
 class TestBankChunks:
@@ -468,6 +468,6 @@ class TestBankChunks:
         chunked = run_functional(net, plan, rows=64, cols=48, seed=3)
         assert whole.passed and chunked.passed
         for a, b in zip(whole.layer_runs, chunked.layer_runs):
-            assert a.outputs == b.outputs
+            assert np.array_equal(a.outputs, b.outputs)
             assert a.accounting == b.accounting
         assert chunked.layer_runs[0].accounting.multiplies == 36 * 2

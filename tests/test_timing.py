@@ -25,6 +25,7 @@ from pimsim.timing import (
     precision_sweep,
     residual_overhead,
 )
+from pimsim.engine import run_functional
 from pimsim.subarray import mul_aap_count
 
 
@@ -73,8 +74,7 @@ class TestLayerLatency:
         off = TimingParams(dram_logic_penalty=1.0)
 
         def phases(params):
-            lat = layer_latency(plan.layers[0], net.layers[0], 2, params,
-                                tree_width=64)
+            lat = layer_latency(plan.layers[0], net.layers[0], 2, params)
             return lat
 
         with_p, without = phases(base), phases(off)
@@ -90,6 +90,19 @@ class TestLayerLatency:
         assert without.reduce_ns == pytest.approx(
             loads * (levels * 1.0 + 2 * n * base.t_row_read)
         )
+
+    def test_reduce_costs_the_loads_the_functional_run_reads(self):
+        # 14 MACs of 9 in one 128-column subarray: one load of the
+        # 4096-input tree, two of a 128-input one, four of a 64-input one
+        net = NetworkDescription("tree", 2, [linear_layer(w1=9, w2=14)])
+        plan = map_network(net, 128)
+        params = TimingParams()
+        lat = layer_latency(plan.layers[0], net.layers[0], 2, params)
+        result = run_functional(net, plan, rows=64, cols=128, seed=0)
+        loads = result.layer_runs[0].accounting.plane_reads // (2 * 2)
+        assert loads == 1
+        assert lat.reduce_ns == pytest.approx(loads * (
+            params.tree_levels * params.logic_ns + 2 * 2 * params.t_row_read))
 
     def test_zero_mac_layer_is_free(self):
         place = map_network(_toy_net(), 64).layers[0]
@@ -225,7 +238,7 @@ class TestPrecisionSweep:
     def test_strictly_increasing_and_ratios(self):
         net = _toy_net()
         series = precision_sweep(net, [2, 4, 8], column_size=64,
-                                 params=TimingParams(), tree_width=64)
+                                 params=TimingParams())
         totals = [s["total_ns"] for s in series]
         assert totals == sorted(totals) and len(set(totals)) == 3
         mults = [s["multiply_ns"] for s in series]
@@ -237,13 +250,13 @@ class TestPrecisionSweep:
         net = _toy_net()
         p1 = TimingParams()
         p2 = TimingParams(t_aap=2 * p1.t_aap)
-        s1 = precision_sweep(net, [2], 64, p1, tree_width=64)[0]
-        s2 = precision_sweep(net, [2], 64, p2, tree_width=64)[0]
+        s1 = precision_sweep(net, [2], 64, p1)[0]
+        s2 = precision_sweep(net, [2], 64, p2)[0]
         assert s2["multiply_ns"] == pytest.approx(2 * s1["multiply_ns"])
 
     def test_n1_faster_than_n2(self):
         net = _toy_net()
-        series = precision_sweep(net, [1, 2], 64, TimingParams(), tree_width=64)
+        series = precision_sweep(net, [1, 2], 64, TimingParams())
         assert series[0]["total_ns"] < series[1]["total_ns"]
 
     def test_cubic_term_dominates_for_wide_n(self):
