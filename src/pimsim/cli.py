@@ -212,17 +212,10 @@ def run(net: NetworkDescription, config: RunConfig,
     if violations:
         raise MappingError("; ".join(violations))
 
-    residual = []
     banks = config.banks
     if banks is None:
         banks = len(net.layers) + len(net.residual_edges)
-    if banks < len(net.layers) + len(net.residual_edges):
-        raise MappingError(
-            f"{banks} banks cannot host {len(net.layers)} layers plus "
-            f"{len(net.residual_edges)} reserved banks"
-        )
-    if net.residual_edges:
-        residual = plan_residual(net, banks)
+    residual = plan_residual(net, banks)
     plan.reserved_banks = residual
 
     latencies = timing.network_latencies(net, plan, config.timing)

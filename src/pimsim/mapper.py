@@ -30,6 +30,15 @@ class MappingError(ValueError):
 # Network description
 # --------------------------------------------------------------------------
 
+# LayerSpec fields that must hold an int; pool must hold an int or None.
+_INT_FIELDS = ("H", "W", "I", "O", "K", "L", "p", "s", "w1", "w2", "k")
+
+
+def _is_int(value) -> bool:
+    """True for an int; bool is excluded although it subclasses int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class LayerSpec:
     """Geometry of one conv or linear layer.
@@ -77,10 +86,21 @@ class LayerSpec:
         return self.H * self.W * self.I
 
     def validate(self) -> list[str]:
-        issues = []
+        issues = [
+            f"{name} must be an integer, got {getattr(self, name)!r}"
+            for name in _INT_FIELDS if not _is_int(getattr(self, name))
+        ]
+        if self.pool is not None and not _is_int(self.pool):
+            issues.append(f"pool must be an integer or null, got {self.pool!r}")
+        if issues:
+            return issues
+        if self.k < 1:
+            issues.append(f"k={self.k} must be at least 1")
         if self.kind == "conv":
             if min(self.H, self.W, self.I, self.O, self.K, self.L) < 1:
                 issues.append("conv dimensions must be positive")
+            if self.p < 0:
+                issues.append(f"padding {self.p} must not be negative")
             if self.s < 1:
                 issues.append("stride must be positive")
             elif min(self.output_hw()) < 1:
@@ -88,12 +108,22 @@ class LayerSpec:
                     f"{self.K}x{self.L} kernel does not fit the "
                     f"{self.H}x{self.W} input with padding {self.p}"
                 )
-            if self.O % self.k:
+            elif self.pool is not None and not (
+                1 <= self.pool <= min(self.output_hw())
+            ):
+                oh, ow = self.output_hw()
+                issues.append(
+                    f"pool window {self.pool} must be 1 to {min(oh, ow)} "
+                    f"for the {oh}x{ow} output"
+                )
+            if self.k >= 1 and self.O % self.k:
                 issues.append(f"k={self.k} does not divide O={self.O}")
         elif self.kind == "linear":
             if min(self.w1, self.w2) < 1:
                 issues.append("linear dimensions must be positive")
-            if self.w2 % self.k:
+            if self.pool is not None:
+                issues.append("pool applies to conv layers only")
+            if self.k >= 1 and self.w2 % self.k:
                 issues.append(f"k={self.k} does not divide w2={self.w2}")
         else:
             issues.append(f"unknown layer kind {self.kind!r}")
@@ -132,13 +162,17 @@ class NetworkDescription:
 
     def validate(self) -> list[str]:
         issues = []
-        if self.precision < 1:
+        if not _is_int(self.precision):
+            issues.append(f"precision must be an integer, got {self.precision!r}")
+        elif self.precision < 1:
             issues.append("precision must be at least 1 bit")
         for idx, layer in enumerate(self.layers):
             issues.extend(f"layer {idx}: {msg}" for msg in layer.validate())
         for src, dst in self.residual_edges:
-            if not (0 <= src < dst < len(self.layers)):
-                issues.append(f"residual edge ({src}, {dst}) out of order or range")
+            if not (_is_int(src) and _is_int(dst)
+                    and 0 <= src < dst < len(self.layers)):
+                issues.append(f"residual edge ({src!r}, {dst!r}) out of order "
+                              f"or range")
         return issues
 
 
@@ -292,9 +326,6 @@ def _place_layer(
         )
     total = total_macs(layer)
     k = layer.k
-    outputs = layer.O if layer.kind == "conv" else layer.w2
-    if outputs % k:
-        raise MappingError(f"layer {idx}: k={k} does not divide {outputs}")
     macs_per_pass = total // k
     mps = column_size // ms
     subs = -(-macs_per_pass // mps)
@@ -343,18 +374,16 @@ def map_network(
 def plan_residual(
     net: NetworkDescription, total_banks: int
 ) -> list[ResidualAssignment]:
-    """Reserve one bank per skip connection, from the top bank downward.
+    """Reserve one bank per skip connection, from the top bank downward,
+    after checking that the layers and the reserved banks fit.
 
     Each assignment schedules both inbound copies, the in-DRAM addition and
     the outbound transfer to the destination bank.
     """
-    used = len(net.layers)
-    free = total_banks - used
-    if len(net.residual_edges) > free:
+    if total_banks < len(net.layers) + len(net.residual_edges):
         raise MappingError(
-            f"{len(net.residual_edges)} skip connections need reserved banks "
-            f"but only {max(free, 0)} banks are free "
-            f"({total_banks} total, {used} layer banks)"
+            f"{total_banks} banks cannot host {len(net.layers)} layers plus "
+            f"{len(net.residual_edges)} reserved banks"
         )
     assignments = []
     for e_idx, (src, dst) in enumerate(net.residual_edges):
@@ -374,30 +403,30 @@ def plan_residual(
 # --------------------------------------------------------------------------
 
 def validate_plan(plan: MappingPlan, net: NetworkDescription) -> list[str]:
-    """Check the mapping rules; returns a list of violations (empty = clean).
+    """Check the mapping rules in closed form; returns a list of violations
+    (empty = clean).
 
-    Checked per layer: MACs stay inside one subarray, columns stay in range,
-    no (subarray, column, pair) is claimed twice, placement count matches the
-    analytic multiplication count, capacity bounds, and the occupied-bits
-    bound against the worst-case footprint.
+    Checked per layer: the MAC size matches the layer; the MACs of one
+    subarray fit its columns, so a MAC never spans subarrays and distinct
+    slots get disjoint columns; the MACs cover the analytic multiplication
+    count; the passes cover every MAC; one pass uses exactly the subarrays
+    it needs, and no more than the bank has. Together these make
+    `mac_location` one-to-one onto in-range (subarray, column, pair) slots.
     """
     issues: list[str] = []
     if len(plan.layers) != len(net.layers):
         return [f"plan has {len(plan.layers)} layers, network {len(net.layers)}"]
     for place, layer in zip(plan.layers, net.layers):
         tag = f"layer {place.layer_index}"
-        ms = place.mac_size
-        if ms != mac_size(layer):
+        ms, mps = place.mac_size, place.macs_per_subarray
+        if ms != mac_size(layer) or ms < 1:
             issues.append(f"{tag}: plan mac_size {ms} != {mac_size(layer)}")
-        if place.macs_per_subarray < 1:
-            issues.append(f"{tag}: MAC spans subarrays (size {ms} > "
-                          f"column_size {place.column_size})")
-            continue
-        if place.macs_per_subarray * ms > place.column_size:
-            issues.append(f"{tag}: MAC spans subarrays or overruns column_size")
-        last_col = (place.macs_per_subarray - 1) * ms + ms
-        if last_col > place.column_size:
-            issues.append(f"{tag}: col_no exceeds column_size ({last_col})")
+        if mps < 1 or mps * ms > place.column_size:
+            issues.append(
+                f"{tag}: {mps} MACs of {ms} multiplications per subarray "
+                f"overrun column_size {place.column_size} or a MAC spans "
+                f"subarrays"
+            )
         if place.macs_total * ms != total_multiplications(layer):
             issues.append(
                 f"{tag}: placed {place.macs_total * ms} multiplications, "
@@ -405,6 +434,12 @@ def validate_plan(plan: MappingPlan, net: NetworkDescription) -> list[str]:
             )
         if place.passes * place.macs_per_pass != place.macs_total:
             issues.append(f"{tag}: passes do not cover all MACs")
+        needed = -(-place.macs_per_pass // mps) if mps >= 1 else None
+        if needed is not None and place.subarrays_used != needed:
+            issues.append(
+                f"{tag}: uses {place.subarrays_used} subarrays, one pass "
+                f"needs {needed}"
+            )
         if (
             plan.subarrays_per_bank is not None
             and place.subarrays_used > plan.subarrays_per_bank
@@ -413,25 +448,6 @@ def validate_plan(plan: MappingPlan, net: NetworkDescription) -> list[str]:
                 f"{tag}: uses {place.subarrays_used} subarrays, bank has "
                 f"{plan.subarrays_per_bank}"
             )
-        if place.passes == 1 and place.occupied_bits() > footprint_bits(
-            layer, plan.precision
-        ) + place.padding_bits():
-            issues.append(f"{tag}: occupied bits exceed footprint plus padding")
-        # Spot-check slot uniqueness on a bounded prefix of each pass. MACs
-        # start at multiples of mac_size and fit the subarray (checked above),
-        # so distinct start slots imply disjoint column ranges.
-        seen = set()
-        for p in range(place.passes):
-            for mac in range(
-                p * place.macs_per_pass,
-                p * place.macs_per_pass + min(place.macs_per_pass, 512),
-            ):
-                _, sub, col, depth = place.mac_location(mac)
-                key = (sub, col, depth)
-                if key in seen:
-                    issues.append(f"{tag}: slot {key} assigned twice")
-                    break
-                seen.add(key)
     return issues
 
 
@@ -536,12 +552,20 @@ def network_from_json(text: str) -> NetworkDescription:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MappingError(f"network file is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise MappingError("network file must hold a JSON object")
     for key in ("name", "precision", "layers"):
         if key not in doc:
             raise MappingError(f"network file is missing the {key!r} field")
+    for key in ("layers", "parallelism", "residual_edges"):
+        if not isinstance(doc.get(key, []), list):
+            raise MappingError(f"{key!r} must be a list")
+    edges = doc.get("residual_edges", [])
+    if not all(isinstance(e, list) and len(e) == 2 for e in edges):
+        raise MappingError("each residual edge must be a [src, dst] pair")
     layers = []
     for idx, entry in enumerate(doc["layers"]):
-        if "kind" not in entry:
+        if not isinstance(entry, dict) or "kind" not in entry:
             raise MappingError(f"layer {idx}: missing 'kind'")
         known = {f for f in LayerSpec.__dataclass_fields__}
         bad = set(entry) - known
@@ -550,10 +574,10 @@ def network_from_json(text: str) -> NetworkDescription:
         layers.append(LayerSpec(**entry))
     net = NetworkDescription(
         name=doc["name"],
-        precision=int(doc["precision"]),
+        precision=doc["precision"],
         layers=layers,
-        parallelism=[int(k) for k in doc.get("parallelism", [])],
-        residual_edges=[tuple(e) for e in doc.get("residual_edges", [])],
+        parallelism=doc.get("parallelism", []),
+        residual_edges=[tuple(e) for e in edges],
     )
     issues = net.validate()
     if issues:

@@ -12,7 +12,7 @@ layer's output filter or neuron count.
 
 from __future__ import annotations
 
-from .mapper import NetworkDescription, conv_layer, linear_layer
+from .mapper import MappingError, NetworkDescription, conv_layer, linear_layer
 
 PRESET_NAMES = ("alexnet", "vgg16", "resnet18")
 
@@ -97,10 +97,10 @@ def preset(name: str, parallelism: str = "P1", precision: int = 4
     """Build a named workload with one of its listed parallelism vectors."""
     key = name.lower()
     if key not in PRESET_NAMES:
-        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+        raise MappingError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     vectors = PARALLELISM[key]
     if parallelism not in vectors:
-        raise ValueError(
+        raise MappingError(
             f"{name} has parallelism presets {sorted(vectors)}, not {parallelism!r}"
         )
     edges: list[tuple[int, int]] = []

@@ -32,6 +32,15 @@ class TimingConfigError(ValueError):
     """Non-positive or malformed timing parameter."""
 
 
+def _parse_value(name: str, text: str, kind: type):
+    try:
+        return kind(text)
+    except ValueError:
+        raise TimingConfigError(
+            f"{name} = {text!r} is not a valid {kind.__name__}"
+        ) from None
+
+
 @dataclass
 class TimingParams:
     t_aap: float = 48.75                  # ns per ACTIVATE-ACTIVATE-PRECHARGE
@@ -47,13 +56,19 @@ class TimingParams:
     def __post_init__(self):
         for name in ("t_aap", "t_row_read", "logic_clock",
                      "t_rowclone_interbank", "dram_logic_penalty"):
-            if getattr(self, name) <= 0:
-                raise TimingConfigError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise TimingConfigError(
+                    f"{name} must be positive and finite, got {value}"
+                )
         if self.tree_levels < 1:
             raise TimingConfigError("tree_levels must be positive")
         for unit in SFU_UNITS:
-            if self.sfu_cycles.get(unit, 0) < 0:
-                raise TimingConfigError(f"sfu_cycles.{unit} must be >= 0")
+            cycles = self.sfu_cycles.get(unit, 0)
+            if not (math.isfinite(cycles) and cycles >= 0):
+                raise TimingConfigError(
+                    f"sfu_cycles.{unit} must be finite and >= 0, got {cycles}"
+                )
 
     @property
     def logic_ns(self) -> float:
@@ -86,12 +101,14 @@ class TimingParams:
                 unit = name.split(".", 1)[1]
                 if unit not in SFU_UNITS:
                     raise TimingConfigError(f"unknown SFU unit {unit!r}")
-                cycles[unit] = int(value)
+                cycles[unit] = _parse_value(name, value, int)
             elif name == "tree_levels":
-                params = replace(params, tree_levels=int(value))
+                params = replace(params,
+                                 tree_levels=_parse_value(name, value, int))
             elif name in ("t_aap", "t_row_read", "logic_clock",
                           "t_rowclone_interbank", "dram_logic_penalty"):
-                params = replace(params, **{name: float(value)})
+                params = replace(params,
+                                 **{name: _parse_value(name, value, float)})
             else:
                 raise TimingConfigError(f"unknown timing field {name!r}")
         return replace(params, sfu_cycles=cycles)

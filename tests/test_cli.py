@@ -315,6 +315,75 @@ class TestMainEntry:
         assert "layer 1 takes 5 input elements, but layer 0 produces 18" in err
         assert not (tmp_path / "out").exists()
 
+    def test_unlisted_preset_vector_exit_code(self, tmp_path, capsys):
+        status = main([
+            "--preset", "alexnet", "--parallelism", "P5", "--mode", "timing",
+            "--output", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err.count("\n") == 1
+        assert "not 'P5'" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode", ["timing", "both"])
+    @pytest.mark.parametrize("field,value,message", [
+        ("H", "4", "H must be an integer, got '4'"),
+        ("H", 4.5, "H must be an integer, got 4.5"),
+        ("H", None, "H must be an integer, got None"),
+        ("K", True, "K must be an integer, got True"),
+        ("p", -1, "padding -1 must not be negative"),
+        ("pool", -1, "pool window -1 must be 1 to 3"),
+        ("pool", 2.5, "pool must be an integer or null, got 2.5"),
+        ("pool", "a", "pool must be an integer or null, got 'a'"),
+        ("pool", 9, "pool window 9 must be 1 to 3 for the 3x3 output"),
+        ("precision", "4", "precision must be an integer, got '4'"),
+        ("parallelism", [1.5], "k must be an integer, got 1.5"),
+        ("parallelism", [0], "k=0 must be at least 1"),
+    ])
+    def test_bad_network_field_exit_code(self, tmp_path, capsys, mode, field,
+                                         value, message):
+        # a 4x4 input through a 2x2 kernel gives a 3x3 output
+        doc = {"name": "bad", "precision": 4, "parallelism": [1],
+               "layers": [{"kind": "conv", "H": 4, "W": 4, "I": 1, "O": 2,
+                           "K": 2, "L": 2}]}
+        if field in doc:
+            doc[field] = value
+        else:
+            doc["layers"][0][field] = value
+        netfile = tmp_path / "bad.json"
+        netfile.write_text(json.dumps(doc))
+        status = main([
+            "--model", str(netfile), "--mode", mode,
+            "--output", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line,message", [
+        ("t_aap = fast", "t_aap = 'fast' is not a valid float"),
+        ("sfu_cycles.relu = 1.5", "sfu_cycles.relu = '1.5' is not a valid int"),
+        ("t_aap = nan", "t_aap must be positive and finite, got nan"),
+    ])
+    def test_bad_timing_config_exit_code(self, tmp_path, capsys, line,
+                                         message):
+        cfg = tmp_path / "timing.txt"
+        cfg.write_text(line + "\n")
+        netfile = tmp_path / "toy.json"
+        save_network(toy_net(), netfile)
+        status = main([
+            "--model", str(netfile), "--mode", "timing",
+            "--timing-config", str(cfg), "--output", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / "out").exists()
+
     def test_timing_config_flag(self, tmp_path):
         cfg = tmp_path / "timing.txt"
         cfg.write_text("t_aap = 97.5\nsfu_cycles.pool = 3\n")

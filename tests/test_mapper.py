@@ -18,6 +18,7 @@ from pimsim.mapper import (
     plan_from_text,
     plan_residual,
     plan_to_text,
+    total_macs,
     total_multiplications,
     validate_plan,
 )
@@ -216,6 +217,109 @@ class TestValidatePlan:
         again = plan_from_text(text)
         assert validate_plan(again, net) == []
         assert plan_to_text(again) == text
+
+
+def _reference_faults(plan, net):
+    """Brute-force placement check: walk every MAC of every layer through
+    mac_location and report MACs that are not placed, overrun their columns,
+    subarrays or pair depths, or share a column at the same depth."""
+    faults = []
+    for place, layer in zip(plan.layers, net.layers):
+        if place.macs_per_pass < 1 or place.macs_per_subarray < 1:
+            faults.append(f"layer {place.layer_index}: MACs cannot be located")
+            continue
+        width = mac_size(layer)
+        taken = set()
+        for mac in range(total_macs(layer)):
+            try:
+                _, sub, col, depth = place.mac_location(mac)
+            except MappingError:
+                faults.append(f"mac {mac} is not placed")
+                break
+            if col < 1 or col + width - 1 > place.column_size:
+                faults.append(f"mac {mac} columns {col}..{col + width - 1}")
+            if not 1 <= sub <= place.subarrays_used:
+                faults.append(f"mac {mac} in subarray {sub}")
+            if (plan.subarrays_per_bank is not None
+                    and sub > plan.subarrays_per_bank):
+                faults.append(f"mac {mac} beyond the bank")
+            if not 0 <= depth < place.passes:
+                faults.append(f"mac {mac} at depth {depth}")
+            slots = {(sub, c, depth) for c in range(col, col + width)}
+            if taken & slots:
+                faults.append(f"mac {mac} shares a slot")
+            taken |= slots
+    return faults
+
+
+TAMPERED_FIELDS = ("mac_size", "macs_per_subarray", "macs_per_pass", "passes",
+                   "macs_total", "subarrays_used", "column_size")
+
+
+class TestValidatePlanClosedForm:
+    def test_subarrays_used_too_small(self):
+        # linear 8 -> 16 at column_size 32: 4 MACs per subarray, 4 subarrays
+        net = NetworkDescription("u", 4, [linear_layer(w1=8, w2=16)])
+        plan = map_network(net, column_size=32)
+        assert plan.layers[0].subarrays_used == 4
+        plan.layers[0].subarrays_used = 1
+        assert plan.layers[0].mac_location(15)[1] == 4
+        assert _reference_faults(plan, net)
+        issues = validate_plan(plan, net)
+        assert any("one pass needs 4" in v for v in issues)
+
+    def test_mac_size_traded_against_mac_count(self):
+        # 6 MACs of 4 relabelled as 12 MACs of 2: every count still agrees,
+        # but the real MACs overlap
+        net = NetworkDescription("m", 4, [linear_layer(w1=4, w2=6)])
+        plan = map_network(net, column_size=32)
+        place = plan.layers[0]
+        place.mac_size, place.macs_per_subarray = 2, 16
+        place.macs_total = place.macs_per_pass = 12
+        assert _reference_faults(plan, net)
+        assert validate_plan(plan, net) == ["layer 0: plan mac_size 2 != 4"]
+
+    def test_mac_count_short_of_the_layer(self):
+        net = NetworkDescription("c", 4, [linear_layer(w1=4, w2=6)])
+        plan = map_network(net, column_size=32)
+        place = plan.layers[0]
+        place.macs_total = place.macs_per_pass = 5
+        assert _reference_faults(plan, net)
+        assert validate_plan(plan, net) == [
+            "layer 0: placed 20 multiplications, expected 24"
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_no_fault_the_brute_force_walk_finds_is_missed(self, data):
+        if data.draw(st.booleans()):
+            o = data.draw(st.sampled_from([2, 4, 6]))
+            layer = conv_layer(
+                H=data.draw(st.integers(2, 5)), W=data.draw(st.integers(2, 5)),
+                I=data.draw(st.integers(1, 2)), O=o, K=2, p=0, s=1,
+                k=data.draw(st.sampled_from([k for k in (1, 2, 3) if o % k == 0])),
+            )
+        else:
+            w2 = data.draw(st.sampled_from([4, 6, 9]))
+            layer = linear_layer(
+                w1=data.draw(st.integers(1, 8)), w2=w2,
+                k=data.draw(st.sampled_from([k for k in (1, 2, 3) if w2 % k == 0])),
+            )
+        net = NetworkDescription("t", 2, [layer], parallelism=[layer.k])
+        column_size = data.draw(st.integers(mac_size(layer), 3 * mac_size(layer)))
+        plan = map_network(net, column_size)
+        place = plan.layers[0]
+        assert validate_plan(plan, net) == [] == _reference_faults(plan, net)
+        plan.subarrays_per_bank = data.draw(st.one_of(
+            st.none(), st.integers(place.subarrays_used - 1,
+                                   place.subarrays_used + 1)))
+        for name in data.draw(st.lists(st.sampled_from(TAMPERED_FIELDS),
+                                       min_size=1, unique=True)):
+            old = getattr(place, name)
+            setattr(place, name, data.draw(st.one_of(
+                st.integers(old - 2, old + 2), st.integers(-1, 2 * old + 1))))
+        if _reference_faults(plan, net):
+            assert validate_plan(plan, net) != []
 
 
 class TestResidual:

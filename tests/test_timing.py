@@ -286,3 +286,20 @@ class TestTimingConfig:
             TimingParams.from_text("nonsense = 4\n")
         with pytest.raises(TimingConfigError):
             TimingParams.from_text("t_aap : 4\n")
+
+    @pytest.mark.parametrize("line", [
+        "t_aap = fast", "tree_levels = 2.5", "sfu_cycles.relu = 1.5",
+        "logic_clock =",
+    ])
+    def test_unparsable_values_rejected(self, line):
+        with pytest.raises(TimingConfigError, match="is not a valid"):
+            TimingParams.from_text(line + "\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_values_rejected(self, value):
+        with pytest.raises(TimingConfigError, match="finite"):
+            TimingParams.from_text(f"t_aap = {value}\n")
+        with pytest.raises(TimingConfigError, match="finite"):
+            TimingParams(t_row_read=float(value))
+        with pytest.raises(TimingConfigError, match="finite"):
+            TimingParams(sfu_cycles={"pool": float(value)})
