@@ -340,8 +340,8 @@ def main(argv: list[str] | None = None) -> int:
         # default to a desk-scale subarray that finishes in seconds.
         default_dim = 4096 if args.mode == "timing" else 256
         config = RunConfig(
-            rows=args.rows or default_dim,
-            cols=args.cols or default_dim,
+            rows=default_dim if args.rows is None else args.rows,
+            cols=default_dim if args.cols is None else args.cols,
             column_size=args.column_size,
             subarrays_per_bank=args.subarrays_per_bank,
             banks=args.banks,

@@ -26,6 +26,7 @@ from .mapper import (
     MappingError,
     MappingPlan,
     NetworkDescription,
+    mac_size,
 )
 from .subarray import (
     COMPUTE_ROW_COUNT,
@@ -64,8 +65,6 @@ class FunctionalResult:
 def default_quant_shift(layer: LayerSpec, n: int) -> int:
     """Deterministic requantization shift: scale the worst-case MAC sum back
     into n bits."""
-    from .mapper import mac_size
-
     worst = mac_size(layer) * ((1 << n) - 1) ** 2
     if worst <= 0:
         return 0
@@ -110,10 +109,12 @@ def build_bank(place: LayerPlacement, rows: int, cols: int, n: int,
 
 
 def _operand_bytes(values, n: int) -> np.ndarray:
+    """Operands in the smallest unsigned type that holds n bits (uint8 for
+    n <= 8)."""
     values = np.asarray(values)
     if values.size and (values.min() < 0 or values.max() >= 1 << n):
         raise OperandRangeError(f"operands must fit {n} unsigned bits")
-    return values.astype(np.uint8)
+    return values.astype(np.min_scalar_type((1 << n) - 1))
 
 
 def _im2col(layer: LayerSpec, x: np.ndarray) -> np.ndarray:
@@ -123,7 +124,7 @@ def _im2col(layer: LayerSpec, x: np.ndarray) -> np.ndarray:
         return x.reshape(1, -1)
     oh, ow = layer.output_hw()
     p, s = layer.p, layer.s
-    xp = np.zeros((layer.I, layer.H + 2 * p, layer.W + 2 * p), dtype=np.uint8)
+    xp = np.zeros((layer.I, layer.H + 2 * p, layer.W + 2 * p), dtype=x.dtype)
     xp[:, p : p + layer.H, p : p + layer.W] = x.reshape(layer.I, layer.H,
                                                         layer.W)
     oy, ox = np.divmod(np.arange(oh * ow), ow)
@@ -135,14 +136,14 @@ def _im2col(layer: LayerSpec, x: np.ndarray) -> np.ndarray:
 def _write_operands(state: SubarrayState, rows: tuple[int, ...],
                     place: LayerPlacement, values: np.ndarray) -> None:
     """Write one n-bit operand per column of the state's MACs, LSB in
-    rows[0]; values is (macs, mac_size) uint8 in MAC order."""
+    rows[0]; values is (macs, mac_size) in MAC order."""
     mps, ms = place.macs_per_subarray, place.mac_size
     subs = len(state.subarrays)
-    grid = np.zeros((subs * mps, ms), dtype=np.uint8)
+    grid = np.zeros((subs * mps, ms), dtype=values.dtype)
     grid[: len(values)] = values
-    cols = np.zeros((subs, state.cols // subs), dtype=np.uint8)
+    cols = np.zeros((subs, state.cols // subs), dtype=values.dtype)
     cols[:, : mps * ms] = grid.reshape(subs, mps * ms)
-    shifts = np.arange(len(rows), dtype=np.uint8)[:, None]
+    shifts = np.arange(len(rows), dtype=values.dtype)[:, None]
     planes = (cols.reshape(1, -1) >> shifts) & 1
     state.cells[list(rows)] = pack_columns(planes, state.cells.shape[1])
 
@@ -209,8 +210,18 @@ def run_functional(
     Returns per-layer runs plus the oracle tensors; mismatch carries the
     first divergent element if the datapath ever disagrees. Raises
     MappingError if a layer does not take as many elements as the layer
-    before it produces.
+    before it produces, and ConfigurationError if a layer's dot products
+    could leave int64, the width of the MAC sums here and in the oracle.
     """
+    n = net.precision
+    for idx, layer in enumerate(net.layers):
+        terms = mac_size(layer)
+        if 2 * n + terms.bit_length() > 63:
+            raise ConfigurationError(
+                f"layer {idx}: {terms}-term dot products at precision {n} "
+                f"can overflow the 64-bit MAC sums (needs 2 * precision + "
+                f"bit length of {terms} <= 63)"
+            )
     for idx in range(1, len(net.layers)):
         made = net.layers[idx - 1].output_elements()
         taken = net.layers[idx].input_elements()
@@ -220,7 +231,6 @@ def run_functional(
                 f"{idx - 1} produces {made}"
             )
     rng = np.random.default_rng(seed)
-    n = net.precision
     if not net.layers:
         return FunctionalResult([], [])
     x0 = synth_input(rng, net.layers[0], n)

@@ -21,6 +21,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, asdict
 
+import numpy as np
+
 
 class MappingError(ValueError):
     """The network cannot be placed under the given geometry."""
@@ -451,6 +453,16 @@ def validate_plan(plan: MappingPlan, net: NetworkDescription) -> list[str]:
     return issues
 
 
+def _mac_listing(pl: LayerPlacement) -> str:
+    """One line per MAC of the layer with its mac_location, in one format."""
+    mac = np.arange(pl.macs_total)
+    depth, m = np.divmod(mac, pl.macs_per_pass)
+    sub, slot = np.divmod(m, pl.macs_per_subarray)
+    rows = np.stack([mac, sub + 1, slot * pl.mac_size + 1, depth], axis=1)
+    line = "  mac_id=%d sub_no=%d col_no=%d pair_depth=%d"
+    return "\n".join([line] * pl.macs_total) % tuple(rows.ravel().tolist())
+
+
 def plan_to_text(plan: MappingPlan, expand_limit: int = 10000) -> str:
     """Serialize a plan; layers small enough also list per-MAC entries."""
     lines = [
@@ -467,12 +479,8 @@ def plan_to_text(plan: MappingPlan, expand_limit: int = 10000) -> str:
             f"subarrays_used={pl.subarrays_used} "
             f"channel_positions={pl.channel_positions}"
         )
-        if pl.macs_total <= expand_limit:
-            for mac in range(pl.macs_total):
-                _, sub, col, depth = pl.mac_location(mac)
-                lines.append(
-                    f"  mac_id={mac} sub_no={sub} col_no={col} pair_depth={depth}"
-                )
+        if 0 < pl.macs_total <= expand_limit:
+            lines.append(_mac_listing(pl))
     for res in plan.reserved_banks:
         lines.append(
             f"reserved bank={res.reserved_bank} src={res.edge[0]} "

@@ -17,10 +17,13 @@ Operands live in transposed layout: one multiplication per column, LSB in the
 lowest-indexed data row. Cells are stored bit-packed, 64 columns per uint64
 word (column c is bit c % 64 of word c // 64), so every AAP is a handful of
 bitwise operations on whole rows. Each event is self-describing (its kind and
-every row it touches), and apply_event is the one place that gives each kind
-its meaning. The multiply command sequence depends only on n and the stacked
-pair, never on operand values: it is recorded once per (n, pair) and replayed
-on every later call, and one replay drives every column at once (SIMD across
+every row it touches), and apply_event gives each kind its meaning: the
+primitives execute through it while they record, and it is the reference any
+other executor must match. The multiply command sequence depends only on n
+and the stacked pair, never on operand values: it is recorded once per
+(n, pair) and compiled once into a program over row slots, in which copies
+are renames and only the logic activations compute. Every later call runs
+that program, and one run drives every column at once (SIMD across
 bitlines). A state may hold several equal-width subarrays side by side (a
 packed bank); they share one row layout and one command stream.
 """
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -274,9 +277,24 @@ def replay(state: SubarrayState, events: Sequence[AapEvent]) -> list[AapEvent]:
     cells = state.cells
     for event in events:
         apply_event(cells, event)
-    start = state.trace.total_aap
-    state.trace.events.extend(events)
-    return state.trace.events[start:]
+    return _log_events(state.trace, events)
+
+
+def _log_events(
+    trace: AapTrace,
+    events: Sequence[AapEvent],
+    and_spans: Sequence[tuple[int, int]] = (),
+    add_spans: Sequence[tuple[int, int]] = (),
+) -> list[AapEvent]:
+    """Append executed events to the trace, with their AND and ADD spans
+    given relative to the first event; return the appended entries."""
+    start = trace.total_aap
+    trace.and_ops += len(and_spans)
+    trace.add_ops += len(add_spans)
+    trace.and_spans.extend((lo + start, hi + start) for lo, hi in and_spans)
+    trace.add_spans.extend((lo + start, hi + start) for lo, hi in add_spans)
+    trace.events.extend(events)
+    return trace.events[start:]
 
 
 def _run(state: SubarrayState, kind: str, rows: Sequence[int]) -> None:
@@ -615,48 +633,222 @@ def _multiply_wide(state: SubarrayState, pair: int) -> None:
             _fused_add(state, I, dest, carry, seeded=False)
 
 
-Schedule = tuple[tuple[AapEvent, ...], tuple[tuple[int, int], ...],
-                 tuple[tuple[int, int], ...]]
+@dataclass(frozen=True)
+class Program:
+    """A multiply schedule compiled to logic over slot rows.
+
+    Slots 0..touched-1 are the state's own cell rows, slots from touched on
+    are rows of a scratch buffer of `extra` rows. Each step is one AND, TRIPLE
+    or QUINTUPLE event as (ufunc, x, y, out) slot operations; copies and
+    zero writes are row renames and cost nothing. pins fills pinned scratch
+    slots (zeros, ones) before the steps; moves then writes each touched row
+    whose final value sits in another slot back from it, as (rows, slots)
+    within the cell rows and (rows, scratch rows) from the scratch buffer.
+    """
+
+    touched: int
+    extra: int
+    pins: tuple[tuple[int, int], ...]
+    steps: tuple[tuple[tuple[np.ufunc, int, int, int], ...], ...]
+    moves: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+
+
+_AND, _MAJ3, _XOR3 = "and", "maj3", "xor3"
+_ZERO, _ONES = -1, -2     # value ids of the pinned all-zero and all-one rows
+
+
+def _values(events: Sequence[AapEvent], touched: int):
+    """Symbolic run of the events over value ids: rows start as their own
+    ids 0..touched-1, every logic event makes new ids, copies only rename.
+
+    Returns the logic steps as (op, input ids, output ids) and the final id
+    of every row. The multiply only ever activates a QUINTUPLE whose negated
+    row holds the majority of its own three inputs, so it senses their
+    parity (Ambit's sum bit) and becomes an XOR; its second output is the
+    complement restored into the negated row. Any other QUINTUPLE raises
+    ValueError: it has no step here, and apply_event stays its meaning.
+    """
+    row_val = list(range(touched))
+    majority_of: dict[int, list[int]] = {}
+    steps = []
+    fresh = touched
+    for event in events:
+        kind, rows = event.kind, event.rows
+        if kind == COPY:
+            for d in rows[1:]:
+                row_val[d] = row_val[rows[0]]
+            continue
+        if kind == WRITE_ROW0:
+            for d in rows:
+                row_val[d] = _ZERO
+            continue
+        if kind == AND_STAGE:
+            op, ins = _AND, rows[:2]
+        elif kind == TRIPLE:
+            op, ins = _MAJ3, rows[:3]
+        elif kind == QUINTUPLE:
+            op, ins = _XOR3, rows[:3]
+        else:
+            raise ValueError(f"unknown AAP event kind {kind!r}")
+        ins = tuple(row_val[r] for r in ins)
+        if op == _XOR3 and majority_of.get(row_val[rows[3]]) != sorted(ins):
+            raise ValueError(
+                f"quintuple activation {rows} is not a full adder's sum bit: "
+                f"its negated row does not hold the majority of its inputs")
+        outs = (fresh,) if op != _XOR3 else (fresh, fresh + 1)
+        fresh += len(outs)
+        for d in rows:
+            row_val[d] = outs[0]
+        if op == _MAJ3:
+            majority_of[outs[0]] = sorted(ins)
+        elif op == _XOR3:
+            row_val[rows[3]] = outs[1]
+        steps.append((op, ins, outs))
+    return steps, row_val
+
+
+def _compile(events: Sequence[AapEvent], touched: int) -> Program:
+    """Allocate slots to the values of _values and emit the slot program.
+
+    A value's slot is freed after its last read unless some row ends with
+    it, and an output may reuse a slot freed by its own step: every op
+    sequence below reads all of its inputs before it writes its output. An
+    output takes the home slot of a row that ends with it when that slot is
+    free, so most rows need no move at the end.
+    """
+    steps, final = _values(events, touched)
+    kept = set(final)
+    last_read = {v: i for i, (_, ins, _) in enumerate(steps) for v in ins}
+    home_of: dict[int, list[int]] = {}
+    for r, v in enumerate(final):
+        if v >= touched:
+            home_of.setdefault(v, []).append(r)
+    free = {r for r in range(touched) if r not in kept and r not in last_read}
+    slot_of = {r: r for r in range(touched) if r not in free}
+    extra = 0
+    pins = []
+
+    def new_extra() -> int:
+        nonlocal extra
+        extra += 1
+        return touched + extra - 1
+
+    def pin(value: int, fill: int) -> int:
+        if value not in slot_of:
+            slot_of[value] = new_extra()
+            pins.append((slot_of[value], fill))
+        return slot_of[value]
+
+    t = new_extra()     # scratch row of the op sequences
+    if _ZERO in kept or _ZERO in last_read:
+        pin(_ZERO, 0)
+
+    def alloc(value: int) -> int:
+        for slot in home_of.get(value, ()):
+            if slot in free:
+                break
+        else:
+            slot = min(free) if free else new_extra()
+        free.discard(slot)
+        slot_of[value] = slot
+        return slot
+
+    band, bor, bxor = np.bitwise_and, np.bitwise_or, np.bitwise_xor
+    program = []
+    for i, (op, ins, outs) in enumerate(steps):
+        x = [slot_of[v] for v in ins]
+        for v in set(ins):
+            if last_read[v] == i and v not in kept and v != _ZERO:
+                free.add(slot_of.pop(v))
+        live = [v for v in outs if v in kept or v in last_read]
+        o = alloc(outs[0])
+        if op == _AND:
+            ops = [(band, x[0], x[1], o)]
+        elif op == _MAJ3:
+            ops = [(bor, x[0], x[1], t), (band, t, x[2], t),
+                   (band, x[0], x[1], o), (bor, o, t, o)]
+        else:
+            ops = [(bxor, x[0], x[1], t), (bxor, t, x[2], o)]
+        if len(outs) == 2 and outs[1] in live:
+            ops.append((bxor, o, pin(_ONES, (1 << WORD_BITS) - 1),
+                        alloc(outs[1])))
+        for v in outs:
+            if v in slot_of and v not in live:
+                free.add(slot_of.pop(v))
+        program.append(tuple(ops))
+
+    ends = [slot_of[v] for v in final]
+    inner = [(r, s) for r, s in enumerate(ends) if s != r and s < touched]
+    outer = [(r, s - touched) for r, s in enumerate(ends) if s >= touched]
+    moves = tuple((tuple(r for r, _ in m), tuple(s for _, s in m))
+                  for m in (inner, outer))
+    return Program(touched, extra, tuple(pins), tuple(program), moves)
+
+
+def _run_program(program: Program, cells: np.ndarray) -> None:
+    """Execute a compiled schedule on packed cell rows, every column at once.
+
+    Leaves cells exactly as applying the schedule's events one by one would,
+    on every row and bit, padding included.
+    """
+    extra = np.empty((program.extra, cells.shape[1]), dtype=WORD)
+    slots = [*cells[: program.touched], *extra]
+    for slot, fill in program.pins:
+        slots[slot].fill(fill)
+    for step in program.steps:
+        for f, x, y, out in step:
+            f(slots[x], slots[y], slots[out])
+    (rows, src), (rows_x, src_x) = program.moves
+    if rows:
+        cells[list(rows)] = cells[list(src)]
+    if rows_x:
+        cells[list(rows_x)] = extra[list(src_x)]
+
+
+class Schedule(NamedTuple):
+    """A recorded multiply: its events, AND and ADD spans, and program."""
+
+    events: tuple[AapEvent, ...]
+    and_spans: tuple[tuple[int, int], ...]
+    add_spans: tuple[tuple[int, int], ...]
+    program: Program
 
 
 @functools.lru_cache(maxsize=None)
 def _schedule(n: int, pair: int) -> Schedule:
     """The multiply command sequence for precision n and stacked pair, with
-    its AND and ADD spans.
+    its AND and ADD spans and its compiled program.
 
     The sequence depends on nothing else, so it is recorded once on a
-    one-column scratch state and replayed everywhere.
+    one-column scratch state and compiled once.
     """
-    state = new_subarray(COMPUTE_ROW_COUNT + (n - 1) + 2 * n + (pair + 2) * n,
-                         1, n)
+    touched = COMPUTE_ROW_COUNT + (n - 1) + 2 * n + (pair + 2) * n
+    state = new_subarray(touched, 1, n)
     if n <= 2:
         _multiply_small(state, pair)
     else:
         _multiply_wide(state, pair)
     tr = state.trace
-    return tuple(tr.events), tuple(tr.and_spans), tuple(tr.add_spans)
+    return Schedule(tuple(tr.events), tuple(tr.and_spans),
+                    tuple(tr.add_spans), _compile(tr.events, touched))
 
 
 def multiply(state: SubarrayState, pair: int = 0) -> list[AapEvent]:
     """Multiply the operands of every column, product into P0..P(2n-1).
 
     pair selects which stacked weight block multiplies the shared activation
-    bits. Replays the recorded sequence for (n, pair): mul_aap_count(n) AAPs
-    regardless of operand values or column count.
+    bits. Runs the compiled program of the recorded sequence for (n, pair)
+    and logs its events: mul_aap_count(n) AAPs regardless of operand values
+    or column count.
     """
     if not 0 <= pair < max(state.pair_capacity, 1):
         raise ConfigurationError(
             f"pair {pair} exceeds stacking capacity {state.pair_capacity}"
         )
     state.weight_rows(pair)  # raises if the stacked pair does not fit
-    events, and_spans, add_spans = _schedule(state.n, pair)
-    trace = state.trace
-    start = trace.total_aap
-    trace.and_ops += len(and_spans)
-    trace.add_ops += len(add_spans)
-    trace.and_spans.extend((lo + start, hi + start) for lo, hi in and_spans)
-    trace.add_spans.extend((lo + start, hi + start) for lo, hi in add_spans)
-    return replay(state, events)
+    events, and_spans, add_spans, program = _schedule(state.n, pair)
+    _run_program(program, state.cells)
+    return _log_events(state.trace, events, and_spans, add_spans)
 
 
 # --------------------------------------------------------------------------

@@ -266,6 +266,67 @@ class TestMainEntry:
         assert status == 0
         assert "functional: PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("n", [9, 16])
+    def test_precision_above_eight_bits_passes(self, tmp_path, capsys, n):
+        # operands wider than a byte keep their high bits on the way in,
+        # through the padded conv input and the linear weights alike
+        netfile = tmp_path / "wide.json"
+        netfile.write_text(json.dumps({
+            "name": "wide", "precision": n,
+            "layers": [
+                {"kind": "conv", "H": 3, "W": 3, "I": 2, "O": 2, "K": 3,
+                 "L": 3, "s": 1, "p": 1},
+                {"kind": "linear", "w1": 18, "w2": 4},
+            ],
+        }))
+        status = main([
+            "--model", str(netfile), "--mode", "both",
+            "--output", str(tmp_path / "out"),
+        ])
+        assert status == 0
+        assert "functional: PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n, status", [(30, 0), (31, 2), (32, 2),
+                                           (64, 2)])
+    def test_precision_limit_of_the_int64_sums(self, tmp_path, capsys, n,
+                                               status):
+        # 3-term dot products of n-bit operands stay below 2**63 up to
+        # n = 30; wider ones are rejected before anything runs, not wrapped
+        netfile = tmp_path / "lin.json"
+        netfile.write_text(json.dumps({
+            "name": "lin", "precision": n,
+            "layers": [{"kind": "linear", "w1": 3, "w2": 4}],
+        }))
+        got = main([
+            "--model", str(netfile), "--mode", "both",
+            "--output", str(tmp_path / "out"),
+        ])
+        out, err = capsys.readouterr()
+        assert got == status
+        if status == 0:
+            assert "functional: PASS" in out
+        else:
+            assert err == (
+                f"error: layer 0: 3-term dot products at precision {n} can "
+                f"overflow the 64-bit MAC sums (needs 2 * precision + bit "
+                f"length of 3 <= 63)\n")
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", ["--rows", "--cols"])
+    @pytest.mark.parametrize("mode", ["timing", "both"])
+    def test_zero_dimension_exit_code(self, tmp_path, capsys, flag, mode):
+        # 0 is rejected, not replaced by the default size
+        netfile = tmp_path / "toy.json"
+        save_network(toy_net(), netfile)
+        status = main([
+            "--model", str(netfile), "--mode", mode, flag, "0",
+            "--output", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err == "error: subarray dimensions must be positive\n"
+        assert not (tmp_path / "out").exists()
+
     def test_mapping_failure_exit_code(self, tmp_path, capsys):
         status = main([
             "--preset", "vgg16", "--mode", "timing",

@@ -381,3 +381,45 @@ class TestNetworkJson:
                 '{"name": "x", "precision": 2, '
                 '"layers": [{"kind": "linear", "w1": 2, "w2": 2, "bogus": 1}]}'
             )
+
+
+def _reference_listing(place):
+    """The per-MAC listing of plan.txt, one mac_location call per MAC."""
+    lines = []
+    for mac in range(place.macs_total):
+        _, sub, col, depth = place.mac_location(mac)
+        lines.append(f"  mac_id={mac} sub_no={sub} col_no={col} "
+                     f"pair_depth={depth}")
+    return lines
+
+
+class TestPlanText:
+    def _plan(self):
+        # conv: 2 passes of 50 MACs of 18 columns, 3 per 64-column subarray,
+        # so the 17th subarray of each pass holds 2; linear: 2 passes of 2
+        net = NetworkDescription(
+            "l", 4,
+            [conv_layer(H=5, W=5, I=2, O=4, K=3, p=1, s=1),
+             linear_layer(w1=6, w2=4)],
+            parallelism=[2, 2],
+        )
+        return map_network(net, column_size=64)
+
+    def test_listing_walks_mac_location(self):
+        plan = self._plan()
+        conv = plan.layers[0]
+        assert conv.passes == 2 and conv.subarrays_used == 17
+        assert conv.macs_per_pass % conv.macs_per_subarray == 2
+        listed = [line for line in plan_to_text(plan).splitlines()
+                  if line.startswith("  mac_id=")]
+        assert listed == [line for place in plan.layers
+                          for line in _reference_listing(place)]
+
+    def test_listing_follows_its_layer_header(self):
+        plan = self._plan()
+        lines = plan_to_text(plan, expand_limit=50).splitlines()
+        header = [i for i, line in enumerate(lines)
+                  if line.startswith("layer ")]
+        # the 100-MAC conv is over the limit, the 4-MAC linear is listed
+        assert header[1] == header[0] + 1
+        assert lines[header[1] + 1:] == _reference_listing(plan.layers[1])

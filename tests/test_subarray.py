@@ -542,3 +542,87 @@ class TestPackedCells:
         assert again.trace.events == st_.trace.events
         for col, (a, b) in enumerate(pairs):
             assert read_product_column(again, col) == a * b
+
+
+class TestCompiledMultiply:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        pair=st.integers(0, 2),
+        cols=st.one_of(st.integers(1, 200),
+                       st.integers(0, 4).map(lambda k: 64 * k + 5)),
+        above=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_program_leaves_the_cells_the_events_do(self, n, pair, cols,
+                                                    above, seed):
+        # random cells everywhere, padding bits and rows past the schedule
+        # included: the compiled run must match the per-event interpreter
+        rows = 9 + (n - 1) + 2 * n + (pair + 2) * n + above
+        st_ = new_subarray(rows, cols, n)
+        rng = np.random.default_rng(seed)
+        st_.cells[:] = rng.integers(0, 1 << 64, size=st_.cells.shape,
+                                    dtype=np.uint64)
+        want = st_.cells.copy()
+        events = multiply(st_, pair=pair)
+        for event in events:
+            subarray.apply_event(want, event)
+        assert np.array_equal(st_.cells, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_any_event_sequence_compiles_exactly(self, data):
+        # arbitrary events over a few rows: repeated rows, values never read,
+        # and full adders' sum bits: a quintuple whose negated row holds the
+        # majority of copies of its three inputs
+        touched = data.draw(st.integers(1, 8))
+        row = st.integers(0, touched - 1)
+        least = {subarray.COPY: 1, subarray.WRITE_ROW0: 1,
+                 subarray.AND_STAGE: 2, subarray.TRIPLE: 3, "sum": 4}
+        events = []
+        for _ in range(data.draw(st.integers(0, 30))):
+            kind = data.draw(st.sampled_from(sorted(least)))
+            rows = data.draw(st.lists(row, min_size=least[kind],
+                                      max_size=least[kind] + 3))
+            others = [r for r in range(touched) if r not in rows[:3]]
+            if kind != "sum":
+                events.append(subarray.AapEvent(kind, tuple(rows)))
+            elif len(others) >= 3:
+                copies = data.draw(st.permutations(others))[:3]
+                neg = data.draw(st.sampled_from(others))
+                events += [subarray.AapEvent(subarray.COPY, (src, dst))
+                           for src, dst in zip(rows, copies)]
+                events.append(subarray.AapEvent(subarray.TRIPLE,
+                                                (*copies, neg)))
+                events.append(subarray.AapEvent(
+                    subarray.QUINTUPLE, (*rows[:3], neg, *rows[4:])))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        cells = rng.integers(0, 1 << 64, size=(touched + 1, 3),
+                             dtype=np.uint64)
+        want = cells.copy()
+        for event in events:
+            subarray.apply_event(want, event)
+        subarray._run_program(subarray._compile(events, touched), cells)
+        assert np.array_equal(cells, want)
+
+    def test_quintuple_off_the_sum_bit_is_rejected(self):
+        # the negated row holds no majority of the inputs, so the activation
+        # is not a full adder's sum bit and has no compiled step
+        events = [subarray.AapEvent(subarray.QUINTUPLE, (0, 1, 2, 3))]
+        with pytest.raises(ValueError, match="sum bit"):
+            subarray._compile(events, 4)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("pair", [0, 2])
+    def test_one_step_per_logic_event(self, n, pair):
+        sched = subarray._schedule(n, pair)
+        logic = [e for e in sched.events
+                 if e.kind not in (subarray.COPY, subarray.WRITE_ROW0)]
+        assert len(sched.program.steps) == len(logic)
+
+    def test_eight_bit_program(self):
+        sched = subarray._schedule(8, 0)
+        assert len(sched.events) == mul_aap_count(8) == 1592
+        assert len(sched.program.steps) == 764
+        # copies are renames: the run needs only a few scratch rows
+        assert sched.program.extra <= 3

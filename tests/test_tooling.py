@@ -12,11 +12,13 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _load_tracing():
+def _load_bench(name):
     spec = importlib.util.spec_from_file_location(
-        "bench_tracing", ROOT / "bench" / "tracing.py"
+        f"bench_{name}", ROOT / "bench" / f"{name}.py"
     )
     module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while it executes
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -24,11 +26,25 @@ def _load_tracing():
 def test_every_traced_name_resolves():
     # the traced bench run patches these names by string; a rename would
     # otherwise only break `bench/run.py --trace 1`
-    wrapped = _load_tracing().WRAPPED
+    wrapped = _load_bench("tracing").WRAPPED
     assert wrapped
     for module_name, attr, _, _ in wrapped:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+@pytest.mark.parametrize("name", ["cnn-wide", "mlp-n8", "timing-sweep"])
+def test_bench_workload_meets_its_golden(name, tmp_path):
+    # one gated simulation per bench workload: exit 0, oracle PASS, executed
+    # AAPs equal to the model, and report.json equal to bench/golden.json
+    workloads = _load_bench("workloads")
+    cli = importlib.import_module("pimsim.cli")
+    wl = workloads.workload(name)
+    statuses, _ = workloads.simulate(cli, wl, 0, tmp_path)
+    problems, mults, _ = workloads.check(wl, statuses, tmp_path,
+                                         workloads.load_golden(name))
+    assert problems == []
+    assert mults > 0
 
 
 @pytest.mark.parametrize("argv", [
