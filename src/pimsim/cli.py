@@ -211,6 +211,14 @@ def run(net: NetworkDescription, config: RunConfig,
     violations = validate_plan(plan, net)
     if violations:
         raise MappingError("; ".join(violations))
+    for idx in range(1, len(net.layers)):
+        made = net.layers[idx - 1].output_elements()
+        taken = net.layers[idx].input_elements()
+        if made != taken:
+            raise MappingError(
+                f"layer {idx} takes {taken} input elements, but layer "
+                f"{idx - 1} produces {made}"
+            )
 
     banks = config.banks
     if banks is None:

@@ -12,13 +12,14 @@ any group read zero. Bit widths grow by one per level (tracked implicitly,
 Python integers never overflow).
 
 bank_execute runs a layer on packed bank states (see subarray): one multiply
-replay per stacked pass drives every subarray of the state at once, and the
-per-MAC sums come from the unpacked product bit-planes, summed per MAC and
-shift-added. That is the arithmetic the tree and accumulators perform;
-build_adder_tree, tree_reduce and accumulate_bitplane are the hardware
-reference it is tested against. The row reads the TREE_WIDTH-input tree
-would need are counted by tree_loads_per_pass, the same arithmetic and the
-same width the timing model uses.
+per stacked pass drives every MAC column of the state at once, and the
+product bit-planes, read back in MAC order as (2n, macs, mac_size), are
+summed per MAC and shift-added. That is the arithmetic the tree and
+accumulators perform; build_adder_tree, tree_reduce and accumulate_bitplane
+are the hardware reference it is tested against. The row reads the
+TREE_WIDTH-input tree would need are counted by tree_loads_per_pass, the
+same arithmetic and the same width the timing model uses, from the mapper's
+physical layout.
 
 The layer's MAC sums stay one int64 array from there on: sfu_stage applies
 ReLU, per-channel BatchNorm and Quantize to the whole (C, H, W) or (C,)
@@ -315,22 +316,18 @@ def bank_execute(
 
     subarrays are packed bank states (see subarray.SubarrayState) covering
     consecutive whole subarrays of the layer in order, with operands already
-    placed per plan_slice (a LayerPlacement); an iterable lets the caller
-    build them one at a time. Stacked operand pairs execute as sequential
-    passes, one multiply replay per pass and state, charged to every subarray
-    it covers. Returns the post-SFU output tensor, (O, oh', ow') for conv and
-    (w2,) for linear, plus the phase accounting; plane reads are those of
-    the TREE_WIDTH-input tree.
+    placed per plan_slice (a LayerPlacement) in MAC order; an iterable lets
+    the caller build them one at a time. Stacked operand pairs execute as
+    sequential passes, one multiply per pass and state, charged to every
+    subarray it covers. Returns the post-SFU output tensor, (O, oh', ow')
+    for conv and (w2,) for linear, plus the phase accounting; plane reads
+    are those of the TREE_WIDTH-input tree.
     """
     acct = BankAccounting()
-    ms = plan_slice.mac_size
-    mps = plan_slice.macs_per_subarray
-    mpp = plan_slice.macs_per_pass
     n = plan_slice.precision
     mac_sums = np.zeros(plan_slice.macs_total, dtype=np.int64)
     for state in subarrays:
         subs = len(state.subarrays)
-        sub_cols = state.cols // subs
         held = plan_slice.pass_macs(state.subarrays)
         for p in range(plan_slice.passes):
             events = multiply(state, pair=p)
@@ -338,11 +335,10 @@ def bank_execute(
             acct.multiplies += subs
             planes = unpack_columns(
                 state.cells[list(state.product_rows)], state.cols
-            ).reshape(2 * n, subs, sub_cols)[:, :, : mps * ms]
-            grouped = planes.reshape(2 * n, subs * mps, ms)[:, : len(held)]
-            base = p * mpp
+            ).reshape(2 * n, len(held), plan_slice.mac_size)
+            base = p * plan_slice.macs_per_pass
             mac_sums[base + held.start : base + held.stop] = mac_plane_sums(
-                grouped
+                planes
             )
     acct.plane_reads = (
         2 * n * plan_slice.passes * tree_loads_per_pass(plan_slice, TREE_WIDTH)

@@ -2,14 +2,16 @@
 against the reference oracle.
 
 Synthetic workloads draw seeded uniform n-bit integers for the input image
-and all weights. Each layer runs on one packed bank state (see subarray):
-the touched rows of all of its subarrays side by side, bit-packed. Operands
-are gathered im2col-style for all MACs at once and written as packed
+and all weights. Each layer runs on one packed bank state (see subarray): the
+rows the layer touches, and mac_size columns per MAC of its subarrays in MAC
+order, bit-packed. The subarray and column a MAC occupies only matter for
+cost, which the mapper and the accounting compute. Operands are converted and
+gathered im2col-style once per layer, then written to each state as packed
 bit-planes, activations once, weights once per stacked pair; bank_execute
-then replays one multiply per pass and reduces, accumulates and runs the SFU
-chain. A layer wider than BANK_CHUNK_COLUMNS runs in chunks of whole
-subarrays, built one at a time. Each layer's output tensor is compared with
-the oracle's as it is and feeds the next layer unchanged.
+runs one multiply per pass and reduces, accumulates and runs the SFU chain. A
+layer wider than BANK_CHUNK_COLUMNS runs in chunks of whole subarrays, built
+one at a time. Each layer's output tensor is compared with the oracle's as it
+is and feeds the next layer unchanged.
 """
 
 from __future__ import annotations
@@ -23,21 +25,20 @@ from .datapath import BankAccounting, SfuParams, bank_execute
 from .mapper import (
     LayerPlacement,
     LayerSpec,
-    MappingError,
     MappingPlan,
     NetworkDescription,
     mac_size,
 )
 from .subarray import (
-    COMPUTE_ROW_COUNT,
     ConfigurationError,
     OperandRangeError,
     SubarrayState,
     new_subarray,
     pack_columns,
+    rows_needed,
 )
 
-# Columns of one packed bank state. A layer whose subarrays hold more runs in
+# Subarray columns one packed bank state may cover. A layer with more runs in
 # chunks of whole subarrays, which bounds the cell and placement memory.
 BANK_CHUNK_COLUMNS = 1 << 21
 
@@ -51,7 +52,6 @@ class LayerRun:
 @dataclass
 class FunctionalResult:
     layer_runs: list[LayerRun]
-    oracle_outputs: list[np.ndarray]
     mismatch: str | None = None
 
     @property
@@ -89,9 +89,10 @@ def synth_input(rng: np.random.Generator, layer: LayerSpec, n: int) -> np.ndarra
 def build_bank(place: LayerPlacement, rows: int, cols: int, n: int,
                subarrays: range | None = None) -> list[SubarrayState]:
     """One packed state for the given subarrays of the layer (default: all),
-    holding only the rows the layer touches; returned as a one-element list.
+    holding only the rows the layer touches and mac_size columns for each
+    MAC those subarrays hold, in MAC order; returned as a one-element list.
     """
-    needed = COMPUTE_ROW_COUNT + (n - 1) + 2 * n + (place.passes + 1) * n
+    needed = rows_needed(n, place.passes)
     if rows < needed:
         raise ConfigurationError(
             f"layer {place.layer_index}: {rows} rows cannot stack "
@@ -103,7 +104,8 @@ def build_bank(place: LayerPlacement, rows: int, cols: int, n: int,
         )
     if subarrays is None:
         subarrays = range(place.subarrays_used)
-    state = new_subarray(needed, len(subarrays) * cols, n)
+    held = place.pass_macs(subarrays)
+    state = new_subarray(needed, len(held) * place.mac_size, n)
     state.subarrays = subarrays
     return [state]
 
@@ -133,45 +135,45 @@ def _im2col(layer: LayerSpec, x: np.ndarray) -> np.ndarray:
     return xp[ic, oy[:, None] * s + ky, ox[:, None] * s + kx]
 
 
+def prepare_operands(place: LayerPlacement, layer: LayerSpec, x: np.ndarray,
+                     w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A layer's operands as place_operands takes them, in the smallest
+    unsigned type of n bits: the im2col activations, (channel_positions,
+    mac_size), and the weights, (output channels, mac_size)."""
+    n = place.precision
+    return (_im2col(layer, _operand_bytes(x, n)),
+            _operand_bytes(w, n).reshape(-1, place.mac_size))
+
+
 def _write_operands(state: SubarrayState, rows: tuple[int, ...],
-                    place: LayerPlacement, values: np.ndarray) -> None:
-    """Write one n-bit operand per column of the state's MACs, LSB in
-    rows[0]; values is (macs, mac_size) in MAC order."""
-    mps, ms = place.macs_per_subarray, place.mac_size
-    subs = len(state.subarrays)
-    grid = np.zeros((subs * mps, ms), dtype=values.dtype)
-    grid[: len(values)] = values
-    cols = np.zeros((subs, state.cols // subs), dtype=values.dtype)
-    cols[:, : mps * ms] = grid.reshape(subs, mps * ms)
+                    values: np.ndarray) -> None:
+    """Write the (macs, mac_size) operands of the state's MACs, one n-bit
+    value per column in MAC order, LSB in rows[0]."""
     shifts = np.arange(len(rows), dtype=values.dtype)[:, None]
-    planes = (cols.reshape(1, -1) >> shifts) & 1
+    planes = (values.reshape(1, -1) >> shifts) & 1
     state.cells[list(rows)] = pack_columns(planes, state.cells.shape[1])
 
 
 def place_operands(
-    subarrays: list[SubarrayState],
+    bank: list[SubarrayState],
     place: LayerPlacement,
-    layer: LayerSpec,
-    x: np.ndarray,
-    w: np.ndarray,
+    acts: np.ndarray,
+    weights: np.ndarray,
 ) -> None:
     """Write every operand of the MACs the given bank states hold.
 
-    Every pass has the same layout (LayerPlacement.pass_macs) and, since
-    passes split the output channels, the same activations.
+    acts and weights are the layer's operands from prepare_operands. Every
+    pass has the same layout (LayerPlacement.pass_macs) and, since passes
+    split the output channels, the same activations.
     """
-    n = place.precision
-    acts = _im2col(layer, _operand_bytes(x, n))
-    weights = _operand_bytes(w, n).reshape(-1, place.mac_size)
     positions = place.channel_positions
-    for state in subarrays:
+    for state in bank:
         held = place.pass_macs(state.subarrays)
         macs = np.arange(held.start, held.stop)
-        _write_operands(state, state.activation_rows(), place,
-                        acts[macs % positions])
+        _write_operands(state, state.activation_rows(), acts[macs % positions])
         for p in range(place.passes):
             ids = p * place.macs_per_pass + macs
-            _write_operands(state, state.weight_rows(p), place,
+            _write_operands(state, state.weight_rows(p),
                             weights[ids // positions])
 
 
@@ -186,13 +188,14 @@ def run_layer(
     n: int,
 ) -> LayerRun:
     step = max(1, BANK_CHUNK_COLUMNS // cols)
+    acts, weights = prepare_operands(place, layer, x, w)
 
     def banks():
         for first in range(0, place.subarrays_used, step):
             bank = build_bank(place, rows, cols, n, range(
                 first, min(first + step, place.subarrays_used)))
-            place_operands(bank, place, layer, x, w)
-            yield bank.pop()
+            place_operands(bank, place, acts, weights)
+            yield from bank
 
     outputs, acct = bank_execute(banks(), place, layer, sfu)
     return LayerRun(outputs=outputs, accounting=acct)
@@ -207,11 +210,10 @@ def run_functional(
 ) -> FunctionalResult:
     """Simulate the whole network and cross-check against the oracle.
 
-    Returns per-layer runs plus the oracle tensors; mismatch carries the
-    first divergent element if the datapath ever disagrees. Raises
-    MappingError if a layer does not take as many elements as the layer
-    before it produces, and ConfigurationError if a layer's dot products
-    could leave int64, the width of the MAC sums here and in the oracle.
+    Returns the per-layer runs; mismatch carries the first divergent element
+    if the datapath ever disagrees. The layers must chain (cli.run checks
+    it). Raises ConfigurationError if a layer's dot products could leave
+    int64, the width of the MAC sums here and in the oracle.
     """
     n = net.precision
     for idx, layer in enumerate(net.layers):
@@ -222,17 +224,9 @@ def run_functional(
                 f"can overflow the 64-bit MAC sums (needs 2 * precision + "
                 f"bit length of {terms} <= 63)"
             )
-    for idx in range(1, len(net.layers)):
-        made = net.layers[idx - 1].output_elements()
-        taken = net.layers[idx].input_elements()
-        if made != taken:
-            raise MappingError(
-                f"layer {idx} takes {taken} input elements, but layer "
-                f"{idx - 1} produces {made}"
-            )
     rng = np.random.default_rng(seed)
     if not net.layers:
-        return FunctionalResult([], [])
+        return FunctionalResult([])
     x0 = synth_input(rng, net.layers[0], n)
     weights = [synth_weights(rng, layer, n) for layer in net.layers]
 
@@ -272,4 +266,4 @@ def run_functional(
             )
             break
         x = got
-    return FunctionalResult(layer_runs, ref_outputs, mismatch)
+    return FunctionalResult(layer_runs, mismatch)

@@ -257,18 +257,6 @@ class LayerPlacement:
         sub, slot = divmod(m, self.macs_per_subarray)
         return p, sub + 1, slot * self.mac_size + 1, p
 
-    def subarray_batches(self, pass_idx: int):
-        """Yield (subarray index, [(mac_id, col0), ...]) for one pass."""
-        base = pass_idx * self.macs_per_pass
-        for sub in range(self.subarrays_used):
-            lo = sub * self.macs_per_subarray
-            hi = min(lo + self.macs_per_subarray, self.macs_per_pass)
-            if lo >= hi:
-                return
-            yield sub, [
-                (base + m, (m - lo) * self.mac_size) for m in range(lo, hi)
-            ]
-
     def pass_macs(self, subarrays: range) -> range:
         """Pass-local indices of the MACs held by the given subarrays; MAC m
         of every pass sits in subarray m // macs_per_subarray from column

@@ -24,8 +24,11 @@ and the stacked pair, never on operand values: it is recorded once per
 (n, pair) and compiled once into a program over row slots, in which copies
 are renames and only the logic activations compute. Every later call runs
 that program, and one run drives every column at once (SIMD across
-bitlines). A state may hold several equal-width subarrays side by side (a
-packed bank); they share one row layout and one command stream.
+bitlines). A state may also stand for a packed bank: the MAC columns of
+several subarrays side by side, sharing one row layout and one command
+stream. Which subarray and column a MAC sits in never changes a bit, so such
+a state keeps only the columns its MACs use, in MAC order; `subarrays` names
+the subarrays it covers, each of which is charged the command stream.
 """
 
 from __future__ import annotations
@@ -160,9 +163,9 @@ class SubarrayState:
     then n-1 intermediate rows, then 2n product rows, then operand data rows.
     A data column holds one n-bit activation followed by one n-bit weight per
     stacked pair, all LSB first. cells is (rows, word_count(cols)) uint64;
-    bits past the last column are don't-care. A packed bank holds the
-    subarrays of its layer numbered in `subarrays`, side by side, each
-    cols // len(subarrays) columns wide.
+    bits past the last column are don't-care. A packed bank holds the MACs
+    of the subarrays of its layer numbered in `subarrays`, mac_size columns
+    each, in MAC order and without straddle padding.
     """
 
     rows: int
@@ -193,13 +196,20 @@ class SubarrayState:
         return (self.rows - self.data_base) // self.n - 1
 
 
+def rows_needed(n: int, pairs: int) -> int:
+    """Rows of a state at precision n with `pairs` stacked weight blocks:
+    compute rows, n-1 intermediate, 2n product, then the activation and one
+    weight per pair."""
+    return COMPUTE_ROW_COUNT + (n - 1) + 2 * n + (pairs + 1) * n
+
+
 def new_subarray(rows: int, cols: int, n: int) -> SubarrayState:
     """Allocate an all-zero subarray with reserved rows for precision n."""
     if n < 1:
         raise ConfigurationError("precision must be at least 1 bit")
     if cols < 1:
         raise ConfigurationError("need at least one column")
-    needed = COMPUTE_ROW_COUNT + (n - 1) + 2 * n + 2 * n
+    needed = rows_needed(n, 1)
     if rows < needed:
         raise ConfigurationError(
             f"{rows} rows cannot hold precision {n}: need {needed} "
@@ -270,31 +280,6 @@ def apply_event(cells: np.ndarray, event: AapEvent) -> None:
             cells[d] = 0
     else:
         raise ValueError(f"unknown AAP event kind {kind!r}")
-
-
-def replay(state: SubarrayState, events: Sequence[AapEvent]) -> list[AapEvent]:
-    """Execute recorded events on state and append them to its trace."""
-    cells = state.cells
-    for event in events:
-        apply_event(cells, event)
-    return _log_events(state.trace, events)
-
-
-def _log_events(
-    trace: AapTrace,
-    events: Sequence[AapEvent],
-    and_spans: Sequence[tuple[int, int]] = (),
-    add_spans: Sequence[tuple[int, int]] = (),
-) -> list[AapEvent]:
-    """Append executed events to the trace, with their AND and ADD spans
-    given relative to the first event; return the appended entries."""
-    start = trace.total_aap
-    trace.and_ops += len(and_spans)
-    trace.add_ops += len(add_spans)
-    trace.and_spans.extend((lo + start, hi + start) for lo, hi in and_spans)
-    trace.add_spans.extend((lo + start, hi + start) for lo, hi in add_spans)
-    trace.events.extend(events)
-    return trace.events[start:]
 
 
 def _run(state: SubarrayState, kind: str, rows: Sequence[int]) -> None:
@@ -822,7 +807,7 @@ def _schedule(n: int, pair: int) -> Schedule:
     The sequence depends on nothing else, so it is recorded once on a
     one-column scratch state and compiled once.
     """
-    touched = COMPUTE_ROW_COUNT + (n - 1) + 2 * n + (pair + 2) * n
+    touched = rows_needed(n, pair + 1)
     state = new_subarray(touched, 1, n)
     if n <= 2:
         _multiply_small(state, pair)
@@ -841,14 +826,20 @@ def multiply(state: SubarrayState, pair: int = 0) -> list[AapEvent]:
     and logs its events: mul_aap_count(n) AAPs regardless of operand values
     or column count.
     """
-    if not 0 <= pair < max(state.pair_capacity, 1):
+    if not 0 <= pair < state.pair_capacity:
         raise ConfigurationError(
             f"pair {pair} exceeds stacking capacity {state.pair_capacity}"
         )
-    state.weight_rows(pair)  # raises if the stacked pair does not fit
     events, and_spans, add_spans, program = _schedule(state.n, pair)
     _run_program(program, state.cells)
-    return _log_events(state.trace, events, and_spans, add_spans)
+    trace = state.trace
+    start = trace.total_aap
+    trace.and_ops += len(and_spans)
+    trace.add_ops += len(add_spans)
+    trace.and_spans.extend((lo + start, hi + start) for lo, hi in and_spans)
+    trace.add_spans.extend((lo + start, hi + start) for lo, hi in add_spans)
+    trace.events.extend(events)
+    return trace.events[start:]
 
 
 # --------------------------------------------------------------------------
@@ -866,14 +857,6 @@ def write_row(state: SubarrayState, row: int, bits) -> None:
     _check_rows(state, (row,))
     full = np.broadcast_to(np.asarray(bits, dtype=np.uint8), (state.cols,))
     state.cells[row] = pack_columns(full[None, :], state.cells.shape[1])[0]
-
-
-def read_bit(state: SubarrayState, row: int, col: int) -> int:
-    _check_rows(state, (row,))
-    if not 0 <= col < state.cols:
-        raise RowBoundsError(f"column {col} outside 0..{state.cols - 1}")
-    word, bit = divmod(col, WORD_BITS)
-    return int(state.cells[row, word]) >> bit & 1
 
 
 def write_bit(state: SubarrayState, row: int, col: int, value: int) -> None:
@@ -908,7 +891,11 @@ def read_product_column(state: SubarrayState, col: int) -> int:
 
 def read_row_bits(state: SubarrayState, rows: Sequence[int], col: int) -> int:
     """Assemble an integer from the given rows of a column, LSB first."""
+    _check_rows(state, rows)
+    if not 0 <= col < state.cols:
+        raise RowBoundsError(f"column {col} outside 0..{state.cols - 1}")
+    word, bit = divmod(col, WORD_BITS)
     value = 0
     for k, row in enumerate(rows):
-        value |= read_bit(state, row, col) << k
+        value |= (int(state.cells[row, word]) >> bit & 1) << k
     return value

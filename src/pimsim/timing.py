@@ -26,6 +26,8 @@ from .mapper import ResidualAssignment, map_network
 from .subarray import mul_aap_count
 
 SFU_UNITS = ("relu", "batchnorm", "quantize", "pool", "transpose")
+# Pipeline depth of the one TREE_WIDTH-input adder tree.
+TREE_LEVELS = TREE_WIDTH.bit_length() - 1
 
 
 class TimingConfigError(ValueError):
@@ -46,7 +48,6 @@ class TimingParams:
     t_aap: float = 48.75                  # ns per ACTIVATE-ACTIVATE-PRECHARGE
     t_row_read: float = 35.0              # ns per bit-plane row read
     logic_clock: float = 1.0              # ns per datapath cycle, pre-penalty
-    tree_levels: int = TREE_WIDTH.bit_length() - 1   # tree pipeline depth
     sfu_cycles: dict = field(
         default_factory=lambda: {u: 1 for u in SFU_UNITS}
     )
@@ -61,8 +62,6 @@ class TimingParams:
                 raise TimingConfigError(
                     f"{name} must be positive and finite, got {value}"
                 )
-        if self.tree_levels < 1:
-            raise TimingConfigError("tree_levels must be positive")
         for unit in SFU_UNITS:
             cycles = self.sfu_cycles.get(unit, 0)
             if not (math.isfinite(cycles) and cycles >= 0):
@@ -79,7 +78,6 @@ class TimingParams:
             f"t_aap = {self.t_aap}",
             f"t_row_read = {self.t_row_read}",
             f"logic_clock = {self.logic_clock}",
-            f"tree_levels = {self.tree_levels}",
             f"t_rowclone_interbank = {self.t_rowclone_interbank}",
             f"dram_logic_penalty = {self.dram_logic_penalty}",
         ]
@@ -102,9 +100,6 @@ class TimingParams:
                 if unit not in SFU_UNITS:
                     raise TimingConfigError(f"unknown SFU unit {unit!r}")
                 cycles[unit] = _parse_value(name, value, int)
-            elif name == "tree_levels":
-                params = replace(params,
-                                 tree_levels=_parse_value(name, value, int))
             elif name in ("t_aap", "t_row_read", "logic_clock",
                           "t_rowclone_interbank", "dram_logic_penalty"):
                 params = replace(params,
@@ -144,10 +139,11 @@ def layer_latency(
     """Phase breakdown for one layer on its bank.
 
     multiply: mul_aap_count(n) * t_aap per stacked pair (passes serialize).
-    reduce: per load of the TREE_WIDTH-input tree, a levels-deep pipeline
-    fill at logic rate plus 2n bit-plane row reads at DRAM row rate. sfu/transpose: one element per unit
-    cycle at the penalized logic rate. transfer: RowClone rows to move the
-    layer output, at row granularity of the column width.
+    reduce: per load of the TREE_WIDTH-input tree, a TREE_LEVELS-deep
+    pipeline fill at logic rate plus 2n bit-plane row reads at DRAM row
+    rate. sfu/transpose: one element per unit cycle at the penalized logic
+    rate. transfer: RowClone rows to move the layer output, at row
+    granularity of the column width.
     """
     if place.macs_total == 0:
         return LayerLatency(place.layer_index, 0.0, 0.0, 0.0, 0.0, 0.0, 0)
@@ -157,7 +153,7 @@ def layer_latency(
 
     loads = tree_loads_per_pass(place, TREE_WIDTH) * passes
     reduce_ns = loads * (
-        params.tree_levels * params.logic_ns + 2 * n * params.t_row_read
+        TREE_LEVELS * params.logic_ns + 2 * n * params.t_row_read
     )
 
     chain_cycles = sum(

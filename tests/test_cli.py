@@ -356,7 +356,7 @@ class TestMainEntry:
         assert "5x5 kernel does not fit the 2x2 input" in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("mode", ["functional", "both"])
+    @pytest.mark.parametrize("mode", ["functional", "both", "timing"])
     def test_layers_that_do_not_chain_exit_code(self, tmp_path, capsys, mode):
         # the conv produces 3x3x2 = 18 elements, the linear layer takes 5
         netfile = tmp_path / "bad.json"

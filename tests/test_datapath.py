@@ -26,7 +26,12 @@ from pimsim.datapath import (
 )
 from pimsim import engine, oracle
 from pimsim.mapper import conv_layer, linear_layer, map_network, NetworkDescription
-from pimsim.engine import build_bank, place_operands, run_functional
+from pimsim.engine import (
+    build_bank,
+    place_operands,
+    prepare_operands,
+    run_functional,
+)
 
 
 # --------------------------------------------------------------------------
@@ -276,7 +281,7 @@ def _run_single_layer(layer, x, w, n, sfu, rows=64, cols=64):
     plan = map_network(net, column_size=cols)
     place = plan.layers[0]
     subarrays = build_bank(place, rows, cols, n)
-    place_operands(subarrays, place, layer, x, w)
+    place_operands(subarrays, place, *prepare_operands(place, layer, x, w))
     return bank_execute(subarrays, place, layer, sfu)
 
 
@@ -345,7 +350,7 @@ class TestBankExecute:
         place = plan.layers[0]
         assert place.passes == 2
         subarrays = build_bank(place, 64, 8, 3)
-        place_operands(subarrays, place, layer, x, w)
+        place_operands(subarrays, place, *prepare_operands(place, layer, x, w))
         outputs, acct = bank_execute(subarrays, place, layer, SfuParams())
         assert outputs.tolist() == [5, 6]
         assert acct.multiplies == 2
@@ -379,9 +384,11 @@ def _seed_tree_reduction(place, n, width, product):
     """
     sums, reads = {}, 0
     for p in range(place.passes):
-        for _, macs in place.subarray_batches(p):
+        for sub in range(place.subarrays_used):
+            held = place.pass_macs(range(sub, sub + 1))
             pieces = []   # (mac_id, offset within the MAC, size)
-            for mac_id, _ in macs:
+            for mac_id in range(p * place.macs_per_pass + held.start,
+                                p * place.macs_per_pass + held.stop):
                 for off in range(0, place.mac_size, width):
                     pieces.append(
                         (mac_id, off, min(width, place.mac_size - off)))
@@ -441,7 +448,7 @@ class TestVectorizedReduction:
         w = rng.integers(0, 1 << n, size=(macs * k, size))
         width = 1 << width_log2
         bank = build_bank(place, 256, cols, n)
-        place_operands(bank, place, layer, x, w)
+        place_operands(bank, place, *prepare_operands(place, layer, x, w))
         outputs, acct = bank_execute(bank, place, layer, SfuParams())
         sums, reads = _seed_tree_reduction(
             place, n, width, lambda mac, j: int(x[j]) * int(w[mac, j]))
@@ -465,9 +472,26 @@ class TestBankChunks:
         assert plan.layers[0].subarrays_used == 36
         whole = run_functional(net, plan, rows=64, cols=48, seed=3)
         monkeypatch.setattr(engine, "BANK_CHUNK_COLUMNS", 5 * 48)
+        calls = []
+        im2col = engine._im2col
+        monkeypatch.setattr(engine, "_im2col",
+                            lambda *a: calls.append(a) or im2col(*a))
         chunked = run_functional(net, plan, rows=64, cols=48, seed=3)
         assert whole.passed and chunked.passed
         for a, b in zip(whole.layer_runs, chunked.layer_runs):
             assert np.array_equal(a.outputs, b.outputs)
             assert a.accounting == b.accounting
         assert chunked.layer_runs[0].accounting.multiplies == 36 * 2
+        # operands are prepared once per layer, not once per chunk
+        assert len(calls) == len(net.layers)
+
+    def test_state_holds_only_the_mac_columns(self):
+        # 7 MACs of 5 columns, 2 per 12-column subarray: each subarray
+        # leaves 2 padding columns and the last one a whole MAC slot
+        net = NetworkDescription("pad", 2, [linear_layer(w1=5, w2=7)])
+        place = map_network(net, column_size=12).layers[0]
+        assert place.subarrays_used == 4
+        (whole,) = build_bank(place, 64, 16, 2)
+        assert whole.cols == 7 * 5
+        (tail,) = build_bank(place, 64, 16, 2, range(1, 4))
+        assert tail.cols == len(place.pass_macs(range(1, 4))) * 5 == 25

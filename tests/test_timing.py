@@ -15,6 +15,7 @@ from pimsim.timing import (
     AREA_UM2,
     POWER_NW,
     POWER_PCT,
+    TREE_LEVELS,
     LayerLatency,
     TimingConfigError,
     TimingParams,
@@ -84,7 +85,7 @@ class TestLayerLatency:
         assert with_p.transpose_ns == pytest.approx(without.transpose_ns * 1.215)
         # reduce mixes row reads (DRAM rate) with the tree fill (logic rate);
         # only the fill term scales with the penalty
-        n, levels = 2, base.tree_levels
+        n, levels = 2, TREE_LEVELS
         loads = (with_p.reduce_ns - without.reduce_ns) / (levels * 0.215)
         assert loads == pytest.approx(round(loads))
         assert without.reduce_ns == pytest.approx(
@@ -102,7 +103,7 @@ class TestLayerLatency:
         loads = result.layer_runs[0].accounting.plane_reads // (2 * 2)
         assert loads == 1
         assert lat.reduce_ns == pytest.approx(loads * (
-            params.tree_levels * params.logic_ns + 2 * 2 * params.t_row_read))
+            TREE_LEVELS * params.logic_ns + 2 * 2 * params.t_row_read))
 
     def test_zero_mac_layer_is_free(self):
         place = map_network(_toy_net(), 64).layers[0]
@@ -268,11 +269,17 @@ class TestPrecisionSweep:
 
 class TestTimingConfig:
     def test_text_round_trip(self):
-        params = TimingParams(t_aap=50.0, tree_levels=8)
+        params = TimingParams(t_aap=50.0, logic_clock=0.5)
         params.sfu_cycles["pool"] = 2
         text = params.to_text()
         again = TimingParams.from_text(text)
         assert again == params
+
+    def test_tree_depth_is_not_configurable(self):
+        # one TREE_WIDTH-input tree: its depth is a constant, not a knob
+        assert TREE_LEVELS == 12
+        with pytest.raises(TimingConfigError, match="unknown timing field"):
+            TimingParams.from_text("tree_levels = 12\n")
 
     def test_defaults_documented(self):
         params = TimingParams()
@@ -288,7 +295,7 @@ class TestTimingConfig:
             TimingParams.from_text("t_aap : 4\n")
 
     @pytest.mark.parametrize("line", [
-        "t_aap = fast", "tree_levels = 2.5", "sfu_cycles.relu = 1.5",
+        "t_aap = fast", "t_row_read = 35ns", "sfu_cycles.relu = 1.5",
         "logic_clock =",
     ])
     def test_unparsable_values_rejected(self, line):

@@ -33,6 +33,37 @@ def test_every_traced_name_resolves():
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
 
 
+def test_tracer_counts_work_and_uninstalls(tmp_path):
+    # the traced bench run reads result shapes (build_bank's list of states,
+    # multiply's events, bank_execute's accounting); a change to them would
+    # otherwise only break `bench/run.py --trace 1`
+    tracing = _load_bench("tracing")
+    workloads = _load_bench("workloads")
+    cli = importlib.import_module("pimsim.cli")
+    originals = [getattr(importlib.import_module(module), attr)
+                 for module, attr, _, _ in tracing.WRAPPED]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for sim, name in enumerate(["cnn-wide", "mlp-n8"]):
+            tracer.begin_sim(sim)
+            try:
+                statuses, _ = workloads.simulate(
+                    cli, workloads.workload(name), 0, tmp_path / name)
+            finally:
+                tracer.end_sim()
+            assert statuses == [0]
+    finally:
+        tracer.uninstall()
+    for sim in (0, 1):
+        counts = tracer.counts[sim]
+        for counter in ("engine.alloc_bytes", "subarray.multiply_calls",
+                        "subarray.aap_executed", "datapath.plane_reads"):
+            assert counts[counter] > 0, (sim, counter)
+    for (module, attr, _, _), original in zip(tracing.WRAPPED, originals):
+        assert getattr(importlib.import_module(module), attr) is original
+
+
 @pytest.mark.parametrize("name", ["cnn-wide", "mlp-n8", "timing-sweep"])
 def test_bench_workload_meets_its_golden(name, tmp_path):
     # one gated simulation per bench workload: exit 0, oracle PASS, executed
