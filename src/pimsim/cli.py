@@ -4,7 +4,8 @@ Loads a network from a JSON file or a built-in preset, maps it, then runs the
 functional bit-level simulation, the timing model, or both. Reports land as a
 human-readable table plus a JSON document with stable field order; a short
 summary prints to stdout. Exit status: 0 on success, 1 when the functional
-run diverges from the oracle, 2 on mapping or configuration failures.
+run diverges from the oracle or its executed AAPs from the timing model, 2 on
+mapping or configuration failures.
 """
 
 from __future__ import annotations
@@ -207,7 +208,8 @@ def run(net: NetworkDescription, config: RunConfig,
         output_dir: str | Path | None = None) -> tuple[int, dict]:
     """Map, simulate and report. Returns (exit_status, report)."""
     column_size = config.column_size
-    plan = map_network(net, column_size, config.subarrays_per_bank)
+    plan = map_network(net, column_size, config.subarrays_per_bank,
+                       config.rows)
     violations = validate_plan(plan, net)
     if violations:
         raise MappingError("; ".join(violations))
@@ -235,16 +237,14 @@ def run(net: NetworkDescription, config: RunConfig,
     functional = None
     status = 0
     if config.mode in ("functional", "both"):
-        functional = engine.run_functional(
-            net, plan, config.rows, config.cols, config.seed
-        )
+        functional = engine.run_functional(net, plan, config.seed)
         if not functional.passed:
             status = 1
-        elif config.mode == "both":
-            # Cross-check the executed traces against the analytic counts.
-            # Each bank replays one multiply trace per pass across all of its
-            # subarrays' columns and charges it to every subarray, so this is
-            # the model's count exactly.
+        else:
+            # Whenever the engine runs, cross-check the executed traces
+            # against the analytic counts. Each bank replays one multiply
+            # trace per pass across all of its subarrays' columns and charges
+            # it to every subarray, so this is the model's count exactly.
             expected_events = sum(
                 place.subarrays_used * lat.aap_count
                 for place, lat in zip(plan.layers, latencies)
@@ -291,8 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     src = parser.add_mutually_exclusive_group(required=True)
     src.add_argument("--model", help="network description JSON file")
     src.add_argument("--preset", choices=PRESET_NAMES, help="built-in workload")
-    parser.add_argument("--precision", type=int, default=4,
-                        help="operand bit width n (default 4)")
+    parser.add_argument("--precision", type=int, default=None,
+                        help="operand bit width n of a preset (default 4); "
+                             "a network file sets its own")
     parser.add_argument("--parallelism", default="P1",
                         help="parallelism preset (P1..P5) or comma list")
     parser.add_argument("--timing-config", help="key = value timing file")
@@ -317,28 +318,25 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        par = _parse_parallelism(args.parallelism)
         if args.model:
+            if args.precision is not None:
+                raise RunConfigError(
+                    "--precision applies to presets; a network file sets "
+                    "its own precision"
+                )
+            if isinstance(par, str) and par != "P1":
+                raise RunConfigError(
+                    "P-vectors only apply to presets; give a comma list"
+                )
             net = load_network(args.model)
-            if args.parallelism != "P1" or not net.parallelism:
-                par = _parse_parallelism(args.parallelism)
-                if isinstance(par, str):
-                    raise RunConfigError(
-                        "P-vectors only apply to presets; give a comma list"
-                    )
-                net = NetworkDescription(
-                    net.name, net.precision, net.layers, par,
-                    net.residual_edges,
-                )
         else:
-            par = _parse_parallelism(args.parallelism)
-            if isinstance(par, str):
-                net = preset(args.preset, par, precision=args.precision)
-            else:
-                net = preset(args.preset, "P1", precision=args.precision)
-                net = NetworkDescription(
-                    net.name, net.precision, net.layers, par,
-                    net.residual_edges,
-                )
+            net = preset(args.preset, par if isinstance(par, str) else "P1",
+                         precision=4 if args.precision is None
+                         else args.precision)
+        if not isinstance(par, str):
+            net = NetworkDescription(net.name, net.precision, net.layers, par,
+                                     net.residual_edges)
 
         params = TimingParams()
         if args.timing_config:

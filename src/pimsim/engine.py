@@ -11,7 +11,9 @@ bit-planes, activations once, weights once per stacked pair; bank_execute
 runs one multiply per pass and reduces, accumulates and runs the SFU chain. A
 layer wider than BANK_CHUNK_COLUMNS runs in chunks of whole subarrays, built
 one at a time. Each layer's output tensor is compared with the oracle's as it
-is and feeds the next layer unchanged.
+is and feeds the next layer unchanged. Every geometry parameter (rows,
+column size, precision, passes) is read from the layer's placement; the
+mapper owns their checks.
 """
 
 from __future__ import annotations
@@ -86,26 +88,19 @@ def synth_input(rng: np.random.Generator, layer: LayerSpec, n: int) -> np.ndarra
     return rng.integers(0, hi, size=(layer.w1,), dtype=np.int64)
 
 
-def build_bank(place: LayerPlacement, rows: int, cols: int, n: int,
+def build_bank(place: LayerPlacement,
                subarrays: range | None = None) -> list[SubarrayState]:
     """One packed state for the given subarrays of the layer (default: all),
     holding only the rows the layer touches and mac_size columns for each
     MAC those subarrays hold, in MAC order; returned as a one-element list.
+    Rows, width and precision come from the placement, whose row budget the
+    mapper has checked.
     """
-    needed = rows_needed(n, place.passes)
-    if rows < needed:
-        raise ConfigurationError(
-            f"layer {place.layer_index}: {rows} rows cannot stack "
-            f"{place.passes} pairs at n={n} (need {needed})"
-        )
-    if place.column_size > cols:
-        raise ConfigurationError(
-            f"column_size {place.column_size} exceeds subarray width {cols}"
-        )
     if subarrays is None:
         subarrays = range(place.subarrays_used)
     held = place.pass_macs(subarrays)
-    state = new_subarray(needed, len(held) * place.mac_size, n)
+    state = new_subarray(rows_needed(place.precision, place.passes),
+                         len(held) * place.mac_size, place.precision)
     state.subarrays = subarrays
     return [state]
 
@@ -183,16 +178,13 @@ def run_layer(
     x: np.ndarray,
     w: np.ndarray,
     sfu: SfuParams,
-    rows: int,
-    cols: int,
-    n: int,
 ) -> LayerRun:
-    step = max(1, BANK_CHUNK_COLUMNS // cols)
+    step = max(1, BANK_CHUNK_COLUMNS // place.column_size)
     acts, weights = prepare_operands(place, layer, x, w)
 
     def banks():
         for first in range(0, place.subarrays_used, step):
-            bank = build_bank(place, rows, cols, n, range(
+            bank = build_bank(place, range(
                 first, min(first + step, place.subarrays_used)))
             place_operands(bank, place, acts, weights)
             yield from bank
@@ -204,12 +196,11 @@ def run_layer(
 def run_functional(
     net: NetworkDescription,
     plan: MappingPlan,
-    rows: int,
-    cols: int,
     seed: int,
 ) -> FunctionalResult:
     """Simulate the whole network and cross-check against the oracle.
 
+    The plan, map_network's for this network, carries all the geometry.
     Returns the per-layer runs; mismatch carries the first divergent element
     if the datapath ever disagrees. The layers must chain (cli.run checks
     it). Raises ConfigurationError if a layer's dot products could leave
@@ -247,7 +238,7 @@ def run_functional(
             quantize_shift=quant[1],
             pool_window=layer.pool if layer.kind == "conv" else None,
         )
-        run = run_layer(place, layer, x, weights[idx], sfu, rows, cols, n)
+        run = run_layer(place, layer, x, weights[idx], sfu)
         layer_runs.append(run)
         got = run.outputs
         want = ref_outputs[idx]

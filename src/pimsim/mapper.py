@@ -23,6 +23,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from .subarray import rows_needed
+
 
 class MappingError(ValueError):
     """The network cannot be placed under the given geometry."""
@@ -306,7 +308,7 @@ class MappingPlan:
 
 def _place_layer(
     idx: int, layer: LayerSpec, n: int, column_size: int,
-    subarrays_per_bank: int | None,
+    subarrays_per_bank: int | None, rows: int | None,
 ) -> LayerPlacement:
     ms = mac_size(layer)
     if ms > column_size:
@@ -323,6 +325,12 @@ def _place_layer(
         raise MappingError(
             f"layer {idx}: needs {subs} subarrays at k={k}, bank has "
             f"{subarrays_per_bank} (short by {subs - subarrays_per_bank})"
+        )
+    needed = rows_needed(n, k)
+    if rows is not None and rows < needed:
+        raise MappingError(
+            f"layer {idx}: {rows} rows cannot stack {k} pairs at n={n} "
+            f"(need {needed})"
         )
     return LayerPlacement(
         layer_index=idx,
@@ -344,13 +352,20 @@ def map_network(
     net: NetworkDescription,
     column_size: int,
     subarrays_per_bank: int | None = None,
+    rows: int | None = None,
 ) -> MappingPlan:
-    """Assign every layer to a bank and every MAC to subarray columns."""
+    """Assign every layer to a bank and every MAC to subarray columns.
+
+    A layer must fit the geometry: each MAC within column_size, at most
+    subarrays_per_bank subarrays, and its stacked pairs within `rows`
+    (subarray.rows_needed). None leaves a bound unchecked.
+    """
     issues = net.validate()
     if issues:
         raise MappingError("; ".join(issues))
     placements = [
-        _place_layer(i, layer, net.precision, column_size, subarrays_per_bank)
+        _place_layer(i, layer, net.precision, column_size, subarrays_per_bank,
+                     rows)
         for i, layer in enumerate(net.layers)
     ]
     return MappingPlan(
@@ -441,6 +456,10 @@ def validate_plan(plan: MappingPlan, net: NetworkDescription) -> list[str]:
     return issues
 
 
+# Layers with at most this many MACs get a per-MAC listing in plan.txt.
+LISTED_MACS = 10000
+
+
 def _mac_listing(pl: LayerPlacement) -> str:
     """One line per MAC of the layer with its mac_location, in one format."""
     mac = np.arange(pl.macs_total)
@@ -451,8 +470,9 @@ def _mac_listing(pl: LayerPlacement) -> str:
     return "\n".join([line] * pl.macs_total) % tuple(rows.ravel().tolist())
 
 
-def plan_to_text(plan: MappingPlan, expand_limit: int = 10000) -> str:
-    """Serialize a plan; layers small enough also list per-MAC entries."""
+def plan_to_text(plan: MappingPlan) -> str:
+    """Serialize a plan; layers of at most LISTED_MACS MACs also list
+    per-MAC entries."""
     lines = [
         f"plan column_size={plan.column_size} "
         f"subarrays_per_bank={plan.subarrays_per_bank or 0} "
@@ -467,7 +487,7 @@ def plan_to_text(plan: MappingPlan, expand_limit: int = 10000) -> str:
             f"subarrays_used={pl.subarrays_used} "
             f"channel_positions={pl.channel_positions}"
         )
-        if 0 < pl.macs_total <= expand_limit:
+        if 0 < pl.macs_total <= LISTED_MACS:
             lines.append(_mac_listing(pl))
     for res in plan.reserved_banks:
         lines.append(

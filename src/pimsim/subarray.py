@@ -283,42 +283,8 @@ def apply_event(cells: np.ndarray, event: AapEvent) -> None:
 
 
 def _run(state: SubarrayState, kind: str, rows: Sequence[int]) -> None:
+    """Log one AAP of the given kind (see apply_event) and execute it."""
     apply_event(state.cells, state.trace.log(kind, rows))
-
-
-def _copy(state: SubarrayState, src: int, dsts: Sequence[int]) -> None:
-    # Single AAP: activate source, sense, activate all destination wordlines.
-    _run(state, COPY, (src, *dsts))
-
-
-def _write_row0(state: SubarrayState) -> None:
-    C = state.compute_rows
-    _run(state, WRITE_ROW0, (C["row0"], C["Cin"], C["Cin1"]))
-
-
-def _and_stage(state: SubarrayState, pair: str, dsts: Sequence[int]) -> None:
-    """AND-wordline activation, sensing, then destination activation."""
-    p0, p1 = state.and_wordline[0] if pair == "a" else state.and_wordline[1]
-    _run(state, AND_STAGE, (p0, p1, *dsts))
-
-
-def _tra(
-    state: SubarrayState, r1: int, r2: int, r3: int, dsts: Sequence[int] = ()
-) -> None:
-    """Triple-row activation: three-input majority with destructive restore."""
-    _run(state, TRIPLE, (r1, r2, r3, *dsts))
-
-
-def _qra(
-    state: SubarrayState,
-    r1: int,
-    r2: int,
-    r3: int,
-    neg_row: int,
-    dsts: Sequence[int] = (),
-) -> None:
-    """Quintuple activation: maj(r1, r2, r3, ~neg, ~neg)."""
-    _run(state, QUINTUPLE, (r1, r2, r3, neg_row, *dsts))
 
 
 # --------------------------------------------------------------------------
@@ -331,7 +297,7 @@ def row_clone(state: SubarrayState, src_row: int, dst_row: int) -> list[AapEvent
     if src_row == dst_row:
         raise AliasingError("cannot clone a row onto itself")
     start = len(state.trace.events)
-    _copy(state, src_row, (dst_row,))
+    _run(state, COPY, (src_row, dst_row))
     return state.trace.events[start:]
 
 
@@ -352,7 +318,7 @@ def multi_row_activate(
     if any(r not in compute for r in rows):
         raise ActivationPatternError("multi-row activation is limited to compute rows")
     if len(rows) == 3 and not use_negated_cout:
-        _tra(state, *rows)
+        _run(state, TRIPLE, rows)
         return read_row(state, rows[0])
     if len(rows) == 5 and use_negated_cout:
         cout = state.compute_rows["Cout"]
@@ -363,7 +329,7 @@ def multi_row_activate(
         plain = [r for r in rows if r != cout]
         if len(plain) != 3:
             raise ActivationPatternError("quintuple activation needs 3 plain rows")
-        _qra(state, plain[0], plain[1], plain[2], cout)
+        _run(state, QUINTUPLE, (plain[0], plain[1], plain[2], cout))
         return read_row(state, plain[0])
     raise ActivationPatternError(
         f"unsupported activation pattern of {len(rows)} rows"
@@ -393,9 +359,9 @@ def and_op(
     p = state.and_wordline[0] if pair == "a" else state.and_wordline[1]
     trace = state.trace
     start = len(trace.events)
-    _copy(state, src_a_row, (p[0],))
-    _copy(state, src_b_row, (p[1],))
-    _and_stage(state, pair, dsts)
+    _run(state, COPY, (src_a_row, p[0]))
+    _run(state, COPY, (src_b_row, p[1]))
+    _run(state, AND_STAGE, (*p, *dsts))
     trace.and_ops += 1
     trace.and_spans.append((start, len(trace.events)))
     return trace.events[start:]
@@ -432,17 +398,17 @@ def add_bitserial(
     trace = state.trace
     start = len(trace.events)
 
-    _copy(state, C["row0"], (Cin, Cin1))
+    _run(state, COPY, (C["row0"], Cin, Cin1))
     for k in range(n):
-        _copy(state, a_rows[k], (A, A1))
-        _copy(state, b_rows[k], (B, B1))
+        _run(state, COPY, (a_rows[k], A, A1))
+        _run(state, COPY, (b_rows[k], B, B1))
         free = Cout1 if k % 2 == 0 else Cin1
         cold = Cin1 if k % 2 == 0 else Cout1
         tra_dsts = [Cout, free]
         if k == n - 1:
             tra_dsts.append(out_rows[n])
-        _tra(state, A, B, Cin, tra_dsts)
-        _qra(state, A1, B1, cold, Cout, (out_rows[k],))
+        _run(state, TRIPLE, (A, B, Cin, *tra_dsts))
+        _run(state, QUINTUPLE, (A1, B1, cold, Cout, out_rows[k]))
     trace.add_ops += 1
     trace.add_spans.append((start, len(trace.events)))
     return trace.events[start:]
@@ -508,20 +474,20 @@ def _fused_add(
     for j in range(m):
         if j == 0:
             if seeded:
-                _copy(state, Cin, (Cin1,))
+                _run(state, COPY, (Cin, Cin1))
             else:
-                _copy(state, row0, (Cin, Cin1))
+                _run(state, COPY, (row0, Cin, Cin1))
         else:
-            _copy(state, row0, (A, A1))
+            _run(state, COPY, (row0, A, A1))
         src = op2_rows[j] if op2_rows is not None else row0
-        _copy(state, src, (B, B1))
+        _run(state, COPY, (src, B, B1))
         free = Cout1 if j % 2 == 0 else Cin1
         cold = Cin1 if j % 2 == 0 else Cout1
         tra_dsts = [Cout, free]
         if j == m - 1 and carry_dst is not None:
             tra_dsts.append(carry_dst)
-        _tra(state, A, B, Cin, tra_dsts)
-        _qra(state, A1, B1, cold, Cout, (dest[j],))
+        _run(state, TRIPLE, (A, B, Cin, *tra_dsts))
+        _run(state, QUINTUPLE, (A1, B1, cold, Cout, dest[j]))
     trace.add_ops += 1
     trace.add_spans.append((start, len(trace.events)))
 
@@ -538,13 +504,13 @@ def _multiply_small(state: SubarrayState, pair: int) -> None:
     b = state.weight_rows(pair)
     trace = state.trace
 
-    _write_row0(state)
+    _run(state, WRITE_ROW0, (row0, Cin, Cin1))
     if n == 1:
         # Degenerate path: a single AND plus the fixed zero-fill preamble.
-        _copy(state, row0, (B, B1))
-        _copy(state, row0, (Cout, Cout1))
+        _run(state, COPY, (row0, B, B1))
+        _run(state, COPY, (row0, Cout, Cout1))
         and_op(state, a[0], b[0], (P[0],), pair="a")
-        _copy(state, row0, (P[1],))
+        _run(state, COPY, (row0, P[1]))
         return
 
     and_op(state, a[0], b[0], (P[0],), pair="a")
@@ -552,17 +518,17 @@ def _multiply_small(state: SubarrayState, pair: int) -> None:
     and_op(state, a[0], b[1], (B, B1), pair="b")
     # Middle column: carry to Cout, sum to P1, then re-duplicate the carry.
     start = len(trace.events)
-    _tra(state, A, B, Cin, (Cout,))
-    _qra(state, A1, B1, Cin1, Cout, (P[1],))
-    _copy(state, Cin, (Cin1,))
+    _run(state, TRIPLE, (A, B, Cin, Cout))
+    _run(state, QUINTUPLE, (A1, B1, Cin1, Cout, P[1]))
+    _run(state, COPY, (Cin, Cin1))
     trace.add_ops += 1
     trace.add_spans.append((start, len(trace.events)))
     and_op(state, a[1], b[1], (A, A1), pair="a")
     # Final column adds the carry to the last partial product against zeros.
     start = len(trace.events)
-    _copy(state, row0, (B, B1))
-    _tra(state, A, B, Cin, (P[3], Cout))
-    _qra(state, A1, B1, Cin1, Cout, (P[2],))
+    _run(state, COPY, (row0, B, B1))
+    _run(state, TRIPLE, (A, B, Cin, P[3], Cout))
+    _run(state, QUINTUPLE, (A1, B1, Cin1, Cout, P[2]))
     trace.add_ops += 1
     trace.add_spans.append((start, len(trace.events)))
 

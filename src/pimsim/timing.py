@@ -133,10 +133,10 @@ class LayerLatency:
 def layer_latency(
     place: LayerPlacement,
     layer: LayerSpec,
-    n: int,
     params: TimingParams,
 ) -> LayerLatency:
-    """Phase breakdown for one layer on its bank.
+    """Phase breakdown for one layer on its bank, at the placement's
+    precision n.
 
     multiply: mul_aap_count(n) * t_aap per stacked pair (passes serialize).
     reduce: per load of the TREE_WIDTH-input tree, a TREE_LEVELS-deep
@@ -147,7 +147,7 @@ def layer_latency(
     """
     if place.macs_total == 0:
         return LayerLatency(place.layer_index, 0.0, 0.0, 0.0, 0.0, 0.0, 0)
-    passes = place.passes
+    n, passes = place.precision, place.passes
     mul_aaps = mul_aap_count(n) * passes
     multiply_ns = mul_aaps * params.t_aap
 
@@ -324,7 +324,7 @@ def network_latencies(
     params: TimingParams,
 ) -> list[LayerLatency]:
     return [
-        layer_latency(place, layer, net.precision, params)
+        layer_latency(place, layer, params)
         for place, layer in zip(plan.layers, net.layers)
     ]
 

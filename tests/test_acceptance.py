@@ -248,7 +248,7 @@ def test_criterion_8_end_to_end_toy_inference():
         [conv_layer(H=4, W=4, I=1, O=2, K=2), linear_layer(w1=18, w2=4)],
     )
     plan = map_network(net, column_size=256)
-    result = run_functional(net, plan, rows=256, cols=256, seed=2024)
+    result = run_functional(net, plan, seed=2024)
     elapsed = time.monotonic() - t0
     assert result.passed, result.mismatch
     _verdict(8, elapsed < 10,

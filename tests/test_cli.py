@@ -1,9 +1,11 @@
 """Preset, network I/O, run driver and report tests."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from pimsim import timing
 from pimsim.cli import (
     RunConfig,
     RunConfigError,
@@ -209,7 +211,7 @@ class TestFunctionalEngine:
     def test_conv_then_linear_matches_oracle(self):
         net = toy_net()
         plan = map_network(net, 64)
-        result = run_functional(net, plan, rows=64, cols=64, seed=1)
+        result = run_functional(net, plan, seed=1)
         assert result.passed, result.mismatch
 
     def test_pooled_conv_matches_oracle(self):
@@ -219,7 +221,7 @@ class TestFunctionalEngine:
              linear_layer(w1=18, w2=3)],
         )
         plan = map_network(net, 64)
-        result = run_functional(net, plan, rows=64, cols=64, seed=2)
+        result = run_functional(net, plan, seed=2)
         assert result.passed, result.mismatch
 
     def test_stacked_parallelism_matches_oracle(self):
@@ -229,7 +231,7 @@ class TestFunctionalEngine:
             parallelism=[2],
         )
         plan = map_network(net, 32)
-        result = run_functional(net, plan, rows=64, cols=32, seed=3)
+        result = run_functional(net, plan, seed=3)
         assert result.passed, result.mismatch
 
     def test_stacked_conv_matches_oracle(self):
@@ -240,7 +242,7 @@ class TestFunctionalEngine:
             parallelism=[2, 2],
         )
         plan = map_network(net, 128)
-        result = run_functional(net, plan, rows=96, cols=128, seed=8)
+        result = run_functional(net, plan, seed=8)
         assert result.passed, result.mismatch
 
 
@@ -297,8 +299,11 @@ class TestMainEntry:
             "name": "lin", "precision": n,
             "layers": [{"kind": "linear", "w1": 3, "w2": 4}],
         }))
+        # the 64-bit layer needs 328 rows; with fewer the row budget
+        # rejects it first (test_stacking_deeper_than_the_rows_exit_code)
+        rows = ["--rows", "512"] if n == 64 else []
         got = main([
-            "--model", str(netfile), "--mode", "both",
+            "--model", str(netfile), "--mode", "both", *rows,
             "--output", str(tmp_path / "out"),
         ])
         out, err = capsys.readouterr()
@@ -311,6 +316,30 @@ class TestMainEntry:
                 f"overflow the 64-bit MAC sums (needs 2 * precision + bit "
                 f"length of 3 <= 63)\n")
             assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode", ["timing", "functional", "both"])
+    @pytest.mark.parametrize("source, message", [
+        # 4 pairs at n=8: 9 + 7 + 16 + 5 * 8 rows
+        (["--preset", "alexnet", "--parallelism", "P3", "--precision", "8",
+          "--rows", "64", "--cols", "32768", "--column-size", "32768"],
+         "layer 0: 64 rows cannot stack 4 pairs at n=8 (need 72)"),
+        # one pair at n=64: 9 + 63 + 128 + 2 * 64 rows
+        (["--model", "lin64.json", "--rows", "256"],
+         "layer 0: 256 rows cannot stack 1 pairs at n=64 (need 328)"),
+    ], ids=["alexnet-P3-n8", "linear-n64"])
+    def test_stacking_deeper_than_the_rows_exit_code(
+            self, tmp_path, capsys, monkeypatch, mode, source, message):
+        # every mode rejects the placement with the same line, timing
+        # included: no latency for a layer whose pairs do not fit the rows
+        monkeypatch.chdir(tmp_path)
+        Path("lin64.json").write_text(json.dumps({
+            "name": "lin", "precision": 64,
+            "layers": [{"kind": "linear", "w1": 3, "w2": 4}],
+        }))
+        status = main([*source, "--mode", mode, "--output", "out"])
+        assert status == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not Path("out").exists()
 
     @pytest.mark.parametrize("flag", ["--rows", "--cols"])
     @pytest.mark.parametrize("mode", ["timing", "both"])
@@ -374,6 +403,47 @@ class TestMainEntry:
         assert status == 2
         assert err.count("\n") == 1
         assert "layer 1 takes 5 input elements, but layer 0 produces 18" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_functional_mode_checks_the_aap_count(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # a model one AAP off per multiply fails the run, not only in both
+        netfile = tmp_path / "toy.json"
+        save_network(toy_net(), netfile)
+        count = timing.mul_aap_count
+        monkeypatch.setattr(timing, "mul_aap_count", lambda n: count(n) + 1)
+        status = main([
+            "--model", str(netfile), "--mode", "functional",
+            "--output", str(tmp_path / "out"),
+        ])
+        assert status == 1
+        out = capsys.readouterr().out
+        assert "functional: FAIL (traces logged" in out
+        assert "AAPs, timing model expected" in out
+
+    def test_empty_network_file_runs(self, tmp_path, capsys):
+        netfile = tmp_path / "empty.json"
+        netfile.write_text(json.dumps({"name": "empty", "precision": 2,
+                                       "layers": []}))
+        status = main([
+            "--model", str(netfile), "--output", str(tmp_path / "out"),
+        ])
+        assert status == 0
+        assert json.loads((tmp_path / "out" / "report.json").read_text())[
+            "per_layer"] == []
+
+    def test_precision_flag_with_a_network_file_exit_code(self, tmp_path,
+                                                          capsys):
+        netfile = tmp_path / "toy.json"
+        save_network(toy_net(), netfile)
+        status = main([
+            "--model", str(netfile), "--precision", "9",
+            "--output", str(tmp_path / "out"),
+        ])
+        assert status == 2
+        assert capsys.readouterr().err == (
+            "error: --precision applies to presets; a network file sets its "
+            "own precision\n")
         assert not (tmp_path / "out").exists()
 
     def test_unlisted_preset_vector_exit_code(self, tmp_path, capsys):

@@ -276,11 +276,11 @@ class TestSfuStageMatchesOracle:
 # Whole-bank execution
 # --------------------------------------------------------------------------
 
-def _run_single_layer(layer, x, w, n, sfu, rows=64, cols=64):
+def _run_single_layer(layer, x, w, n, sfu, cols=64):
     net = NetworkDescription("t", n, [layer])
     plan = map_network(net, column_size=cols)
     place = plan.layers[0]
-    subarrays = build_bank(place, rows, cols, n)
+    subarrays = build_bank(place)
     place_operands(subarrays, place, *prepare_operands(place, layer, x, w))
     return bank_execute(subarrays, place, layer, sfu)
 
@@ -317,9 +317,7 @@ class TestBankExecute:
         layer = linear_layer(w1=40, w2=1)
         x = rng.integers(0, 4, size=40)
         w = rng.integers(0, 4, size=(1, 40))
-        outputs, _ = _run_single_layer(
-            layer, x, w, 2, SfuParams(), rows=64, cols=64
-        )
+        outputs, _ = _run_single_layer(layer, x, w, 2, SfuParams(), cols=64)
         assert outputs.tolist() == [int(x @ w[0])]
 
     def test_sfu_chain_applies_relu_before_batchnorm(self):
@@ -349,7 +347,7 @@ class TestBankExecute:
         plan = map_network(net, column_size=8)
         place = plan.layers[0]
         assert place.passes == 2
-        subarrays = build_bank(place, 64, 8, 3)
+        subarrays = build_bank(place)
         place_operands(subarrays, place, *prepare_operands(place, layer, x, w))
         outputs, acct = bank_execute(subarrays, place, layer, SfuParams())
         assert outputs.tolist() == [5, 6]
@@ -364,7 +362,7 @@ class TestBankExecute:
                BatchNormParams(mu=10, scale=1.25, beta=0)]
         sfu = SfuParams(batchnorm=bns, quantize_width=3, quantize_shift=2,
                         pool_window=2)
-        outputs, _ = _run_single_layer(layer, x, w, 3, sfu, rows=64, cols=128)
+        outputs, _ = _run_single_layer(layer, x, w, 3, sfu, cols=128)
         ref = oracle.layer_ref(
             layer, x, w,
             bn=[(b.mu, b.scale_fp, b.beta) for b in bns],
@@ -447,7 +445,7 @@ class TestVectorizedReduction:
         x = rng.integers(0, 1 << n, size=size)
         w = rng.integers(0, 1 << n, size=(macs * k, size))
         width = 1 << width_log2
-        bank = build_bank(place, 256, cols, n)
+        bank = build_bank(place)
         place_operands(bank, place, *prepare_operands(place, layer, x, w))
         outputs, acct = bank_execute(bank, place, layer, SfuParams())
         sums, reads = _seed_tree_reduction(
@@ -470,13 +468,14 @@ class TestBankChunks:
         ], parallelism=[2, 1])
         plan = map_network(net, column_size=40)
         assert plan.layers[0].subarrays_used == 36
-        whole = run_functional(net, plan, rows=64, cols=48, seed=3)
-        monkeypatch.setattr(engine, "BANK_CHUNK_COLUMNS", 5 * 48)
+        whole = run_functional(net, plan, seed=3)
+        # chunks of 5 subarrays of column_size 40 columns
+        monkeypatch.setattr(engine, "BANK_CHUNK_COLUMNS", 5 * 40)
         calls = []
         im2col = engine._im2col
         monkeypatch.setattr(engine, "_im2col",
                             lambda *a: calls.append(a) or im2col(*a))
-        chunked = run_functional(net, plan, rows=64, cols=48, seed=3)
+        chunked = run_functional(net, plan, seed=3)
         assert whole.passed and chunked.passed
         for a, b in zip(whole.layer_runs, chunked.layer_runs):
             assert np.array_equal(a.outputs, b.outputs)
@@ -491,7 +490,7 @@ class TestBankChunks:
         net = NetworkDescription("pad", 2, [linear_layer(w1=5, w2=7)])
         place = map_network(net, column_size=12).layers[0]
         assert place.subarrays_used == 4
-        (whole,) = build_bank(place, 64, 16, 2)
+        (whole,) = build_bank(place)
         assert whole.cols == 7 * 5
-        (tail,) = build_bank(place, 64, 16, 2, range(1, 4))
+        (tail,) = build_bank(place, range(1, 4))
         assert tail.cols == len(place.pass_macs(range(1, 4))) * 5 == 25

@@ -1,10 +1,13 @@
 """Mapping algorithm tests: counts, placement rules, footprints, residuals."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pimsim.mapper import (
+    LISTED_MACS,
     MappingError,
     NetworkDescription,
     conv_layer,
@@ -111,6 +114,25 @@ class TestMapNetwork:
         )
         with pytest.raises(MappingError, match="short by"):
             map_network(net, column_size=64, subarrays_per_bank=2)
+
+    def test_row_budget_names_the_stacking_depth(self):
+        # 2 pairs at n=4 need 9 compute + 3 intermediate + 8 product rows
+        # plus 3 * 4 operand rows = 32; the 1-pass layer 0 needs 28
+        net = NetworkDescription(
+            "r", 4, [linear_layer(w1=4, w2=6), linear_layer(w1=6, w2=4)],
+            parallelism=[1, 2],
+        )
+        assert map_network(net, 64, rows=32).layers[1].passes == 2
+        with pytest.raises(MappingError, match=re.escape(
+                "layer 1: 31 rows cannot stack 2 pairs at n=4 (need 32)")):
+            map_network(net, 64, rows=31)
+
+    def test_no_row_budget_maps_any_depth(self):
+        # 8 pairs at n=64 would need 776 rows
+        net = NetworkDescription("r", 64, [linear_layer(w1=4, w2=8)],
+                                 parallelism=[8])
+        assert map_network(net, 64).layers[0].passes == 8
+        assert map_network(net, 64, rows=None).layers[0].passes == 8
 
     def test_k_must_divide_outputs(self):
         with pytest.raises(MappingError, match="does not divide"):
@@ -416,10 +438,13 @@ class TestPlanText:
                           for line in _reference_listing(place)]
 
     def test_listing_follows_its_layer_header(self):
-        plan = self._plan()
-        lines = plan_to_text(plan, expand_limit=50).splitlines()
+        net = NetworkDescription("l", 4, [
+            linear_layer(w1=1, w2=LISTED_MACS + 1), linear_layer(w1=6, w2=4),
+        ])
+        plan = map_network(net, column_size=64)
+        lines = plan_to_text(plan).splitlines()
         header = [i for i, line in enumerate(lines)
                   if line.startswith("layer ")]
-        # the 100-MAC conv is over the limit, the 4-MAC linear is listed
+        # the first layer is over the limit, the 4-MAC linear is listed
         assert header[1] == header[0] + 1
         assert lines[header[1] + 1:] == _reference_listing(plan.layers[1])

@@ -46,7 +46,7 @@ class TestLayerLatency:
     def test_multiply_phase_example(self):
         net = _toy_net(n=2)
         plan = map_network(net, 64)
-        lat = layer_latency(plan.layers[0], net.layers[0], 2, TimingParams())
+        lat = layer_latency(plan.layers[0], net.layers[0], TimingParams())
         assert lat.multiply_ns == pytest.approx(19 * 48.75)
 
     def test_stacked_pairs_double_multiply(self):
@@ -54,15 +54,15 @@ class TestLayerLatency:
         double = _toy_net(n=2, k=2)
         p1 = map_network(single, 64)
         p2 = map_network(double, 64)
-        l1 = layer_latency(p1.layers[0], single.layers[0], 2, TimingParams())
-        l2 = layer_latency(p2.layers[0], double.layers[0], 2, TimingParams())
+        l1 = layer_latency(p1.layers[0], single.layers[0], TimingParams())
+        l2 = layer_latency(p2.layers[0], double.layers[0], TimingParams())
         assert l2.multiply_ns == pytest.approx(2 * l1.multiply_ns)
 
     def test_phase_additivity(self):
         net = _toy_net(n=4)
         plan = map_network(net, 64)
         for place, layer in zip(plan.layers, net.layers):
-            lat = layer_latency(place, layer, 4, TimingParams())
+            lat = layer_latency(place, layer, TimingParams())
             assert lat.total_ns == pytest.approx(
                 lat.multiply_ns + lat.reduce_ns + lat.sfu_ns
                 + lat.transpose_ns + lat.transfer_ns
@@ -75,7 +75,7 @@ class TestLayerLatency:
         off = TimingParams(dram_logic_penalty=1.0)
 
         def phases(params):
-            lat = layer_latency(plan.layers[0], net.layers[0], 2, params)
+            lat = layer_latency(plan.layers[0], net.layers[0], params)
             return lat
 
         with_p, without = phases(base), phases(off)
@@ -98,8 +98,8 @@ class TestLayerLatency:
         net = NetworkDescription("tree", 2, [linear_layer(w1=9, w2=14)])
         plan = map_network(net, 128)
         params = TimingParams()
-        lat = layer_latency(plan.layers[0], net.layers[0], 2, params)
-        result = run_functional(net, plan, rows=64, cols=128, seed=0)
+        lat = layer_latency(plan.layers[0], net.layers[0], params)
+        result = run_functional(net, plan, seed=0)
         loads = result.layer_runs[0].accounting.plane_reads // (2 * 2)
         assert loads == 1
         assert lat.reduce_ns == pytest.approx(loads * (
@@ -108,7 +108,7 @@ class TestLayerLatency:
     def test_zero_mac_layer_is_free(self):
         place = map_network(_toy_net(), 64).layers[0]
         place.macs_total = 0
-        lat = layer_latency(place, _toy_net().layers[0], 2, TimingParams())
+        lat = layer_latency(place, _toy_net().layers[0], TimingParams())
         assert lat.total_ns == 0
 
 
