@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import engine, timing
@@ -57,6 +57,11 @@ class RunConfig:
             self.column_size = self.cols
         if self.column_size > self.cols:
             raise RunConfigError("column_size cannot exceed the subarray width")
+        for name in ("column_size", "subarrays_per_bank", "banks"):
+            if (value := getattr(self, name)) is not None and value < 1:
+                raise RunConfigError(f"{name} must be at least 1")
+        if self.seed < 0:
+            raise RunConfigError(f"seed {self.seed} must not be negative")
         if self.mode not in ("functional", "timing", "both"):
             raise RunConfigError(f"unknown mode {self.mode!r}")
         if self.images < 1:
@@ -335,8 +340,7 @@ def main(argv: list[str] | None = None) -> int:
                          precision=4 if args.precision is None
                          else args.precision)
         if not isinstance(par, str):
-            net = NetworkDescription(net.name, net.precision, net.layers, par,
-                                     net.residual_edges)
+            net = replace(net, parallelism=par)
 
         params = TimingParams()
         if args.timing_config:

@@ -221,24 +221,20 @@ def run_functional(
     x0 = synth_input(rng, net.layers[0], n)
     weights = [synth_weights(rng, layer, n) for layer in net.layers]
 
-    sfu_configs = []
-    for layer in net.layers:
-        shift = default_quant_shift(layer, n)
-        sfu_configs.append((None, (n, shift)))
-    ref_outputs = oracle.network_ref(net, x0, weights, sfu_configs)
+    sfus = [
+        SfuParams(quantize_width=n, quantize_shift=default_quant_shift(layer, n),
+                  pool_window=layer.pool if layer.kind == "conv" else None)
+        for layer in net.layers
+    ]
+    ref_outputs = oracle.network_ref(
+        net, x0, weights,
+        [(None, (sfu.quantize_width, sfu.quantize_shift)) for sfu in sfus])
 
     layer_runs: list[LayerRun] = []
     mismatch = None
     x = x0
     for idx, (layer, place) in enumerate(zip(net.layers, plan.layers)):
-        _, quant = sfu_configs[idx]
-        sfu = SfuParams(
-            batchnorm=None,
-            quantize_width=quant[0],
-            quantize_shift=quant[1],
-            pool_window=layer.pool if layer.kind == "conv" else None,
-        )
-        run = run_layer(place, layer, x, weights[idx], sfu)
+        run = run_layer(place, layer, x, weights[idx], sfus[idx])
         layer_runs.append(run)
         got = run.outputs
         want = ref_outputs[idx]

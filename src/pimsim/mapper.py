@@ -35,7 +35,7 @@ class MappingError(ValueError):
 # --------------------------------------------------------------------------
 
 # LayerSpec fields that must hold an int; pool must hold an int or None.
-_INT_FIELDS = ("H", "W", "I", "O", "K", "L", "p", "s", "w1", "w2", "k")
+_INT_FIELDS = ("H", "W", "I", "O", "K", "L", "p", "s", "w1", "w2")
 
 
 def _is_int(value) -> bool:
@@ -49,8 +49,8 @@ class LayerSpec:
 
     Conv fields: input H x W x I, O output filters, K x L kernel, padding p,
     stride s, optional pool window (max pool, stride = window). Linear fields:
-    w1 input neurons, w2 output neurons. k is the per-layer parallelism
-    divisor.
+    w1 input neurons, w2 output neurons. A layer carries no parallelism
+    divisor: its k is its entry of NetworkDescription.parallelism.
     """
 
     kind: str
@@ -65,7 +65,6 @@ class LayerSpec:
     pool: int | None = None
     w1: int = 0
     w2: int = 0
-    k: int = 1
 
     def output_hw(self) -> tuple[int, int]:
         if self.kind != "conv":
@@ -89,17 +88,19 @@ class LayerSpec:
             return self.w1
         return self.H * self.W * self.I
 
-    def validate(self) -> list[str]:
+    def validate(self, k: int) -> list[str]:
+        """Problems of this layer run at parallelism divisor k."""
+        ints = [(name, getattr(self, name)) for name in _INT_FIELDS]
         issues = [
-            f"{name} must be an integer, got {getattr(self, name)!r}"
-            for name in _INT_FIELDS if not _is_int(getattr(self, name))
+            f"{name} must be an integer, got {value!r}"
+            for name, value in [*ints, ("k", k)] if not _is_int(value)
         ]
         if self.pool is not None and not _is_int(self.pool):
             issues.append(f"pool must be an integer or null, got {self.pool!r}")
         if issues:
             return issues
-        if self.k < 1:
-            issues.append(f"k={self.k} must be at least 1")
+        if k < 1:
+            issues.append(f"k={k} must be at least 1")
         if self.kind == "conv":
             if min(self.H, self.W, self.I, self.O, self.K, self.L) < 1:
                 issues.append("conv dimensions must be positive")
@@ -120,33 +121,37 @@ class LayerSpec:
                     f"pool window {self.pool} must be 1 to {min(oh, ow)} "
                     f"for the {oh}x{ow} output"
                 )
-            if self.k >= 1 and self.O % self.k:
-                issues.append(f"k={self.k} does not divide O={self.O}")
+            if k >= 1 and self.O % k:
+                issues.append(f"k={k} does not divide O={self.O}")
         elif self.kind == "linear":
             if min(self.w1, self.w2) < 1:
                 issues.append("linear dimensions must be positive")
             if self.pool is not None:
                 issues.append("pool applies to conv layers only")
-            if self.k >= 1 and self.w2 % self.k:
-                issues.append(f"k={self.k} does not divide w2={self.w2}")
+            if k >= 1 and self.w2 % k:
+                issues.append(f"k={k} does not divide w2={self.w2}")
         else:
             issues.append(f"unknown layer kind {self.kind!r}")
         return issues
 
 
-def conv_layer(H, W, I, O, K, L=None, p=0, s=1, pool=None, k=1) -> LayerSpec:
+def conv_layer(H, W, I, O, K, L=None, p=0, s=1, pool=None) -> LayerSpec:
+    """A conv layer (L defaults to K); k comes from the P-vector."""
     return LayerSpec(
         kind="conv", H=H, W=W, I=I, O=O, K=K, L=K if L is None else L,
-        p=p, s=s, pool=pool, k=k,
+        p=p, s=s, pool=pool,
     )
 
 
-def linear_layer(w1, w2, k=1) -> LayerSpec:
-    return LayerSpec(kind="linear", w1=w1, w2=w2, k=k)
+def linear_layer(w1, w2) -> LayerSpec:
+    """A linear layer; k comes from the P-vector."""
+    return LayerSpec(kind="linear", w1=w1, w2=w2)
 
 
 @dataclass
 class NetworkDescription:
+    """Layers and their P-vector: layer i runs at k = parallelism[i]."""
+
     name: str
     precision: int
     layers: list[LayerSpec]
@@ -161,8 +166,6 @@ class NetworkDescription:
                 f"parallelism vector of {len(self.parallelism)} entries "
                 f"for {len(self.layers)} layers"
             )
-        for layer, k in zip(self.layers, self.parallelism):
-            layer.k = k
 
     def validate(self) -> list[str]:
         issues = []
@@ -170,8 +173,8 @@ class NetworkDescription:
             issues.append(f"precision must be an integer, got {self.precision!r}")
         elif self.precision < 1:
             issues.append("precision must be at least 1 bit")
-        for idx, layer in enumerate(self.layers):
-            issues.extend(f"layer {idx}: {msg}" for msg in layer.validate())
+        for idx, (layer, k) in enumerate(zip(self.layers, self.parallelism)):
+            issues.extend(f"layer {idx}: {msg}" for msg in layer.validate(k))
         for src, dst in self.residual_edges:
             if not (_is_int(src) and _is_int(dst)
                     and 0 <= src < dst < len(self.layers)):
@@ -307,7 +310,7 @@ class MappingPlan:
 
 
 def _place_layer(
-    idx: int, layer: LayerSpec, n: int, column_size: int,
+    idx: int, layer: LayerSpec, k: int, n: int, column_size: int,
     subarrays_per_bank: int | None, rows: int | None,
 ) -> LayerPlacement:
     ms = mac_size(layer)
@@ -317,7 +320,6 @@ def _place_layer(
             f"column_size {column_size}; a MAC cannot span subarrays"
         )
     total = total_macs(layer)
-    k = layer.k
     macs_per_pass = total // k
     mps = column_size // ms
     subs = -(-macs_per_pass // mps)
@@ -364,9 +366,9 @@ def map_network(
     if issues:
         raise MappingError("; ".join(issues))
     placements = [
-        _place_layer(i, layer, net.precision, column_size, subarrays_per_bank,
-                     rows)
-        for i, layer in enumerate(net.layers)
+        _place_layer(i, layer, k, net.precision, column_size,
+                     subarrays_per_bank, rows)
+        for i, (layer, k) in enumerate(zip(net.layers, net.parallelism))
     ]
     return MappingPlan(
         column_size=column_size,
@@ -554,10 +556,7 @@ def network_to_json(net: NetworkDescription) -> str:
         "name": net.name,
         "precision": net.precision,
         "parallelism": list(net.parallelism),
-        "layers": [
-            {k: v for k, v in asdict(layer).items() if k != "k"}
-            for layer in net.layers
-        ],
+        "layers": [asdict(layer) for layer in net.layers],
         "residual_edges": [list(e) for e in net.residual_edges],
     }
     return json.dumps(doc, indent=2) + "\n"

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -76,19 +77,25 @@ class AapEvent:
 class AapTrace:
     """Ordered log of DRAM commands, one entry per AAP.
 
-    and_ops / add_ops count logical operations; the spans record which event
-    slice each operation occupies so per-operation AAP costs can be audited.
+    The spans record which event slice each AND or ADD operation occupies, so
+    per-operation AAP costs can be audited; and_ops / add_ops count them.
     """
 
     events: list[AapEvent] = field(default_factory=list)
-    and_ops: int = 0
-    add_ops: int = 0
     and_spans: list[tuple[int, int]] = field(default_factory=list)
     add_spans: list[tuple[int, int]] = field(default_factory=list)
 
     @property
     def total_aap(self) -> int:
         return len(self.events)
+
+    @property
+    def and_ops(self) -> int:
+        return len(self.and_spans)
+
+    @property
+    def add_ops(self) -> int:
+        return len(self.add_spans)
 
     def log(self, kind: str, rows: Iterable[int]) -> AapEvent:
         event = AapEvent(kind, tuple(int(r) for r in rows))
@@ -112,24 +119,12 @@ class AapTrace:
         )
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_text(cls, text: str) -> "AapTrace":
-        trace = cls()
-        for line in text.strip().splitlines():
-            head, _, rest = line.partition(" ")
-            if head == "summary":
-                fields = dict(kv.split("=") for kv in rest.split())
-                if int(fields["total_aap"]) != trace.total_aap:
-                    raise ValueError("summary does not match event count")
-                trace.and_ops = int(fields["and_ops"])
-                trace.add_ops = int(fields["add_ops"])
-            else:
-                rows = tuple(int(r) for r in rest.split(",")) if rest else ()
-                trace.log(head, rows)
-        return trace
 
-
+# The nine compute rows sit at the same indices in every subarray.
+ROW0, A, A1, B, B1, CIN, CIN1, COUT, COUT1 = range(9)
 COMPUTE_ROW_COUNT = 9
+COMPUTE_ROWS = MappingProxyType({name: row for row, name in enumerate(
+    ("row0", "A", "A1", "B", "B1", "Cin", "Cin1", "Cout", "Cout1"))})
 WORD_BITS = 64
 WORD = np.dtype("<u8")
 
@@ -157,10 +152,11 @@ def unpack_columns(words: np.ndarray, cols: int) -> np.ndarray:
 @dataclass
 class SubarrayState:
     """One subarray, or a packed bank of equal-width subarrays side by side:
-    bit-packed cell rows, reserved row map and its command trace.
+    bit-packed cell rows and its command trace.
 
-    Row layout (fixed): row0 at index 0, the eight scratch compute rows next,
-    then n-1 intermediate rows, then 2n product rows, then operand data rows.
+    Row layout (fixed, derived from n alone): the compute rows ROW0..COUT1 at
+    0..8 (`compute_rows` maps their names), then n-1 intermediate rows, then
+    2n product rows, then operand data rows from `data_base`.
     A data column holds one n-bit activation followed by one n-bit weight per
     stacked pair, all LSB first. cells is (rows, word_count(cols)) uint64;
     bits past the last column are don't-care. A packed bank holds the MACs
@@ -172,13 +168,21 @@ class SubarrayState:
     cols: int
     n: int
     cells: np.ndarray
-    compute_rows: dict[str, int]
-    intermediate_rows: tuple[int, ...]
-    product_rows: tuple[int, ...]
-    data_base: int
-    and_wordline: tuple[tuple[int, int], tuple[int, int]]
     trace: AapTrace = field(default_factory=AapTrace)
     subarrays: range = range(1)
+    compute_rows = COMPUTE_ROWS
+
+    @property
+    def intermediate_rows(self) -> range:
+        return range(COMPUTE_ROW_COUNT, COMPUTE_ROW_COUNT + self.n - 1)
+
+    @property
+    def product_rows(self) -> range:
+        return range(self.data_base - 2 * self.n, self.data_base)
+
+    @property
+    def data_base(self) -> int:
+        return COMPUTE_ROW_COUNT + 3 * self.n - 1
 
     def activation_rows(self) -> tuple[int, ...]:
         return tuple(range(self.data_base, self.data_base + self.n))
@@ -215,23 +219,8 @@ def new_subarray(rows: int, cols: int, n: int) -> SubarrayState:
             f"{rows} rows cannot hold precision {n}: need {needed} "
             f"(9 compute + {n - 1} intermediate + {2 * n} product + {2 * n} operand)"
         )
-    names = ("row0", "A", "A1", "B", "B1", "Cin", "Cin1", "Cout", "Cout1")
-    compute = {name: idx for idx, name in enumerate(names)}
-    inter = tuple(range(9, 9 + n - 1))
-    prod_base = 9 + (n - 1)
-    prod = tuple(range(prod_base, prod_base + 2 * n))
-    data_base = prod_base + 2 * n
-    return SubarrayState(
-        rows=rows,
-        cols=cols,
-        n=n,
-        cells=np.zeros((rows, word_count(cols)), dtype=WORD),
-        compute_rows=compute,
-        intermediate_rows=inter,
-        product_rows=prod,
-        data_base=data_base,
-        and_wordline=((compute["A"], compute["A1"]), (compute["B"], compute["B1"])),
-    )
+    return SubarrayState(rows, cols, n,
+                         np.zeros((rows, word_count(cols)), dtype=WORD))
 
 
 def _check_rows(state: SubarrayState, rows: Iterable[int]) -> None:
@@ -314,22 +303,20 @@ def multi_row_activate(
     """
     rows = [int(r) for r in row_set]
     _check_rows(state, rows)
-    compute = set(state.compute_rows.values())
-    if any(r not in compute for r in rows):
+    if any(r >= COMPUTE_ROW_COUNT for r in rows):
         raise ActivationPatternError("multi-row activation is limited to compute rows")
     if len(rows) == 3 and not use_negated_cout:
         _run(state, TRIPLE, rows)
         return read_row(state, rows[0])
     if len(rows) == 5 and use_negated_cout:
-        cout = state.compute_rows["Cout"]
-        if rows.count(cout) != 2:
+        if rows.count(COUT) != 2:
             raise ActivationPatternError(
                 "quintuple activation needs the negated Cout row listed twice"
             )
-        plain = [r for r in rows if r != cout]
+        plain = [r for r in rows if r != COUT]
         if len(plain) != 3:
             raise ActivationPatternError("quintuple activation needs 3 plain rows")
-        _run(state, QUINTUPLE, (plain[0], plain[1], plain[2], cout))
+        _run(state, QUINTUPLE, (plain[0], plain[1], plain[2], COUT))
         return read_row(state, plain[0])
     raise ActivationPatternError(
         f"unsupported activation pattern of {len(rows)} rows"
@@ -356,15 +343,29 @@ def and_op(
     _check_rows(state, (src_a_row, src_b_row, *dsts))
     if src_a_row in dsts or src_b_row in dsts:
         raise AliasingError("AND destination overlaps a source row")
-    p = state.and_wordline[0] if pair == "a" else state.and_wordline[1]
+    p = (A, A1) if pair == "a" else (B, B1)
     trace = state.trace
     start = len(trace.events)
     _run(state, COPY, (src_a_row, p[0]))
     _run(state, COPY, (src_b_row, p[1]))
     _run(state, AND_STAGE, (*p, *dsts))
-    trace.and_ops += 1
     trace.and_spans.append((start, len(trace.events)))
     return trace.events[start:]
+
+
+def _add_bit(state: SubarrayState, k: int, b_row: int, sum_row: int,
+             carry_row: int | None) -> None:
+    """Bit k of a ripple-carry ADD whose operand-1 bit already sits in
+    A/A-1: copy b_row into B/B-1, then the TRIPLE writes the carry into Cout
+    and the free carry copy (and carry_row, when given), and the QUINTUPLE
+    writes the sum bit into sum_row. Cout-1 and Cin-1 take turns as the free
+    copy and the cold one the QUINTUPLE reads, by the parity of k. 3 AAPs.
+    """
+    _run(state, COPY, (b_row, B, B1))
+    free, cold = (COUT1, CIN1) if k % 2 == 0 else (CIN1, COUT1)
+    carry = () if carry_row is None else (carry_row,)
+    _run(state, TRIPLE, (A, B, CIN, COUT, free, *carry))
+    _run(state, QUINTUPLE, (A1, B1, cold, COUT, sum_row))
 
 
 def add_bitserial(
@@ -388,28 +389,16 @@ def add_bitserial(
     _check_rows(state, groups)
     if len(set(groups)) != len(groups):
         raise AliasingError("a, b and out row groups must be disjoint")
-    reserved = set(state.compute_rows.values())
-    if reserved & set(groups):
+    if min(groups) < COMPUTE_ROW_COUNT:
         raise AliasingError("operand rows may not alias the compute rows")
 
-    C = state.compute_rows
-    A, A1, B, B1 = C["A"], C["A1"], C["B"], C["B1"]
-    Cin, Cin1, Cout, Cout1 = C["Cin"], C["Cin1"], C["Cout"], C["Cout1"]
     trace = state.trace
     start = len(trace.events)
-
-    _run(state, COPY, (C["row0"], Cin, Cin1))
+    _run(state, COPY, (ROW0, CIN, CIN1))
     for k in range(n):
         _run(state, COPY, (a_rows[k], A, A1))
-        _run(state, COPY, (b_rows[k], B, B1))
-        free = Cout1 if k % 2 == 0 else Cin1
-        cold = Cin1 if k % 2 == 0 else Cout1
-        tra_dsts = [Cout, free]
-        if k == n - 1:
-            tra_dsts.append(out_rows[n])
-        _run(state, TRIPLE, (A, B, Cin, *tra_dsts))
-        _run(state, QUINTUPLE, (A1, B1, cold, Cout, out_rows[k]))
-    trace.add_ops += 1
+        _add_bit(state, k, b_rows[k], out_rows[k],
+                 out_rows[n] if k == n - 1 else None)
     trace.add_spans.append((start, len(trace.events)))
     return trace.events[start:]
 
@@ -464,53 +453,33 @@ def _fused_add(
     the last triple activation.
     """
     m = state.n - 1
-    C = state.compute_rows
-    A, A1, B, B1 = C["A"], C["A1"], C["B"], C["B1"]
-    Cin, Cin1, Cout, Cout1 = C["Cin"], C["Cin1"], C["Cout"], C["Cout1"]
-    row0 = C["row0"]
     trace = state.trace
     start = len(trace.events)
-
     for j in range(m):
         if j == 0:
-            if seeded:
-                _run(state, COPY, (Cin, Cin1))
-            else:
-                _run(state, COPY, (row0, Cin, Cin1))
+            _run(state, COPY, (CIN, CIN1) if seeded else (ROW0, CIN, CIN1))
         else:
-            _run(state, COPY, (row0, A, A1))
-        src = op2_rows[j] if op2_rows is not None else row0
-        _run(state, COPY, (src, B, B1))
-        free = Cout1 if j % 2 == 0 else Cin1
-        cold = Cin1 if j % 2 == 0 else Cout1
-        tra_dsts = [Cout, free]
-        if j == m - 1 and carry_dst is not None:
-            tra_dsts.append(carry_dst)
-        _run(state, TRIPLE, (A, B, Cin, *tra_dsts))
-        _run(state, QUINTUPLE, (A1, B1, cold, Cout, dest[j]))
-    trace.add_ops += 1
+            _run(state, COPY, (ROW0, A, A1))
+        _add_bit(state, j, ROW0 if op2_rows is None else op2_rows[j], dest[j],
+                 carry_dst if j == m - 1 else None)
     trace.add_spans.append((start, len(trace.events)))
 
 
 def _multiply_small(state: SubarrayState, pair: int) -> None:
     """n <= 2 schedule, following the worked two-bit command sequence."""
     n = state.n
-    C = state.compute_rows
-    A, A1, B, B1 = C["A"], C["A1"], C["B"], C["B1"]
-    Cin, Cin1, Cout, Cout1 = C["Cin"], C["Cin1"], C["Cout"], C["Cout1"]
-    row0 = C["row0"]
     P = state.product_rows
     a = state.activation_rows()
     b = state.weight_rows(pair)
     trace = state.trace
 
-    _run(state, WRITE_ROW0, (row0, Cin, Cin1))
+    _run(state, WRITE_ROW0, (ROW0, CIN, CIN1))
     if n == 1:
         # Degenerate path: a single AND plus the fixed zero-fill preamble.
-        _run(state, COPY, (row0, B, B1))
-        _run(state, COPY, (row0, Cout, Cout1))
+        _run(state, COPY, (ROW0, B, B1))
+        _run(state, COPY, (ROW0, COUT, COUT1))
         and_op(state, a[0], b[0], (P[0],), pair="a")
-        _run(state, COPY, (row0, P[1]))
+        _run(state, COPY, (ROW0, P[1]))
         return
 
     and_op(state, a[0], b[0], (P[0],), pair="a")
@@ -518,18 +487,16 @@ def _multiply_small(state: SubarrayState, pair: int) -> None:
     and_op(state, a[0], b[1], (B, B1), pair="b")
     # Middle column: carry to Cout, sum to P1, then re-duplicate the carry.
     start = len(trace.events)
-    _run(state, TRIPLE, (A, B, Cin, Cout))
-    _run(state, QUINTUPLE, (A1, B1, Cin1, Cout, P[1]))
-    _run(state, COPY, (Cin, Cin1))
-    trace.add_ops += 1
+    _run(state, TRIPLE, (A, B, CIN, COUT))
+    _run(state, QUINTUPLE, (A1, B1, CIN1, COUT, P[1]))
+    _run(state, COPY, (CIN, CIN1))
     trace.add_spans.append((start, len(trace.events)))
     and_op(state, a[1], b[1], (A, A1), pair="a")
     # Final column adds the carry to the last partial product against zeros.
     start = len(trace.events)
-    _run(state, COPY, (row0, B, B1))
-    _run(state, TRIPLE, (A, B, Cin, P[3], Cout))
-    _run(state, QUINTUPLE, (A1, B1, Cin1, Cout, P[2]))
-    trace.add_ops += 1
+    _run(state, COPY, (ROW0, B, B1))
+    _run(state, TRIPLE, (A, B, CIN, P[3], COUT))
+    _run(state, QUINTUPLE, (A1, B1, CIN1, COUT, P[2]))
     trace.add_spans.append((start, len(trace.events)))
 
 
@@ -545,8 +512,6 @@ def _multiply_wide(state: SubarrayState, pair: int) -> None:
     """
     n = state.n
     m = n - 1
-    C = state.compute_rows
-    A, A1, Cin = C["A"], C["A1"], C["Cin"]
     I = state.intermediate_rows
     P = state.product_rows
     a = state.activation_rows()
@@ -575,7 +540,7 @@ def _multiply_wide(state: SubarrayState, pair: int) -> None:
             _fused_add(state, op2, dest, carry, seeded=False)
             continue
         and_op(state, a[terms[0][0]], b[terms[0][1]], (A, A1), pair="a")
-        and_op(state, a[terms[1][0]], b[terms[1][1]], (Cin,), pair="b")
+        and_op(state, a[terms[1][0]], b[terms[1][1]], (CIN,), pair="b")
         dest, carry = dest_for(final=c == 2)
         _fused_add(state, op2, dest, carry, seeded=True)
         for idx, (i, j) in enumerate(terms[2:], start=2):
@@ -800,8 +765,6 @@ def multiply(state: SubarrayState, pair: int = 0) -> list[AapEvent]:
     _run_program(program, state.cells)
     trace = state.trace
     start = trace.total_aap
-    trace.and_ops += len(and_spans)
-    trace.add_ops += len(add_spans)
     trace.and_spans.extend((lo + start, hi + start) for lo, hi in and_spans)
     trace.add_spans.extend((lo + start, hi + start) for lo, hi in add_spans)
     trace.events.extend(events)

@@ -43,6 +43,11 @@ def _parse_value(name: str, text: str, kind: type):
         ) from None
 
 
+# The time fields of TimingParams, in to_text order; each is a positive float.
+TIME_FIELDS = ("t_aap", "t_row_read", "logic_clock", "t_rowclone_interbank",
+               "dram_logic_penalty")
+
+
 @dataclass
 class TimingParams:
     t_aap: float = 48.75                  # ns per ACTIVATE-ACTIVATE-PRECHARGE
@@ -55,8 +60,7 @@ class TimingParams:
     dram_logic_penalty: float = 1.215     # DRAM-process delay on logic blocks
 
     def __post_init__(self):
-        for name in ("t_aap", "t_row_read", "logic_clock",
-                     "t_rowclone_interbank", "dram_logic_penalty"):
+        for name in TIME_FIELDS:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise TimingConfigError(
@@ -74,13 +78,7 @@ class TimingParams:
         return self.logic_clock * self.dram_logic_penalty
 
     def to_text(self) -> str:
-        lines = [
-            f"t_aap = {self.t_aap}",
-            f"t_row_read = {self.t_row_read}",
-            f"logic_clock = {self.logic_clock}",
-            f"t_rowclone_interbank = {self.t_rowclone_interbank}",
-            f"dram_logic_penalty = {self.dram_logic_penalty}",
-        ]
+        lines = [f"{name} = {getattr(self, name)}" for name in TIME_FIELDS]
         lines += [f"sfu_cycles.{u} = {self.sfu_cycles[u]}" for u in SFU_UNITS]
         return "\n".join(lines) + "\n"
 
@@ -100,8 +98,7 @@ class TimingParams:
                 if unit not in SFU_UNITS:
                     raise TimingConfigError(f"unknown SFU unit {unit!r}")
                 cycles[unit] = _parse_value(name, value, int)
-            elif name in ("t_aap", "t_row_read", "logic_clock",
-                          "t_rowclone_interbank", "dram_logic_penalty"):
+            elif name in TIME_FIELDS:
                 params = replace(params,
                                  **{name: _parse_value(name, value, float)})
             else:
@@ -340,13 +337,7 @@ def precision_sweep(
     for n in sorted(n_values):
         if n < 1:
             raise TimingConfigError(f"precision {n} is invalid")
-        swept = NetworkDescription(
-            name=net.name,
-            precision=n,
-            layers=[replace(layer) for layer in net.layers],
-            parallelism=list(net.parallelism),
-            residual_edges=list(net.residual_edges),
-        )
+        swept = replace(net, precision=n)
         plan = map_network(swept, column_size)
         lats = network_latencies(swept, plan, params)
         report = pipeline_schedule(lats, 1)

@@ -341,6 +341,48 @@ class TestMainEntry:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not Path("out").exists()
 
+    @pytest.mark.parametrize("mode", ["timing", "functional", "both"])
+    def test_layer_k_field_exit_code(self, tmp_path, capsys, mode):
+        # a layer's k comes only from the parallelism vector
+        netfile = tmp_path / "k.json"
+        netfile.write_text(json.dumps({
+            "name": "k", "precision": 2,
+            "layers": [{"kind": "linear", "w1": 3, "w2": 4, "k": 2}],
+        }))
+        status = main([
+            "--model", str(netfile), "--mode", mode,
+            "--output", str(tmp_path / "out"),
+        ])
+        assert status == 2
+        assert capsys.readouterr().err == (
+            "error: layer 0: unknown fields ['k']\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode", ["timing", "functional", "both"])
+    @pytest.mark.parametrize("layers", [[], [{"kind": "linear", "w1": 3,
+                                              "w2": 4}]],
+                             ids=["empty", "linear"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--seed", "-1"], "seed -1 must not be negative"),
+        (["--column-size", "0"], "column_size must be at least 1"),
+        (["--subarrays-per-bank", "0"],
+         "subarrays_per_bank must be at least 1"),
+        (["--banks", "0"], "banks must be at least 1"),
+    ], ids=["seed", "column-size", "subarrays-per-bank", "banks"])
+    def test_impossible_run_setting_exit_code(self, tmp_path, capsys, mode,
+                                              layers, flags, message):
+        # rejected before mapping, so even a network with no layers fails
+        netfile = tmp_path / "net.json"
+        netfile.write_text(json.dumps({"name": "net", "precision": 2,
+                                       "layers": layers}))
+        status = main([
+            "--model", str(netfile), "--mode", mode, *flags,
+            "--output", str(tmp_path / "out"),
+        ])
+        assert status == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flag", ["--rows", "--cols"])
     @pytest.mark.parametrize("mode", ["timing", "both"])
     def test_zero_dimension_exit_code(self, tmp_path, capsys, flag, mode):

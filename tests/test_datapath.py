@@ -340,7 +340,7 @@ class TestBankExecute:
         assert outputs.tolist() == [7]  # 6 + 10 clamps into 3 bits
 
     def test_sequential_passes_for_stacked_pairs(self):
-        layer = linear_layer(w1=2, w2=2, k=2)
+        layer = linear_layer(w1=2, w2=2)
         x = np.array([1, 2])
         w = np.array([[3, 1], [2, 2]])
         net = NetworkDescription("t", 3, [layer], parallelism=[2])
@@ -438,7 +438,7 @@ class TestVectorizedReduction:
         # widths from 1 to 64 against MACs of up to 40: some fold
         # through the tree in pieces
         rng = np.random.default_rng(seed)
-        layer = linear_layer(w1=size, w2=macs * k, k=k)
+        layer = linear_layer(w1=size, w2=macs * k)
         cols = size + spare_cols
         net = NetworkDescription("prop", n, [layer], parallelism=[k])
         place = map_network(net, column_size=cols).layers[0]
@@ -463,7 +463,7 @@ class TestVectorizedReduction:
 class TestBankChunks:
     def test_chunked_layer_equals_one_bank(self, monkeypatch):
         net = NetworkDescription("chunks", 3, [
-            conv_layer(H=6, W=6, I=2, O=4, K=3, p=1, pool=2, k=2),
+            conv_layer(H=6, W=6, I=2, O=4, K=3, p=1, pool=2),
             linear_layer(w1=36, w2=6),
         ], parallelism=[2, 1])
         plan = map_network(net, column_size=40)

@@ -1,6 +1,7 @@
 """Mapping algorithm tests: counts, placement rules, footprints, residuals."""
 
 import re
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -141,6 +142,16 @@ class TestMapNetwork:
             )
             map_network(net, 64)
 
+    def test_parallelism_leaves_the_layers_unchanged(self):
+        # k lives only in the vector: the layers given are not modified
+        layers = [conv_layer(H=6, W=6, I=2, O=4, K=3, p=1),
+                  linear_layer(w1=4, w2=6)]
+        before = [asdict(layer) for layer in layers]
+        net = NetworkDescription("k", 4, layers, parallelism=[2, 3])
+        assert [asdict(layer) for layer in net.layers] == before
+        assert [pl.passes for pl in map_network(net, 64).layers] == [2, 3]
+        assert [asdict(layer) for layer in layers] == before
+
     def test_determinism(self):
         net = NetworkDescription(
             "d", 4,
@@ -166,15 +177,13 @@ class TestCompleteness:
                 W=data.draw(st.integers(4, 10)),
                 I=data.draw(st.integers(1, 3)),
                 O=o, K=3, p=1, s=1,
-                k=data.draw(st.sampled_from([k for k in k_choices if o % k == 0])),
             )
+            k = data.draw(st.sampled_from([k for k in k_choices if o % k == 0]))
         else:
             w2 = data.draw(st.sampled_from([4, 8, 10]))
-            layer = linear_layer(
-                w1=data.draw(st.integers(1, 30)), w2=w2,
-                k=data.draw(st.sampled_from([1, 2])),
-            )
-        net = NetworkDescription("p", 4, [layer], parallelism=[layer.k])
+            layer = linear_layer(w1=data.draw(st.integers(1, 30)), w2=w2)
+            k = data.draw(st.sampled_from([1, 2]))
+        net = NetworkDescription("p", 4, [layer], parallelism=[k])
         plan = map_network(net, column_size=max(64, mac_size(layer)))
         place = plan.layers[0]
         assert place.macs_total * place.mac_size == total_multiplications(layer)
@@ -183,7 +192,7 @@ class TestCompleteness:
     def test_monotone_parallelism(self):
         depths, cols = [], []
         for k in (1, 2, 4):
-            layer = conv_layer(H=6, W=6, I=2, O=8, K=3, p=1, s=1, k=k)
+            layer = conv_layer(H=6, W=6, I=2, O=8, K=3, p=1, s=1)
             net = NetworkDescription("m", 4, [layer], parallelism=[k])
             place = map_network(net, 4096).layers[0]
             depths.append(place.passes - 1)
@@ -319,15 +328,13 @@ class TestValidatePlanClosedForm:
             layer = conv_layer(
                 H=data.draw(st.integers(2, 5)), W=data.draw(st.integers(2, 5)),
                 I=data.draw(st.integers(1, 2)), O=o, K=2, p=0, s=1,
-                k=data.draw(st.sampled_from([k for k in (1, 2, 3) if o % k == 0])),
             )
+            k = data.draw(st.sampled_from([k for k in (1, 2, 3) if o % k == 0]))
         else:
             w2 = data.draw(st.sampled_from([4, 6, 9]))
-            layer = linear_layer(
-                w1=data.draw(st.integers(1, 8)), w2=w2,
-                k=data.draw(st.sampled_from([k for k in (1, 2, 3) if w2 % k == 0])),
-            )
-        net = NetworkDescription("t", 2, [layer], parallelism=[layer.k])
+            layer = linear_layer(w1=data.draw(st.integers(1, 8)), w2=w2)
+            k = data.draw(st.sampled_from([k for k in (1, 2, 3) if w2 % k == 0]))
+        net = NetworkDescription("t", 2, [layer], parallelism=[k])
         column_size = data.draw(st.integers(mac_size(layer), 3 * mac_size(layer)))
         plan = map_network(net, column_size)
         place = plan.layers[0]

@@ -1,5 +1,6 @@
 """Subarray primitive tests: copies, activations, AND, ADD, multiply."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from pimsim import subarray
 from pimsim.subarray import (
-    AapTrace,
     ActivationPatternError,
     AliasingError,
     ConfigurationError,
@@ -425,15 +425,6 @@ class TestTrace:
             "copy", "triple_activate", "quintuple_activate",
         ]
 
-    def test_text_round_trip(self):
-        st_ = make_state(3, cols=1)
-        write_operand_column(st_, 0, 7, 5)
-        multiply(st_)
-        text = st_.trace.to_text()
-        back = AapTrace.from_text(text)
-        assert back.events == st_.trace.events
-        assert back.summary() == st_.trace.summary()
-
     def test_golden_trace_n2(self):
         # Frozen full command stream for a 2-bit multiply on the fixed row
         # layout (row0=0, A=1, A-1=2, B=3, B-1=4, Cin=5, Cin-1=6, Cout=7,
@@ -456,6 +447,79 @@ class TestTrace:
         write_operand_column(st_, 0, 3, 3)
         multiply(st_)
         assert st_.trace.to_text() == golden
+
+
+# sha256 of AapTrace.to_text() per precision n: multiply at pairs 0, 1 and 2,
+# then add_bitserial. Frozen, so any change to the order or the rows of an
+# AAP above n=2 shows here, not only in the products and the counts.
+STREAM_SHA256 = {
+    1: (
+        "8144ff445a9f9e45159d5cb83cac5cca45be80d313126a0c8cd21f92ad1c0fb2",
+        "f8fdd0cd9a220f275079c8ddfdd33183d32f7cd72c6c52b8f1701dd4decd68e5",
+        "1a08edea0b2555a762a9ddfbcff6f4c6a90c4b6ebf13502fd0c6f9a6e2485082",
+        "e326624f97d7f9d84620abc09dcb7824b0c0cf779dac008cae563d3c336b1f81",
+    ),
+    2: (
+        "394bdd5ffa596895e96f4a845c449ed9249c622f3cb459d17554b48b6aa85e56",
+        "e00f77425dae13b40a4a3abbafc5ccfefdc5875247d55792f41524a094d5e833",
+        "d3a8f5d928f1cddfccd644ed02a07fcb4b08dcff0f8b655b795ad4fc7d181852",
+        "161b0913d7b2270149292a749886ebe848aa41c8f1a4a9c12b560f53be8864bf",
+    ),
+    3: (
+        "af6facc92c36cd8d3e3164f03fb67a0d250109f46cf4f6b87e178caa166eeffa",
+        "af3d4c5d51242d76e3ea6040f03af860093fd64598cca12dca68a7e6a5adeda0",
+        "d8b38996086d81ef0567aec2a43fb3e30e5b049cca6a83f31538c2155819078a",
+        "4904185e25c3ca6ea880e2c4e6831a0a38150e20538556a200a2c9be27d6d823",
+    ),
+    4: (
+        "cb9af9b8ffd135eaf7486e6dafbff7b67f5c09b4866eaf15f7a2fa60995e19bc",
+        "002e175809f1bdf1baafc3744091e2608e23bf5b49e1a4c1f47dd091fa44b9a7",
+        "f630f830c010a37a867802c5cd48942eb84e8159182e4d9971631f30686f8a8c",
+        "ee00748f1eeacd4b38d450bf3524d0893fff1d70892e992a1a0dd537fd0c29d3",
+    ),
+    5: (
+        "b9a0737a9606724c7f9471236f6c67fca89e7bfcdaac6d979f676cbbeaa9cef3",
+        "369ac36b3434fedd74b85fb2e92e8b2843714dfc0008edc59911ab93e421c85e",
+        "1a51ffdc1682fcbdf70e2ea9a332545e856faf1a70efc6c01d6e9400491ac57a",
+        "3660d220260a26b8b76a5ef4cd7585a266761d6150563db00991aa2afc16bdb9",
+    ),
+    6: (
+        "c7d5a3ffda5fd865842aa9e1cc2d70ba782e53bb8a55d3bdc219ebfc1258c483",
+        "6b3cad6b1cf5bdd7b62c9d2f9b216e351cec81e47bf3c96ca54c4cf5b9d7309e",
+        "fd51f37aa01b118282ebaae279f200932028760e1dc5a8fbbbc7fdbfecb1b2c7",
+        "00ebba1ea40bdb9c7adf46aab3241d3445e0ddecf0bb1415ba1b7bcb3b707089",
+    ),
+    7: (
+        "f0802fe857ffd53f622e5a45210520f7f6fb70b8d8dcb19b302bd6281885381b",
+        "ab56332f83f10f8426f0dd4192ea228654af29b80d5c441d8b14cf2e2e46319e",
+        "3ea0e3ab34b2e201050f36e7358831bcdfa86ee836f620f9b7b82d572ef6befd",
+        "61892eda967177bab1a8a9fc3ad515395efa86a7a3c3ffd515bcfaeeb3e1f68c",
+    ),
+    8: (
+        "12bd5844279dab8d9d46cf131fe0038d07ac1998d6ac1971f6d071af7b84a665",
+        "81f72eb66df4f8468d3d45e45bfd240e9dcf7c25d51a9a92baaa2682482f19e6",
+        "8343e318997cf3a2da1ea51c333e16c03eec8f07dc157ead8e1055b6f75e5880",
+        "b5293e67bac64924d12ea1b958473200fb4ae5236b4d4f0f22555b320993b361",
+    ),
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_command_streams_are_frozen(n):
+    *mul, add = STREAM_SHA256[n]
+    for pair, digest in enumerate(mul):
+        st_ = new_subarray(subarray.rows_needed(n, 3), 1, n)
+        multiply(st_, pair=pair)
+        assert _sha256(st_.trace.to_text()) == digest, (n, pair)
+    base = subarray.rows_needed(n, 1)
+    st_ = new_subarray(base + 3 * n + 1, 1, n)
+    add_bitserial(st_, range(base, base + n), range(base + n, base + 2 * n),
+                  range(base + 2 * n, base + 3 * n + 1))
+    assert _sha256(st_.trace.to_text()) == add, n
 
 
 # --------------------------------------------------------------------------
@@ -535,10 +599,8 @@ class TestPackedCells:
                  for _ in range(70)]
         st_ = _ragged_state(n, pairs)
         multiply(st_)
-        parsed = AapTrace.from_text(st_.trace.to_text())
-        assert parsed.events == st_.trace.events
         again = _ragged_state(n, pairs)
-        for event in parsed.events:
+        for event in st_.trace.events:
             subarray.apply_event(again.cells, event)
         assert np.array_equal(again.cells, st_.cells)
         for col, (a, b) in enumerate(pairs):

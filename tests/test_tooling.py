@@ -1,8 +1,9 @@
-"""The benchmark's tracing contract and the example scripts run on the
-current sources."""
+"""The benchmark's tracing contract, the example scripts and the README
+examples run on the current sources."""
 
 import importlib
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -89,3 +90,29 @@ def test_script_runs(argv):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+def _readme_block(section):
+    """The first fenced block after the README heading `### section`."""
+    text = (ROOT / "README.md").read_text()
+    match = re.search(rf"^### {section}\n.*?^```\w*\n(.*?)^```", text,
+                      re.M | re.S)
+    assert match, section
+    return match.group(1)
+
+
+def test_readme_network_file_runs(tmp_path):
+    from pimsim.cli import RunConfig, run
+    from pimsim.mapper import network_from_json
+
+    net = network_from_json(_readme_block("Network files"))
+    status, report = run(net, RunConfig(mode="timing"), tmp_path)
+    assert status == 0
+    assert len(report["per_layer"]) == len(net.layers) == 2
+
+
+def test_readme_timing_config_is_the_default():
+    from pimsim.timing import TimingParams
+
+    assert TimingParams.from_text(
+        _readme_block("Timing configuration")) == TimingParams()
