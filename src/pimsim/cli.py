@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -233,11 +234,19 @@ def run(net: NetworkDescription, config: RunConfig,
     residual = plan_residual(net, banks)
     plan.reserved_banks = residual
 
-    latencies = timing.network_latencies(net, plan, config.timing)
-    pipeline = timing.pipeline_schedule(latencies, config.images)
-    residual_ns = timing.residual_overhead(
-        residual, net.precision, config.timing, column_size
-    )
+    try:
+        latencies = timing.network_latencies(net, plan, config.timing)
+        pipeline = timing.pipeline_schedule(latencies, config.images)
+        residual_ns = timing.residual_overhead(
+            residual, net.precision, config.timing, column_size
+        )
+        modeled = [pipeline.total_ns, residual_ns,
+                   *(lat.total_ns for lat in latencies),
+                   *timing.energy_estimate_nj(pipeline.total_ns).values()]
+    except OverflowError:
+        modeled = [math.inf]
+    if not all(map(math.isfinite, modeled)):
+        raise MappingError("a modeled latency or energy is not a finite float")
 
     functional = None
     status = 0
@@ -341,6 +350,8 @@ def main(argv: list[str] | None = None) -> int:
                          else args.precision)
         if not isinstance(par, str):
             net = replace(net, parallelism=par)
+            if args.preset:
+                net.name = f"{args.preset}-{','.join(map(str, par))}"
 
         params = TimingParams()
         if args.timing_config:

@@ -71,8 +71,6 @@ def tree_loads_per_pass(place, tree_width: int) -> int:
     slots, tree_width // pow2ceil(mac_size) per load; a load never spans two
     subarrays.
     """
-    if place.macs_per_pass == 0:
-        return 0
     ms = place.mac_size
     if ms > tree_width:
         return place.macs_per_pass * -(-ms // tree_width)

@@ -68,8 +68,6 @@ def default_quant_shift(layer: LayerSpec, n: int) -> int:
     """Deterministic requantization shift: scale the worst-case MAC sum back
     into n bits."""
     worst = mac_size(layer) * ((1 << n) - 1) ** 2
-    if worst <= 0:
-        return 0
     return max(0, worst.bit_length() - n)
 
 
@@ -223,7 +221,7 @@ def run_functional(
 
     sfus = [
         SfuParams(quantize_width=n, quantize_shift=default_quant_shift(layer, n),
-                  pool_window=layer.pool if layer.kind == "conv" else None)
+                  pool_window=layer.pool)
         for layer in net.layers
     ]
     ref_outputs = oracle.network_ref(

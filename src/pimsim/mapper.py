@@ -193,8 +193,6 @@ def num_macs(layer: LayerSpec) -> int:
     ((H-K+2p)/s + 1) * ((W-L+2p)/s + 1), with floor division so legacy
     geometries that are not stride-aligned still evaluate.
     """
-    if layer.kind != "conv":
-        raise MappingError("num_macs is defined for conv layers")
     oh, ow = layer.output_hw()
     return oh * ow
 
@@ -292,12 +290,6 @@ class ResidualAssignment:
     edge: tuple[int, int]
     reserved_bank: int
     transfer_bits: int
-    steps: tuple[str, ...] = (
-        "rowclone_shortcut_in",
-        "rowclone_branch_in",
-        "majority_add",
-        "rowclone_out",
-    )
 
 
 @dataclass
@@ -360,11 +352,14 @@ def map_network(
 
     A layer must fit the geometry: each MAC within column_size, at most
     subarrays_per_bank subarrays, and its stacked pairs within `rows`
-    (subarray.rows_needed). None leaves a bound unchecked.
+    (subarray.rows_needed). None leaves a bound unchecked. column_size must
+    be below 2**63: plan_to_text lists columns in int64.
     """
     issues = net.validate()
     if issues:
         raise MappingError("; ".join(issues))
+    if column_size >= 1 << 63:
+        raise MappingError(f"column_size {column_size} must be below 2**63")
     placements = [
         _place_layer(i, layer, k, net.precision, column_size,
                      subarrays_per_bank, rows)
@@ -497,54 +492,6 @@ def plan_to_text(plan: MappingPlan) -> str:
             f"dst={res.edge[1]} bits={res.transfer_bits}"
         )
     return "\n".join(lines) + "\n"
-
-
-def plan_from_text(text: str) -> MappingPlan:
-    header = None
-    layers = []
-    reserved = []
-    for line in text.strip().splitlines():
-        line = line.strip()
-        if not line or line.startswith("mac_id="):
-            continue
-        kind, _, rest = line.partition(" ")
-        fields = dict(kv.split("=") for kv in rest.split())
-        if kind == "plan":
-            header = fields
-        elif kind == "layer":
-            layers.append(
-                LayerPlacement(
-                    layer_index=int(fields["index"]),
-                    bank=int(fields["bank"]),
-                    kind=fields["kind"],
-                    mac_size=int(fields["mac_size"]),
-                    macs_total=int(fields["macs_total"]),
-                    passes=int(fields["passes"]),
-                    macs_per_pass=int(fields["macs_per_pass"]),
-                    macs_per_subarray=int(fields["macs_per_subarray"]),
-                    subarrays_used=int(fields["subarrays_used"]),
-                    column_size=int(header["column_size"]),
-                    precision=int(header["precision"]),
-                    channel_positions=int(fields["channel_positions"]),
-                )
-            )
-        elif kind == "reserved":
-            reserved.append(
-                ResidualAssignment(
-                    edge=(int(fields["src"]), int(fields["dst"])),
-                    reserved_bank=int(fields["bank"]),
-                    transfer_bits=int(fields["bits"]),
-                )
-            )
-    if header is None:
-        raise MappingError("missing plan header")
-    return MappingPlan(
-        column_size=int(header["column_size"]),
-        subarrays_per_bank=int(header["subarrays_per_bank"]) or None,
-        precision=int(header["precision"]),
-        layers=layers,
-        reserved_banks=reserved,
-    )
 
 
 # --------------------------------------------------------------------------

@@ -102,20 +102,12 @@ class AapTrace:
         self.events.append(event)
         return event
 
-    def summary(self) -> dict:
-        return {
-            "total_aap": self.total_aap,
-            "and_ops": self.and_ops,
-            "add_ops": self.add_ops,
-        }
-
     def to_text(self) -> str:
         """Line-oriented dump: one event per line, then a summary record."""
         lines = [f"{e.kind} {','.join(map(str, e.rows))}" for e in self.events]
-        s = self.summary()
         lines.append(
-            f"summary total_aap={s['total_aap']} and_ops={s['and_ops']} "
-            f"add_ops={s['add_ops']}"
+            f"summary total_aap={self.total_aap} and_ops={self.and_ops} "
+            f"add_ops={self.add_ops}"
         )
         return "\n".join(lines) + "\n"
 

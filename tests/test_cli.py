@@ -1,11 +1,15 @@
 """Preset, network I/O, run driver and report tests."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pimsim import timing
+from pimsim import engine, timing
 from pimsim.cli import (
     RunConfig,
     RunConfigError,
@@ -17,6 +21,7 @@ from pimsim.cli import (
 )
 from pimsim.engine import run_functional
 from pimsim.mapper import (
+    LayerSpec,
     MappingError,
     NetworkDescription,
     conv_layer,
@@ -463,6 +468,142 @@ class TestMainEntry:
         assert "functional: FAIL (traces logged" in out
         assert "AAPs, timing model expected" in out
 
+    @staticmethod
+    def _patch_bank_execute(monkeypatch, tamper):
+        # tamper(layer_index, outputs) returns the outputs the run sees
+        execute = engine.bank_execute
+
+        def tampered(banks, place, layer, sfu):
+            outputs, acct = execute(banks, place, layer, sfu)
+            return tamper(place.layer_index, outputs), acct
+
+        monkeypatch.setattr(engine, "bank_execute", tampered)
+
+    def test_oracle_mismatch_fails_the_run(self, tmp_path, capsys,
+                                           monkeypatch):
+        # bit 0 of output element 3 of layer 1 flips: the run names that
+        # element in every verdict it writes and exits 1
+        def flip(idx, outputs):
+            if idx == 1:
+                outputs.reshape(-1)[3] ^= 1
+            return outputs
+
+        self._patch_bank_execute(monkeypatch, flip)
+        netfile = tmp_path / "toy.json"
+        save_network(toy_net(4), netfile)
+        out = tmp_path / "out"
+        status = main(["--model", str(netfile), "--mode", "functional",
+                       "--output", str(out)])
+        message = "layer 1: element 3 is 3, oracle says 2"
+        assert status == 1
+        assert f"functional: FAIL ({message})\n" in capsys.readouterr().out
+        functional = json.loads((out / "report.json").read_text())[
+            "functional"]
+        assert functional["passed"] is False
+        assert functional["mismatch"] == message
+        assert (out / "report.txt").read_text().endswith(
+            f"functional check: FAIL: {message}\n")
+
+    def test_oracle_shape_mismatch_fails_the_run(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # layer 0 returns its 18 outputs flattened and one short
+        self._patch_bank_execute(
+            monkeypatch,
+            lambda idx, outputs: outputs.reshape(-1)[:-1] if idx == 0
+            else outputs)
+        netfile = tmp_path / "toy.json"
+        save_network(toy_net(4), netfile)
+        status = main(["--model", str(netfile), "--mode", "functional",
+                       "--output", str(tmp_path / "out")])
+        assert status == 1
+        assert ("functional: FAIL (layer 0: shape (17,) != oracle "
+                "(2, 3, 3))") in capsys.readouterr().out
+
+    def test_comma_list_parallelism_runs(self, tmp_path, capsys):
+        netfile = tmp_path / "toy.json"
+        save_network(toy_net(), netfile)
+        status = main(["--model", str(netfile), "--parallelism", "2,2",
+                       "--output", str(tmp_path / "out")])
+        assert status == 0
+        assert "functional: PASS" in capsys.readouterr().out
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["parallelism"] == [2, 2]
+        assert report["network"] == "toy"
+
+    def test_preset_run_is_named_after_its_comma_list(self, tmp_path):
+        # named after the vector it ran, not after the P1 it started from;
+        # a P-vector run keeps its name (test_preset_timing_run)
+        status = main([
+            "--preset", "alexnet", "--parallelism", "4,4,4,4,4,4,2,1",
+            "--mode", "timing", "--cols", "32768", "--column-size", "32768",
+            "--output", str(tmp_path),
+        ])
+        assert status == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["network"] == "alexnet-4,4,4,4,4,4,2,1"
+        assert report["parallelism"] == [4, 4, 4, 4, 4, 4, 2, 1]
+
+    @pytest.mark.parametrize("vector, message", [
+        ("1,x", "parallelism must be P1..P5 or a comma list, got '1,x'"),
+        ("P2", "P-vectors only apply to presets; give a comma list"),
+    ])
+    def test_bad_parallelism_flag_exit_code(self, tmp_path, capsys, vector,
+                                            message):
+        netfile = tmp_path / "toy.json"
+        save_network(toy_net(), netfile)
+        status = main(["--model", str(netfile), "--parallelism", vector,
+                       "--output", str(tmp_path / "out")])
+        assert status == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode", ["timing", "functional", "both"])
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "network file is not valid JSON: "),
+        ("[]", "network file must hold a JSON object"),
+        ('{"name": "x", "precision": 2, "layers": {}}',
+         "'layers' must be a list"),
+        ('{"name": "x", "precision": 2, "layers": [], "parallelism": 1}',
+         "'parallelism' must be a list"),
+        ('{"name": "x", "precision": 2, "layers": [], '
+         '"residual_edges": [[0]]}',
+         "each residual edge must be a [src, dst] pair"),
+        ('{"name": "x", "precision": 2, "layers": [{"w1": 2, "w2": 2}]}',
+         "layer 0: missing 'kind'"),
+    ], ids=["not-json", "array", "layers", "parallelism", "edge", "kind"])
+    def test_malformed_network_file_exit_code(self, tmp_path, capsys, mode,
+                                              text, message):
+        netfile = tmp_path / "bad.json"
+        netfile.write_text(text)
+        status = main(["--model", str(netfile), "--mode", mode,
+                       "--output", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode", ["timing", "functional", "both"])
+    @pytest.mark.parametrize("w2", [10**300, 10**307, 10**308],
+                             ids=["energy-inf", "total-inf", "int-too-large"])
+    def test_modeled_value_beyond_float64_exit_code(self, tmp_path, capsys,
+                                                    mode, w2):
+        # 10**300 outputs made an infinite energy, 10**307 an infinite
+        # pipeline total, 10**308 an OverflowError; none may reach a report
+        # or the engine
+        net = NetworkDescription("big", 4, [linear_layer(w1=1, w2=w2)])
+        message = "a modeled latency or energy is not a finite float"
+        with pytest.raises(MappingError, match=message):
+            run(net, RunConfig(mode=mode), tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+        netfile = tmp_path / "big.json"
+        save_network(net, netfile)
+        status = main(["--model", str(netfile), "--mode", mode,
+                       "--output", str(tmp_path / "out")])
+        assert status == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_empty_network_file_runs(self, tmp_path, capsys):
         netfile = tmp_path / "empty.json"
         netfile.write_text(json.dumps({"name": "empty", "precision": 2,
@@ -587,3 +728,101 @@ class TestMainEntry:
         assert res == pytest.approx(
             8 * (report["pipeline"]["residual_overhead_ns"] / 8)
         )
+
+
+# Run flags the fuzz may set. --images stays small: the pipeline schedule
+# lists one occupancy record per image and bank.
+_FUZZ_FLAGS = ("--rows", "--cols", "--column-size", "--subarrays-per-bank",
+               "--banks", "--seed")
+
+
+@st.composite
+def _fuzzed_run(draw):
+    """(mode, network document, flags) of one CLI run: a small network that
+    mostly chains and maps, then a few fields or flags replaced by small
+    ints, values of the wrong type, or (timing mode only) ints beyond the
+    float64 range."""
+    mode = draw(st.sampled_from(["timing", "functional", "both"]))
+    small = st.integers(-1, 6)
+    odd = small | st.sampled_from([None, True, 1.5, "3", []])
+    big = small | st.sampled_from([64, 256, 4096])
+    if mode == "timing":
+        huge = st.integers(2**63, 10**320) | st.sampled_from(
+            [10**300, 10**307, 10**308])
+        odd, big = odd | huge, big | huge
+    if draw(st.booleans()):
+        first = {"kind": "conv", "H": draw(st.integers(1, 5)),
+                 "W": draw(st.integers(1, 5)), "I": draw(st.integers(1, 3)),
+                 "O": draw(st.sampled_from([1, 2, 4])),
+                 "K": draw(st.integers(1, 3)), "L": draw(st.integers(1, 3)),
+                 "p": draw(st.integers(0, 1)), "s": draw(st.integers(1, 2)),
+                 "pool": draw(st.sampled_from([None, 1, 2]))}
+    else:
+        first = {"kind": "linear", "w1": draw(st.integers(1, 8)),
+                 "w2": draw(st.sampled_from([1, 2, 4]))}
+    layers = [first]
+    if draw(st.booleans()):
+        layers.append({"kind": "linear",
+                       "w1": LayerSpec(**first).output_elements(),
+                       "w2": draw(st.sampled_from([1, 2, 4]))})
+    doc = {"name": "fuzz", "precision": draw(st.integers(1, 4)),
+           "parallelism": [draw(st.sampled_from([1, 2])) for _ in layers],
+           "layers": layers,
+           "residual_edges": [[0, 1]] if len(layers) == 2
+           and draw(st.booleans()) else []}
+    flags = {}
+    for _ in range(draw(st.integers(0, 3))):
+        target = draw(st.sampled_from(
+            ["name", "precision", "parallelism", "layer", "flag", "images"]))
+        if target == "layer":
+            layer = draw(st.sampled_from(layers))
+            layer[draw(st.sampled_from(sorted(layer)))] = draw(odd)
+        elif target == "parallelism":
+            doc["parallelism"][draw(st.integers(0, len(layers) - 1))] = (
+                draw(odd))
+        elif target == "flag":
+            flags[draw(st.sampled_from(_FUZZ_FLAGS))] = draw(big)
+        elif target == "images":
+            flags["--images"] = draw(small)
+        else:
+            doc[target] = draw(odd)
+    return mode, doc, flags
+
+
+class TestFuzzedRuns:
+    @given(run_case=_fuzzed_run())
+    @example(run_case=("timing", {"name": "big", "precision": 4, "layers": [
+        {"kind": "linear", "w1": 1, "w2": 10**308}]}, {}))
+    @example(run_case=("timing", {"name": "wide", "precision": 1, "layers": [
+        {"kind": "linear", "w1": 1, "w2": 1}]}, {"--cols": 2**63}))
+    @settings(max_examples=100, deadline=None)
+    def test_every_run_exits_0_or_2(self, tmp_path_factory, run_case):
+        # exit 1 is an oracle or AAP mismatch, so on these inputs a bug;
+        # exit 2 is one error line and no reports
+        mode, doc, flags = run_case
+        base = tmp_path_factory.mktemp("fuzz")
+        (base / "net.json").write_text(json.dumps(doc))
+        out = base / "out"
+        argv = ["--model", str(base / "net.json"), "--mode", mode,
+                "--output", str(out)]
+        for flag, value in flags.items():
+            argv += [flag, str(value)]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            status = main(argv)
+        err = stderr.getvalue()
+        if status == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert not out.exists()
+            return
+        assert status == 0, (stdout.getvalue(), err)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "plan.txt", "report.json", "report.txt"]
+
+        def not_finite(name):
+            raise AssertionError(f"report.json holds {name}")
+
+        report = json.loads((out / "report.json").read_text(),
+                            parse_constant=not_finite)
+        if mode != "timing":
+            assert report["functional"]["passed"]

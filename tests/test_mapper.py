@@ -19,7 +19,6 @@ from pimsim.mapper import (
     network_from_json,
     network_to_json,
     num_macs,
-    plan_from_text,
     plan_residual,
     plan_to_text,
     total_macs,
@@ -242,13 +241,6 @@ class TestValidatePlan:
         issues = validate_plan(plan, net)
         assert any("subarrays" in v for v in issues)
 
-    def test_round_trip_through_text(self):
-        net, plan = self._plan()
-        text = plan_to_text(plan)
-        again = plan_from_text(text)
-        assert validate_plan(again, net) == []
-        assert plan_to_text(again) == text
-
 
 def _reference_faults(plan, net):
     """Brute-force placement check: walk every MAC of every layer through
@@ -368,7 +360,6 @@ class TestResidual:
         assert banks == [7, 6]
         for r in res:
             assert r.transfer_bits == 2 * 6 * 6 * 4
-            assert "majority_add" in r.steps
 
     def test_resnet18_reserves_per_skip(self):
         net = preset("resnet18", "P1")
@@ -455,3 +446,36 @@ class TestPlanText:
         # the first layer is over the limit, the 4-MAC linear is listed
         assert header[1] == header[0] + 1
         assert lines[header[1] + 1:] == _reference_listing(plan.layers[1])
+
+    def test_text_of_a_two_layer_plan_with_a_reserved_bank(self):
+        # plan.txt is output only; its exact bytes, header included
+        net = NetworkDescription(
+            "p", 2,
+            [conv_layer(H=3, W=3, I=1, O=2, K=2), linear_layer(w1=8, w2=2)],
+            parallelism=[2, 1], residual_edges=[(0, 1)],
+        )
+        plan = map_network(net, 16, subarrays_per_bank=8)
+        plan.reserved_banks = plan_residual(net, 4)
+        assert plan_to_text(plan) == (
+            "plan column_size=16 subarrays_per_bank=8 precision=2\n"
+            "layer index=0 bank=0 kind=conv mac_size=4 macs_total=8 "
+            "passes=2 macs_per_pass=4 macs_per_subarray=4 subarrays_used=1 "
+            "channel_positions=4\n"
+            "  mac_id=0 sub_no=1 col_no=1 pair_depth=0\n"
+            "  mac_id=1 sub_no=1 col_no=5 pair_depth=0\n"
+            "  mac_id=2 sub_no=1 col_no=9 pair_depth=0\n"
+            "  mac_id=3 sub_no=1 col_no=13 pair_depth=0\n"
+            "  mac_id=4 sub_no=1 col_no=1 pair_depth=1\n"
+            "  mac_id=5 sub_no=1 col_no=5 pair_depth=1\n"
+            "  mac_id=6 sub_no=1 col_no=9 pair_depth=1\n"
+            "  mac_id=7 sub_no=1 col_no=13 pair_depth=1\n"
+            "layer index=1 bank=1 kind=linear mac_size=8 macs_total=2 "
+            "passes=1 macs_per_pass=2 macs_per_subarray=2 subarrays_used=1 "
+            "channel_positions=1\n"
+            "  mac_id=0 sub_no=1 col_no=1 pair_depth=0\n"
+            "  mac_id=1 sub_no=1 col_no=9 pair_depth=0\n"
+            "reserved bank=3 src=0 dst=1 bits=16\n"
+        )
+        # an unbounded bank writes 0 subarrays per bank
+        assert plan_to_text(map_network(net, 16)).startswith(
+            "plan column_size=16 subarrays_per_bank=0 precision=2\n")

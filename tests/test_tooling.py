@@ -1,6 +1,7 @@
 """The benchmark's tracing contract, the example scripts and the README
 examples run on the current sources."""
 
+import hashlib
 import importlib
 import importlib.util
 import re
@@ -77,6 +78,48 @@ def test_bench_workload_meets_its_golden(name, tmp_path):
                                          workloads.load_golden(name))
     assert problems == []
     assert mults > 0
+
+
+# sha256 of report.json, report.txt and plan.txt of bench runs at seed 0;
+# a change to any report byte fails here
+REPORT_DIGESTS = {
+    ("cnn-wide", "cnn-wide"): (
+        "2f07e0e813eb1f45fb592212e250d124d33e8abdee9b033123a70f40bcdc6ed5",
+        "ff4ff3c01cbd507f94d83782b3a689a90dc06d0873652b4f8a3b3d82c03e7eff",
+        "791d64ad1561f05bcd646b9e24d3968ab244430aa1cd9a892aacec22269470d8"),
+    ("mlp-n8", "mlp-n8"): (
+        "b8b131e6435b55dae9d7584d99310bfdbb130636bb6e5829a0cc33870f61c16c",
+        "f666a372991834e39a82f6506904bae7886e37f30deedbe4d13c07d4e1b04d23",
+        "b36ff6c39126a050508975d1b2441f4e6848109f6aeca38eb24062310fd0dcd6"),
+    ("timing-sweep", "alexnet-P3-n4"): (
+        "0cef30ccf407f92e03fc925962899c2ca354b69e2590770a549b34ccc77115c7",
+        "3a39e8effd64b7305fe00a950faeb8a79715032648217efeee4d9d4b95c49b31",
+        "ff614b358d673007a29c313323dfcd34042c231979295d39af6c469d0a52e0d8"),
+    ("timing-sweep", "vgg16-P5-n8"): (
+        "c27a9de629122a9c11f84c9ce3e9ad917de19d0c9277ea970e129361d2d27b95",
+        "8b8e933dc42b3432380784ed9ec909edba183789cc3108159c75744a30a60083",
+        "d40c92165c239ab3a33905ba8b05ac0555768a0fb6ee487337d9da56fac6be6e"),
+    # eight skips, so plan.txt ends in eight reserved-bank lines
+    ("timing-sweep", "resnet18-P1-n2"): (
+        "7daa9e279e12fed76da34f0a1be23b7060a14d612bb54d4522536564098f2a77",
+        "8d0c32cdddbbbd119e053d8a983736c5060416239df896316035aa8e987f7a16",
+        "b6bef6888005964e8193224733adf72e5e92b3fc9ad798a2da248338d88ba596"),
+}
+
+
+@pytest.mark.parametrize("workload, key", list(REPORT_DIGESTS),
+                         ids=[key for _, key in REPORT_DIGESTS])
+def test_report_bytes_are_frozen(workload, key, tmp_path):
+    workloads = _load_bench("workloads")
+    cli = importlib.import_module("pimsim.cli")
+    ev = next(ev for ev in workloads.workload(workload).evaluations
+              if ev.key == key)
+    status, _ = cli.run(ev.build(), cli.RunConfig(seed=0, **ev.config),
+                        tmp_path)
+    assert status == 0
+    got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in ("report.json", "report.txt", "plan.txt"))
+    assert got == REPORT_DIGESTS[workload, key]
 
 
 @pytest.mark.parametrize("argv", [
