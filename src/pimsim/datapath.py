@@ -12,14 +12,15 @@ any group read zero. Bit widths grow by one per level (tracked implicitly,
 Python integers never overflow).
 
 bank_execute runs a layer on packed bank states (see subarray): one multiply
-per stacked pass drives every MAC column of the state at once, and the
-product bit-planes, read back in MAC order as (2n, macs, mac_size), are
-summed per MAC and shift-added. That is the arithmetic the tree and
-accumulators perform; build_adder_tree, tree_reduce and accumulate_bitplane
-are the hardware reference it is tested against. The row reads the
-TREE_WIDTH-input tree would need are counted by tree_loads_per_pass, the
-same arithmetic and the same width the timing model uses, from the mapper's
-physical layout.
+per stacked pass drives every MAC column of the state at once, and the 2n
+packed product rows, MACs in order, are popcounted per MAC straight from
+their uint64 words (packed_mac_sums: prefix popcounts at the MAC boundary
+columns) and shift-added. That is the arithmetic the tree and accumulators
+perform; mac_plane_sums over unpacked planes, build_adder_tree, tree_reduce
+and accumulate_bitplane are the references it is tested against. The row
+reads the TREE_WIDTH-input tree would need are counted by
+tree_loads_per_pass, the same arithmetic and the same width the timing model
+uses, from the mapper's physical layout.
 
 The layer's MAC sums stay one int64 array from there on: sfu_stage applies
 ReLU, per-channel BatchNorm and Quantize to the whole (C, H, W) or (C,)
@@ -35,7 +36,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .subarray import SubarrayState, multiply, unpack_columns
+from .subarray import SubarrayState, multiply
 
 # Inputs of the shared adder tree behind the sense amplifiers (the paper's
 # 4096-input adder); the functional run and the timing model both reduce on it.
@@ -304,6 +305,26 @@ def mac_plane_sums(planes: np.ndarray) -> np.ndarray:
     return (sums << shifts).sum(axis=0)
 
 
+def packed_mac_sums(rows: np.ndarray, macs: int, mac_size: int) -> np.ndarray:
+    """mac_plane_sums on packed product rows, (2n, words) uint64, whose
+    first macs * mac_size columns hold the MACs in order.
+
+    Each plane sum is a difference of prefix popcounts at the MACs' boundary
+    columns: the whole words before column c plus the low c % 64 bits of its
+    word. Bits past the last MAC are never counted. A boundary on the row's
+    end has c % 64 == 0, so it reads the last word under an all-zero mask.
+    """
+    counts = np.zeros((len(rows), rows.shape[1] + 1), dtype=np.int64)
+    np.cumsum(np.bitwise_count(rows), axis=1, out=counts[:, 1:])
+    bounds = np.arange(macs + 1) * mac_size
+    word = bounds >> 6
+    tail = np.take(rows, np.minimum(word, rows.shape[1] - 1), axis=1)
+    tail &= (np.uint64(1) << (bounds & 63).astype(np.uint64)) - np.uint64(1)
+    prefix = np.take(counts, word, axis=1) + np.bitwise_count(tail)
+    shifts = np.arange(len(rows))[:, None]
+    return np.diff((prefix << shifts).sum(axis=0))
+
+
 def bank_execute(
     subarrays: Iterable[SubarrayState],
     plan_slice,
@@ -331,13 +352,11 @@ def bank_execute(
             events = multiply(state, pair=p)
             acct.aap_total += len(events) * subs
             acct.multiplies += subs
-            planes = unpack_columns(
-                state.cells[list(state.product_rows)], state.cols
-            ).reshape(2 * n, len(held), plan_slice.mac_size)
+            product = state.product_rows
             base = p * plan_slice.macs_per_pass
-            mac_sums[base + held.start : base + held.stop] = mac_plane_sums(
-                planes
-            )
+            mac_sums[base + held.start : base + held.stop] = packed_mac_sums(
+                state.cells[product.start : product.stop], len(held),
+                plan_slice.mac_size)
     acct.plane_reads = (
         2 * n * plan_slice.passes * tree_loads_per_pass(plan_slice, TREE_WIDTH)
     )

@@ -2,13 +2,15 @@
 against the reference oracle.
 
 Synthetic workloads draw seeded uniform n-bit integers for the input image
-and all weights. Each layer runs on one packed bank state (see subarray): the
-rows the layer touches, and mac_size columns per MAC of its subarrays in MAC
-order, bit-packed. The subarray and column a MAC occupies only matter for
-cost, which the mapper and the accounting compute. Operands are converted and
-gathered im2col-style once per layer, then written to each state as packed
-bit-planes, activations once, weights once per stacked pair; bank_execute
-runs one multiply per pass and reduces, accumulates and runs the SFU chain. A
+and all weights, in the smallest unsigned type that holds n bits. Each layer
+runs on one packed bank state (see subarray): the rows the layer touches, and
+mac_size columns per MAC of its subarrays in MAC order, bit-packed. The
+subarray and column a MAC occupies only matter for cost, which the mapper and
+the accounting compute. Operands are gathered im2col-style once per layer;
+each operand bit-plane is then shifted out and packed straight into its cell
+row (the transposed layout), activations once, weights once per stacked
+pair. bank_execute runs one multiply per pass, reduces the packed product
+rows by popcount, accumulates and runs the SFU chain. A
 layer wider than BANK_CHUNK_COLUMNS runs in chunks of whole subarrays, built
 one at a time. Each layer's output tensor is compared with the oracle's as it
 is and feeds the next layer unchanged. Every geometry parameter (rows,
@@ -36,7 +38,6 @@ from .subarray import (
     OperandRangeError,
     SubarrayState,
     new_subarray,
-    pack_columns,
     rows_needed,
 )
 
@@ -71,19 +72,22 @@ def default_quant_shift(layer: LayerSpec, n: int) -> int:
     return max(0, worst.bit_length() - n)
 
 
+def _draw(rng: np.random.Generator, n: int, shape: tuple) -> np.ndarray:
+    """Uniform n-bit values in the smallest unsigned type that holds them."""
+    return rng.integers(0, 1 << n, size=shape,
+                        dtype=np.min_scalar_type((1 << n) - 1))
+
+
 def synth_weights(rng: np.random.Generator, layer: LayerSpec, n: int) -> np.ndarray:
-    hi = 1 << n
     if layer.kind == "conv":
-        return rng.integers(0, hi, size=(layer.O, layer.I, layer.K, layer.L),
-                            dtype=np.int64)
-    return rng.integers(0, hi, size=(layer.w2, layer.w1), dtype=np.int64)
+        return _draw(rng, n, (layer.O, layer.I, layer.K, layer.L))
+    return _draw(rng, n, (layer.w2, layer.w1))
 
 
 def synth_input(rng: np.random.Generator, layer: LayerSpec, n: int) -> np.ndarray:
-    hi = 1 << n
     if layer.kind == "conv":
-        return rng.integers(0, hi, size=(layer.I, layer.H, layer.W), dtype=np.int64)
-    return rng.integers(0, hi, size=(layer.w1,), dtype=np.int64)
+        return _draw(rng, n, (layer.I, layer.H, layer.W))
+    return _draw(rng, n, (layer.w1,))
 
 
 def build_bank(place: LayerPlacement,
@@ -109,23 +113,23 @@ def _operand_bytes(values, n: int) -> np.ndarray:
     values = np.asarray(values)
     if values.size and (values.min() < 0 or values.max() >= 1 << n):
         raise OperandRangeError(f"operands must fit {n} unsigned bits")
-    return values.astype(np.min_scalar_type((1 << n) - 1))
+    return values.astype(np.min_scalar_type((1 << n) - 1), copy=False)
 
 
 def _im2col(layer: LayerSpec, x: np.ndarray) -> np.ndarray:
     """Activations of every output position, (positions, mac_size), in the
-    column order of a MAC: input channel, kernel row, kernel column."""
+    column order of a MAC: input channel, kernel row, kernel column; copied
+    one kernel offset at a time, so nothing larger than the result is built."""
     if layer.kind == "linear":
         return x.reshape(1, -1)
     oh, ow = layer.output_hw()
     p, s = layer.p, layer.s
-    xp = np.zeros((layer.I, layer.H + 2 * p, layer.W + 2 * p), dtype=x.dtype)
-    xp[:, p : p + layer.H, p : p + layer.W] = x.reshape(layer.I, layer.H,
-                                                        layer.W)
-    oy, ox = np.divmod(np.arange(oh * ow), ow)
-    ic, ky, kx = np.unravel_index(np.arange(layer.I * layer.K * layer.L),
-                                  (layer.I, layer.K, layer.L))
-    return xp[ic, oy[:, None] * s + ky, ox[:, None] * s + kx]
+    xp = np.pad(x.reshape(layer.I, layer.H, layer.W), ((0, 0), (p, p), (p, p)))
+    cols = np.empty((oh, ow, layer.I, layer.K, layer.L), dtype=x.dtype)
+    for ky, kx in np.ndindex(layer.K, layer.L):
+        cols[..., ky, kx] = xp[:, ky : ky + s * oh : s,
+                               kx : kx + s * ow : s].transpose(1, 2, 0)
+    return cols.reshape(oh * ow, -1)
 
 
 def prepare_operands(place: LayerPlacement, layer: LayerSpec, x: np.ndarray,
@@ -141,10 +145,15 @@ def prepare_operands(place: LayerPlacement, layer: LayerSpec, x: np.ndarray,
 def _write_operands(state: SubarrayState, rows: tuple[int, ...],
                     values: np.ndarray) -> None:
     """Write the (macs, mac_size) operands of the state's MACs, one n-bit
-    value per column in MAC order, LSB in rows[0]."""
-    shifts = np.arange(len(rows), dtype=values.dtype)[:, None]
-    planes = (values.reshape(1, -1) >> shifts) & 1
-    state.cells[list(rows)] = pack_columns(planes, state.cells.shape[1])
+    value per column in MAC order, LSB in rows[0]: each bit-plane is shifted
+    out into one reused buffer and packed straight into its cell row."""
+    flat = values.reshape(-1)
+    plane = np.empty_like(flat)
+    cells = state.cells.view(np.uint8)[:, : -(-flat.size // 8)]
+    for bit, row in enumerate(rows):
+        np.right_shift(flat, bit, out=plane)
+        np.bitwise_and(plane, 1, out=plane)
+        cells[row] = np.packbits(plane, bitorder="little")
 
 
 def place_operands(

@@ -19,6 +19,8 @@ from .mapper import LayerSpec
 _BN_FRAC = 16
 _SAT_MIN = -(1 << 31)
 _SAT_MAX = (1 << 31) - 1
+# linear_ref promotes w to int64 in blocks of one to two times this many.
+_BLOCK_ELEMENTS = 1 << 20
 
 
 def _round_half_even(num: np.ndarray, denom_log2: int) -> np.ndarray:
@@ -49,8 +51,11 @@ def conv_ref(x: np.ndarray, w: np.ndarray, p: int, s: int) -> np.ndarray:
 
 
 def linear_ref(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """w is (w2, w1), x is (w1,)."""
-    return (w.astype(np.int64) @ x.astype(np.int64)).astype(np.int64)
+    """w is (w2, w1), x is (w1,); w is promoted to int64 a block of rows at
+    a time, so a narrow w is never held at eight bytes per weight."""
+    x = x.astype(np.int64)
+    blocks = np.array_split(w, max(1, w.size // _BLOCK_ELEMENTS))
+    return np.concatenate([block.astype(np.int64) @ x for block in blocks])
 
 
 def sfu_ref(

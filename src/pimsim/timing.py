@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 from .datapath import TREE_WIDTH, tree_loads_per_pass
 from .mapper import LayerPlacement, LayerSpec, MappingPlan, NetworkDescription
@@ -188,7 +189,21 @@ class PipelineReport:
     fill_ns: float
     steady_state_ns: float
     total_ns: float
-    occupancy: list[Occupancy]
+    start_ns: tuple[float, ...] = ()   # per bank, offset within an image
+    busy_ns: tuple[float, ...] = ()    # per bank
+
+    @property
+    def occupancy(self) -> list[Occupancy]:
+        """Every (image, bank) busy interval, built on demand: bank b works
+        on image i from i * steady + start_ns[b] for busy_ns[b]."""
+        steady = self.steady_state_ns
+        return [
+            Occupancy(image, b, image * steady + start,
+                      image * steady + start + busy)
+            for image in range(self.images)
+            for b, (start, busy) in enumerate(zip(self.start_ns,
+                                                  self.busy_ns))
+        ]
 
 
 def pipeline_schedule(
@@ -208,7 +223,7 @@ def pipeline_schedule(
     if num_images < 1:
         raise TimingConfigError("need at least one image")
     if not latencies:
-        return PipelineReport(num_images, 0.0, 0.0, 0.0, [])
+        return PipelineReport(num_images, 0.0, 0.0, 0.0)
     busy = [lat.busy_ns for lat in latencies]
     transfers = [lat.transfer_ns for lat in latencies[:-1]]
     window = sum(transfers)
@@ -216,17 +231,8 @@ def pipeline_schedule(
     fill = sum(busy) + window
     total = fill + (num_images - 1) * steady
 
-    occupancy = []
-    prefix = 0.0
-    prefixes = []
-    for b in range(len(latencies)):
-        prefixes.append(prefix)
-        prefix += busy[b] + (transfers[b] if b < len(transfers) else 0.0)
-    for image in range(num_images):
-        t0 = image * steady
-        for b, p in enumerate(prefixes):
-            occupancy.append(Occupancy(image, b, t0 + p, t0 + p + busy[b]))
-    return PipelineReport(num_images, fill, steady, total, occupancy)
+    starts = (0.0, *accumulate(b + t for b, t in zip(busy, transfers)))
+    return PipelineReport(num_images, fill, steady, total, starts, tuple(busy))
 
 
 def residual_overhead(

@@ -11,13 +11,14 @@ import time
 import numpy as np
 import pytest
 
+from pimsim.cli import RunConfig, run
 from pimsim.datapath import (
     AccumulatorState,
     accumulate_bitplane,
     build_adder_tree,
     tree_reduce,
 )
-from pimsim.engine import run_functional
+from pimsim.engine import BANK_CHUNK_COLUMNS, run_functional
 from pimsim.mapper import (
     NetworkDescription,
     conv_layer,
@@ -254,3 +255,26 @@ def test_criterion_8_end_to_end_toy_inference():
     _verdict(8, elapsed < 10,
              f"2-layer functional run matches the fixed-point oracle "
              f"element-exact at 256x256 scale in {elapsed:.2f}s")
+
+
+def test_criterion_9_full_size_layer():
+    # AlexNet conv1 at the paper's 4096 x 32768 subarrays, n = 4, P1: the
+    # bank runs in many BANK_CHUNK_COLUMNS chunks
+    t0 = time.monotonic()
+    alexnet = preset("alexnet", "P1")
+    net = NetworkDescription("alexnet-conv1", alexnet.precision,
+                             alexnet.layers[:1], alexnet.parallelism[:1])
+    config = RunConfig(mode="functional", rows=4096, cols=32768)
+    place = map_network(net, 32768, None, 4096).layers[0]
+    chunks = -(-place.subarrays_used // (BANK_CHUNK_COLUMNS // 32768))
+    mults = total_multiplications(net.layers[0])
+    status, report = run(net, config)
+    elapsed = time.monotonic() - t0
+    model = place.subarrays_used * report["per_layer"][0]["aap_count"]
+    assert report["functional"]["passed"], report["functional"]["mismatch"]
+    assert report["functional"]["trace_aap_total"] == model
+    assert status == 0 and chunks > 1 and mults > 10**8
+    _verdict(9, elapsed < 60,
+             f"full-size AlexNet conv1 ({mults} multiplications, {chunks} "
+             f"bank chunks) matches the oracle with {model} AAPs as modeled "
+             f"in {elapsed:.2f}s")

@@ -2,6 +2,8 @@
 
 import io
 import json
+import math
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -28,8 +30,10 @@ from pimsim.mapper import (
     linear_layer,
     map_network,
     network_to_json,
+    plan_residual,
 )
 from pimsim.presets import PARALLELISM, preset
+from pimsim.timing import TimingParams
 
 
 def toy_net(n=3):
@@ -723,15 +727,34 @@ class TestMainEntry:
             None,
         )
         res = report["pipeline"]["residual_overhead_ns"]
-        assert res > 0
-        # eight skips, additive
-        assert res == pytest.approx(
-            8 * (report["pipeline"]["residual_overhead_ns"] / 8)
+        banks = len(net.layers) + len(net.residual_edges)
+        reserved = plan_residual(net, banks)
+        assert len(reserved) == 8
+        # per skip: two inbound and one outbound row-transfer window, and
+        # one (4n + 1)-AAP addition
+        p, n = TimingParams(), net.precision
+        want = sum(
+            3 * math.ceil(r.transfer_bits / 32768) * p.t_rowclone_interbank
+            + (4 * n + 1) * p.t_aap
+            for r in reserved
         )
+        assert res > 0
+        assert res == pytest.approx(want, rel=1e-12)
+
+    def test_huge_image_batch_is_cheap(self, tmp_path):
+        t0 = time.perf_counter()
+        status = main(["--preset", "vgg16", "--rows", "4096", "--cols",
+                       "32768", "--mode", "timing", "--images", "100000000",
+                       "--output", str(tmp_path)])
+        assert status == 0
+        assert time.perf_counter() - t0 < 10
+        pipe = json.loads((tmp_path / "report.json").read_text())["pipeline"]
+        assert pipe["images"] == 100_000_000
+        assert pipe["total_ns"] == (pipe["fill_ns"] + 99_999_999
+                                    * pipe["steady_state_per_image_ns"])
 
 
-# Run flags the fuzz may set. --images stays small: the pipeline schedule
-# lists one occupancy record per image and bank.
+# Run flags the fuzz may set, besides --images.
 _FUZZ_FLAGS = ("--rows", "--cols", "--column-size", "--subarrays-per-bank",
                "--banks", "--seed")
 
@@ -783,7 +806,7 @@ def _fuzzed_run(draw):
         elif target == "flag":
             flags[draw(st.sampled_from(_FUZZ_FLAGS))] = draw(big)
         elif target == "images":
-            flags["--images"] = draw(small)
+            flags["--images"] = draw(big)
         else:
             doc[target] = draw(odd)
     return mode, doc, flags

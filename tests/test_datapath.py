@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pimsim.datapath import (
@@ -17,7 +17,9 @@ from pimsim.datapath import (
     bank_execute,
     batchnorm,
     build_adder_tree,
+    mac_plane_sums,
     maxpool,
+    packed_mac_sums,
     quantize,
     relu,
     sfu_stage,
@@ -31,6 +33,13 @@ from pimsim.engine import (
     place_operands,
     prepare_operands,
     run_functional,
+)
+from pimsim.subarray import (
+    new_subarray,
+    pack_columns,
+    rows_needed,
+    unpack_columns,
+    word_count,
 )
 
 
@@ -494,3 +503,57 @@ class TestBankChunks:
         assert whole.cols == 7 * 5
         (tail,) = build_bank(place, range(1, 4))
         assert tail.cols == len(place.pass_macs(range(1, 4))) * 5 == 25
+
+
+class TestPackedReduction:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 16),
+        mac_size=st.integers(1, 200),
+        macs=st.integers(1, 40),
+        spare_cols=st.integers(0, 130),
+        seed=st.integers(0, 2**16),
+    )
+    # MACs that end exactly on the last word of the row
+    @example(n=4, mac_size=64, macs=3, spare_cols=0, seed=1)
+    @example(n=2, mac_size=96, macs=2, spare_cols=0, seed=2)
+    @example(n=1, mac_size=1, macs=1, spare_cols=63, seed=3)
+    def test_equals_sums_of_unpacked_planes(self, n, mac_size, macs,
+                                            spare_cols, seed):
+        # every bit is random, the don't-care bits past the MACs and past
+        # the row width included
+        rng = np.random.default_rng(seed)
+        used = macs * mac_size
+        cols = used + spare_cols
+        rows = rng.integers(0, 2**64, size=(2 * n, word_count(cols)),
+                            dtype=np.uint64)
+        planes = unpack_columns(rows, cols)[:, :used]
+        want = mac_plane_sums(planes.reshape(2 * n, macs, mac_size))
+        assert np.array_equal(packed_mac_sums(rows, macs, mac_size), want)
+
+    def test_bits_past_the_last_mac_are_ignored(self):
+        rows = np.full((2, 3), np.uint64(2**64 - 1))
+        # 5 MACs of 25 columns end at column 125, inside word 1
+        assert packed_mac_sums(rows, 5, 25).tolist() == [25 * 3] * 5
+        assert packed_mac_sums(rows, 3, 64).tolist() == [64 * 3] * 3
+
+
+class TestOperandPlacement:
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_rows_equal_packed_shift_grid(self, n):
+        rng = np.random.default_rng(n)
+        dtype = np.min_scalar_type((1 << n) - 1)
+        assert dtype == (np.uint8 if n <= 8 else np.uint16)
+        for macs, mac_size in [(1, 1), (3, 21), (2, 64), (7, 45), (5, 130)]:
+            values = rng.integers(0, 1 << n, size=(macs, mac_size),
+                                  dtype=dtype)
+            state = new_subarray(rows_needed(n, 1), macs * mac_size, n)
+            rows = state.weight_rows(0)
+            engine._write_operands(state, rows, values)
+            shifts = np.arange(n, dtype=dtype)[:, None]
+            grid = (values.reshape(1, -1) >> shifts) & 1
+            want = pack_columns(grid, state.cells.shape[1])
+            assert np.array_equal(state.cells[list(rows)], want), (n, macs)
+            others = np.ones(state.rows, dtype=bool)
+            others[list(rows)] = False
+            assert not state.cells[others].any()
