@@ -277,7 +277,7 @@ def run(net: NetworkDescription, config: RunConfig,
         out = Path(output_dir)
         emit_report(report, "json", out / "report.json")
         emit_report(report, "table", out / "report.txt")
-        (out / "plan.txt").write_text(plan_to_text(plan))
+        (out / "plan.txt").write_bytes(plan_to_text(plan))
     return status, report
 
 

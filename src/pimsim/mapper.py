@@ -353,7 +353,8 @@ def map_network(
     A layer must fit the geometry: each MAC within column_size, at most
     subarrays_per_bank subarrays, and its stacked pairs within `rows`
     (subarray.rows_needed). None leaves a bound unchecked. column_size must
-    be below 2**63: plan_to_text lists columns in int64.
+    be below 2**63: the engine computes MAC column bounds in int64
+    (datapath.packed_mac_sums).
     """
     issues = net.validate()
     if issues:
@@ -457,41 +458,55 @@ def validate_plan(plan: MappingPlan, net: NetworkDescription) -> list[str]:
 LISTED_MACS = 10000
 
 
-def _mac_listing(pl: LayerPlacement) -> str:
-    """One line per MAC of the layer with its mac_location, in one format."""
+def _mac_listing(pl: LayerPlacement) -> bytes:
+    """One line per MAC of the layer with its mac_location, each ending in a
+    newline.
+
+    A pass repeats one subarray's col_no run at one pair_depth, so those are
+    baked into a byte template; only mac_id and sub_no are formatted per
+    line, in one `%` over the layer.
+    """
+    # a subarray can hold up to 2**63 - 1 one-column MACs; a pass fills at
+    # most macs_per_pass of them
+    per_sub = min(pl.macs_per_subarray, pl.macs_per_pass)
+    full, rest = divmod(pl.macs_per_pass, per_sub)
+    cols = [b"%d" % (slot * pl.mac_size + 1) for slot in range(per_sub)]
+    template = []
+    for depth in range(pl.passes):
+        lines = [b"  mac_id=%%d sub_no=%%d col_no=%s pair_depth=%d\n"
+                 % (col, depth) for col in cols]
+        template += [b"".join(lines) * full, *lines[:rest]]
     mac = np.arange(pl.macs_total)
-    depth, m = np.divmod(mac, pl.macs_per_pass)
-    sub, slot = np.divmod(m, pl.macs_per_subarray)
-    rows = np.stack([mac, sub + 1, slot * pl.mac_size + 1, depth], axis=1)
-    line = "  mac_id=%d sub_no=%d col_no=%d pair_depth=%d"
-    return "\n".join([line] * pl.macs_total) % tuple(rows.ravel().tolist())
+    sub = mac % pl.macs_per_pass // per_sub + 1
+    return b"".join(template) % tuple(
+        np.stack([mac, sub], axis=1).ravel().tolist())
 
 
-def plan_to_text(plan: MappingPlan) -> str:
-    """Serialize a plan; layers of at most LISTED_MACS MACs also list
-    per-MAC entries."""
-    lines = [
+def plan_to_text(plan: MappingPlan) -> bytes:
+    """Serialize a plan as the ASCII bytes of plan.txt; layers of at most
+    LISTED_MACS MACs also list per-MAC entries."""
+    parts = [
         f"plan column_size={plan.column_size} "
         f"subarrays_per_bank={plan.subarrays_per_bank or 0} "
-        f"precision={plan.precision}"
+        f"precision={plan.precision}\n".encode()
     ]
     for pl in plan.layers:
-        lines.append(
+        parts.append(
             f"layer index={pl.layer_index} bank={pl.bank} kind={pl.kind} "
             f"mac_size={pl.mac_size} macs_total={pl.macs_total} "
             f"passes={pl.passes} macs_per_pass={pl.macs_per_pass} "
             f"macs_per_subarray={pl.macs_per_subarray} "
             f"subarrays_used={pl.subarrays_used} "
-            f"channel_positions={pl.channel_positions}"
+            f"channel_positions={pl.channel_positions}\n".encode()
         )
         if 0 < pl.macs_total <= LISTED_MACS:
-            lines.append(_mac_listing(pl))
+            parts.append(_mac_listing(pl))
     for res in plan.reserved_banks:
-        lines.append(
+        parts.append(
             f"reserved bank={res.reserved_bank} src={res.edge[0]} "
-            f"dst={res.edge[1]} bits={res.transfer_bits}"
+            f"dst={res.edge[1]} bits={res.transfer_bits}\n".encode()
         )
-    return "\n".join(lines) + "\n"
+    return b"".join(parts)
 
 
 # --------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from pimsim.mapper import (
     map_network,
     network_to_json,
     plan_residual,
+    plan_to_text,
 )
 from pimsim.presets import PARALLELISM, preset
 from pimsim.timing import TimingParams
@@ -125,6 +126,17 @@ class TestRunDriver:
         assert (tmp_path / "report.json").exists()
         assert (tmp_path / "report.txt").exists()
         assert (tmp_path / "plan.txt").exists()
+
+    def test_plan_file_is_plan_to_text_bytes(self, tmp_path):
+        net = toy_net()
+        net.residual_edges = [(0, 1)]
+        config = RunConfig(mode="both")
+        status, _ = run(net, config, tmp_path)
+        assert status == 0
+        plan = map_network(net, config.column_size, config.subarrays_per_bank,
+                           config.rows)
+        plan.reserved_banks = plan_residual(net, 3)
+        assert (tmp_path / "plan.txt").read_bytes() == plan_to_text(plan)
 
     def test_infeasible_mapping_is_documented_failure(self):
         net = toy_net()

@@ -4,7 +4,7 @@ import re
 from dataclasses import asdict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pimsim.mapper import (
@@ -430,7 +430,7 @@ class TestPlanText:
         conv = plan.layers[0]
         assert conv.passes == 2 and conv.subarrays_used == 17
         assert conv.macs_per_pass % conv.macs_per_subarray == 2
-        listed = [line for line in plan_to_text(plan).splitlines()
+        listed = [line for line in plan_to_text(plan).decode().splitlines()
                   if line.startswith("  mac_id=")]
         assert listed == [line for place in plan.layers
                           for line in _reference_listing(place)]
@@ -440,12 +440,40 @@ class TestPlanText:
             linear_layer(w1=1, w2=LISTED_MACS + 1), linear_layer(w1=6, w2=4),
         ])
         plan = map_network(net, column_size=64)
-        lines = plan_to_text(plan).splitlines()
+        lines = plan_to_text(plan).decode().splitlines()
         header = [i for i, line in enumerate(lines)
                   if line.startswith("layer ")]
         # the first layer is over the limit, the 4-MAC linear is listed
         assert header[1] == header[0] + 1
         assert lines[header[1] + 1:] == _reference_listing(plan.layers[1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(passes=st.integers(1, 4), per_pass=st.integers(1, LISTED_MACS),
+           size=st.integers(1, 9) | st.integers(1, 2**62),
+           per_sub=st.integers(1, 12) | st.integers(1, LISTED_MACS + 1),
+           spare=st.integers(0, 2**62))
+    # one MAC per subarray: sub_no runs 1..10000 over LISTED_MACS MACs
+    @example(passes=1, per_pass=LISTED_MACS, size=1, per_sub=1, spare=0)
+    # 4 passes of 357 full subarrays of 7 MACs and a last one of 1
+    @example(passes=4, per_pass=2500, size=3, per_sub=7, spare=2)
+    # a pass fits one partial subarray
+    @example(passes=2, per_pass=30, size=5, per_sub=100, spare=0)
+    # column_size 2**63 - 2: col_no up to 2 * (2**63 // 3) + 1
+    @example(passes=3, per_pass=5, size=2**63 // 3, per_sub=3, spare=0)
+    # column_size 2**63 - 1
+    @example(passes=2, per_pass=7, size=2**61, per_sub=3, spare=2**61 - 1)
+    def test_listing_matches_mac_location_on_drawn_placements(
+            self, passes, per_pass, size, per_sub, spare):
+        per_pass = min(per_pass, LISTED_MACS // passes)
+        # fewer spare columns than one MAC, so a subarray holds per_sub MACs
+        # unless column_size hits its 2**63 - 1 limit
+        column_size = min(size * per_sub + spare % size, 2**63 - 1)
+        net = NetworkDescription("h", 2, [linear_layer(w1=size,
+                                                       w2=passes * per_pass)],
+                                 parallelism=[passes])
+        plan = map_network(net, column_size)
+        lines = plan_to_text(plan).decode().split("\n")
+        assert lines[2:] == _reference_listing(plan.layers[0]) + [""]
 
     def test_text_of_a_two_layer_plan_with_a_reserved_bank(self):
         # plan.txt is output only; its exact bytes, header included
@@ -457,25 +485,25 @@ class TestPlanText:
         plan = map_network(net, 16, subarrays_per_bank=8)
         plan.reserved_banks = plan_residual(net, 4)
         assert plan_to_text(plan) == (
-            "plan column_size=16 subarrays_per_bank=8 precision=2\n"
-            "layer index=0 bank=0 kind=conv mac_size=4 macs_total=8 "
-            "passes=2 macs_per_pass=4 macs_per_subarray=4 subarrays_used=1 "
-            "channel_positions=4\n"
-            "  mac_id=0 sub_no=1 col_no=1 pair_depth=0\n"
-            "  mac_id=1 sub_no=1 col_no=5 pair_depth=0\n"
-            "  mac_id=2 sub_no=1 col_no=9 pair_depth=0\n"
-            "  mac_id=3 sub_no=1 col_no=13 pair_depth=0\n"
-            "  mac_id=4 sub_no=1 col_no=1 pair_depth=1\n"
-            "  mac_id=5 sub_no=1 col_no=5 pair_depth=1\n"
-            "  mac_id=6 sub_no=1 col_no=9 pair_depth=1\n"
-            "  mac_id=7 sub_no=1 col_no=13 pair_depth=1\n"
-            "layer index=1 bank=1 kind=linear mac_size=8 macs_total=2 "
-            "passes=1 macs_per_pass=2 macs_per_subarray=2 subarrays_used=1 "
-            "channel_positions=1\n"
-            "  mac_id=0 sub_no=1 col_no=1 pair_depth=0\n"
-            "  mac_id=1 sub_no=1 col_no=9 pair_depth=0\n"
-            "reserved bank=3 src=0 dst=1 bits=16\n"
+            b"plan column_size=16 subarrays_per_bank=8 precision=2\n"
+            b"layer index=0 bank=0 kind=conv mac_size=4 macs_total=8 "
+            b"passes=2 macs_per_pass=4 macs_per_subarray=4 subarrays_used=1 "
+            b"channel_positions=4\n"
+            b"  mac_id=0 sub_no=1 col_no=1 pair_depth=0\n"
+            b"  mac_id=1 sub_no=1 col_no=5 pair_depth=0\n"
+            b"  mac_id=2 sub_no=1 col_no=9 pair_depth=0\n"
+            b"  mac_id=3 sub_no=1 col_no=13 pair_depth=0\n"
+            b"  mac_id=4 sub_no=1 col_no=1 pair_depth=1\n"
+            b"  mac_id=5 sub_no=1 col_no=5 pair_depth=1\n"
+            b"  mac_id=6 sub_no=1 col_no=9 pair_depth=1\n"
+            b"  mac_id=7 sub_no=1 col_no=13 pair_depth=1\n"
+            b"layer index=1 bank=1 kind=linear mac_size=8 macs_total=2 "
+            b"passes=1 macs_per_pass=2 macs_per_subarray=2 subarrays_used=1 "
+            b"channel_positions=1\n"
+            b"  mac_id=0 sub_no=1 col_no=1 pair_depth=0\n"
+            b"  mac_id=1 sub_no=1 col_no=9 pair_depth=0\n"
+            b"reserved bank=3 src=0 dst=1 bits=16\n"
         )
         # an unbounded bank writes 0 subarrays per bank
         assert plan_to_text(map_network(net, 16)).startswith(
-            "plan column_size=16 subarrays_per_bank=0 precision=2\n")
+            b"plan column_size=16 subarrays_per_bank=0 precision=2\n")
