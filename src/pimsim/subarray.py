@@ -22,12 +22,18 @@ primitives execute through it while they record, and it is the reference any
 other executor must match. The multiply command sequence depends only on n
 and the stacked pair, never on operand values: it is recorded once per
 (n, pair) and compiled once into a program over row slots, in which copies
-are renames and only the logic activations compute. Every later call runs
-that program, and one run drives every column at once (SIMD across
-bitlines). A state may also stand for a packed bank: the MAC columns of
-several subarrays side by side, sharing one row layout and one command
-stream. Which subarray and column a MAC sits in never changes a bit, so such
-a state keeps only the columns its MACs use, in MAC order; `subarrays` names
+are renames, each AND is one op and each full adder (a TRIPLE and the
+QUINTUPLE that senses the parity of the same three values) one step of 5
+ops. Every later call runs that program, and one run drives every column
+at once (SIMD across bitlines). A state at most INT_ROW_WORDS words wide
+runs it on one Python int per row, a wider one on numpy rows: a numpy op
+costs about a microsecond of call overhead at any width, which an int op
+avoids, while per word the int op and its conversion cost more. Both
+executors leave every cell, padding bits included, as apply_event does.
+A state may also stand for a packed bank: the MAC columns of several
+subarrays side by side, sharing one row layout and one command stream.
+Which subarray and column a MAC sits in never changes a bit, so such a
+state keeps only the columns its MACs use, in MAC order; `subarrays` names
 the subarrays it covers, each of which is charged the command stream.
 """
 
@@ -546,23 +552,41 @@ class Program:
     """A multiply schedule compiled to logic over slot rows.
 
     Slots 0..touched-1 are the state's own cell rows, slots from touched on
-    are rows of a scratch buffer of `extra` rows. Each step is one AND, TRIPLE
-    or QUINTUPLE event as (ufunc, x, y, out) slot operations; copies and
-    zero writes are row renames and cost nothing. pins fills pinned scratch
-    slots (zeros, ones) before the steps; moves then writes each touched row
-    whose final value sits in another slot back from it, as (rows, slots)
-    within the cell rows and (rows, scratch rows) from the scratch buffer.
+    are rows of a scratch buffer of `extra` rows. Each step is one AND or
+    one full adder, as (ufunc, x, y, out) slot operations. A full adder is
+    a TRIPLE together with the QUINTUPLE that senses the parity of the same
+    three values: 5 ops write its carry and sum bit, and one more the sum's
+    complement when something reads it. Copies and zero writes are row
+    renames and cost nothing. pins sets every bit of a scratch slot to 0 or
+    1 before the steps, as (slot, bit). loads lists the touched rows whose
+    starting value the program uses. stores gives each slot whose value
+    some rows end with in place of their own, and those rows, as (slot,
+    rows).
+
+    _run_program runs it on Python ints when the state is at most
+    INT_ROW_WORDS words wide and on numpy rows when it is wider; either
+    leaves every cell, padding included, as the events would.
     """
 
     touched: int
     extra: int
     pins: tuple[tuple[int, int], ...]
     steps: tuple[tuple[tuple[np.ufunc, int, int, int], ...], ...]
-    moves: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    loads: tuple[int, ...]
+    stores: tuple[tuple[int, tuple[int, ...]], ...]
 
 
-_AND, _MAJ3, _XOR3 = "and", "maj3", "xor3"
+_AND, _MAJ3, _XOR3, _FA = "and", "maj3", "xor3", "full_adder"
 _ZERO, _ONES = -1, -2     # value ids of the pinned all-zero and all-one rows
+_BAND, _BOR, _BXOR = np.bitwise_and, np.bitwise_or, np.bitwise_xor
+# A state at most this many words wide runs its program on Python ints, a
+# wider one on numpy rows. A numpy op pays about a microsecond of call
+# overhead at any width; an int op pays little overhead but more per word,
+# and each row it loads or stores costs a conversion. Measured, the two
+# cost the same near 80 words at n = 2, 190 at n = 4 and 700 at n = 8
+# (table in CHANGES.md); below 256 words ints lose at most about 20 us per
+# multiply at n <= 4 and save 200 us or more at n = 8.
+INT_ROW_WORDS = 256
 
 
 def _values(events: Sequence[AapEvent], touched: int):
@@ -615,23 +639,55 @@ def _values(events: Sequence[AapEvent], touched: int):
     return steps, row_val
 
 
+def _full_adders(steps, final):
+    """Fold each XOR3 of _values into the first MAJ3 over the same input
+    values, as one full-adder step (_FA) at the MAJ3's place.
+
+    Values never change, so the sum bit may be computed where the carry is.
+    A full adder's outs are (carry,) or, once an XOR3 joins it, (carry,
+    sum, complement). A later XOR3 over the same values gives the same bits
+    and takes the ids of the first one's outputs. Returns the steps and the
+    final id of every row, as _values does.
+    """
+    fused, first, same = [], {}, {}
+    for op, ins, outs in steps:
+        ins = tuple(same.get(v, v) for v in ins)
+        key = tuple(sorted(ins))
+        if op == _XOR3:
+            at = first[key]
+            _, adder_ins, adder_outs = fused[at]
+            if len(adder_outs) == 1:
+                fused[at] = (_FA, adder_ins, adder_outs + outs)
+            else:
+                same.update(zip(outs, adder_outs[1:]))
+            continue
+        if op == _MAJ3:
+            first.setdefault(key, len(fused))
+            op = _FA
+        fused.append((op, ins, outs))
+    return fused, [same.get(v, v) for v in final]
+
+
 def _compile(events: Sequence[AapEvent], touched: int) -> Program:
-    """Allocate slots to the values of _values and emit the slot program.
+    """Allocate slots to the values of the full-adder steps and emit the
+    slot program.
 
     A value's slot is freed after its last read unless some row ends with
-    it, and an output may reuse a slot freed by its own step: every op
-    sequence below reads all of its inputs before it writes its output. An
-    output takes the home slot of a row that ends with it when that slot is
-    free, so most rows need no move at the end.
+    it, and an output may reuse a slot freed by its own step once no later
+    op of the step reads it. An output takes the home slot of a row that
+    ends with it when that slot is free, so most rows keep their value in
+    place. An output that nothing reads and no row ends with is not
+    computed.
     """
-    steps, final = _values(events, touched)
+    steps, final = _full_adders(*_values(events, touched))
     kept = set(final)
     last_read = {v: i for i, (_, ins, _) in enumerate(steps) for v in ins}
+    live = kept | last_read.keys()
     home_of: dict[int, list[int]] = {}
     for r, v in enumerate(final):
         if v >= touched:
             home_of.setdefault(v, []).append(r)
-    free = {r for r in range(touched) if r not in kept and r not in last_read}
+    free = {r for r in range(touched) if r not in live}
     slot_of = {r: r for r in range(touched) if r not in free}
     extra = 0
     pins = []
@@ -641,14 +697,14 @@ def _compile(events: Sequence[AapEvent], touched: int) -> Program:
         extra += 1
         return touched + extra - 1
 
-    def pin(value: int, fill: int) -> int:
+    def pin(value: int, bit: int) -> int:
         if value not in slot_of:
             slot_of[value] = new_extra()
-            pins.append((slot_of[value], fill))
+            pins.append((slot_of[value], bit))
         return slot_of[value]
 
-    t = new_extra()     # scratch row of the op sequences
-    if _ZERO in kept or _ZERO in last_read:
+    t = new_extra()     # scratch row of the full adders
+    if _ZERO in live:
         pin(_ZERO, 0)
 
     def alloc(value: int) -> int:
@@ -661,56 +717,108 @@ def _compile(events: Sequence[AapEvent], touched: int) -> Program:
         slot_of[value] = slot
         return slot
 
-    band, bor, bxor = np.bitwise_and, np.bitwise_or, np.bitwise_xor
+    def release(values: set[int], i: int) -> None:
+        for v in values:
+            if last_read[v] == i and v not in kept and v != _ZERO:
+                free.add(slot_of.pop(v))
+
     program = []
     for i, (op, ins, outs) in enumerate(steps):
         x = [slot_of[v] for v in ins]
-        for v in set(ins):
-            if last_read[v] == i and v not in kept and v != _ZERO:
-                free.add(slot_of.pop(v))
-        live = [v for v in outs if v in kept or v in last_read]
-        o = alloc(outs[0])
         if op == _AND:
-            ops = [(band, x[0], x[1], o)]
-        elif op == _MAJ3:
-            ops = [(bor, x[0], x[1], t), (band, t, x[2], t),
-                   (band, x[0], x[1], o), (bor, o, t, o)]
+            release(set(ins), i)
+            program.append(((_BAND, x[0], x[1], alloc(outs[0])),)
+                           if outs[0] in live else ())
+            continue
+        # t = a^b, carry = (a&b) | (t&c), sum = t^c: a and b are done once
+        # the carry's AND is written, c once t&c is
+        (a, b, c), (va, vb, vc) = x, ins
+        carry, *sums = outs
+        want_carry = carry in live
+        want_sum = any(v in live for v in sums)
+        ops = [(_BXOR, a, b, t)] if want_carry or want_sum else []
+        release({va, vb} - {vc}, i)
+        if want_carry:
+            o = alloc(carry)
+            ops.append((_BAND, a, b, o))
         else:
-            ops = [(bxor, x[0], x[1], t), (bxor, t, x[2], o)]
-        if len(outs) == 2 and outs[1] in live:
-            ops.append((bxor, o, pin(_ONES, (1 << WORD_BITS) - 1),
-                        alloc(outs[1])))
-        for v in outs:
-            if v in slot_of and v not in live:
-                free.add(slot_of.pop(v))
+            release({vc}, i)
+        if want_sum:
+            s = alloc(sums[0])
+            ops.append((_BXOR, t, c, s))
+        if want_carry:
+            ops += [(_BAND, t, c, t), (_BOR, o, t, o)]
+            release({vc}, i)
+        if want_sum and sums[1] in live:
+            ops.append((_BXOR, s, pin(_ONES, 1), alloc(sums[1])))
+        if want_sum and sums[0] not in live:
+            free.add(slot_of.pop(sums[0]))
         program.append(tuple(ops))
+    ends: dict[int, list[int]] = {}
+    for r, v in enumerate(final):
+        if v != r:
+            ends.setdefault(v, []).append(r)
+    loads = tuple(r for r in range(touched) if r in last_read or r in ends)
+    stores = tuple((slot_of[v], tuple(rows)) for v, rows in ends.items())
+    return Program(touched, extra, tuple(pins), tuple(program), loads, stores)
 
-    ends = [slot_of[v] for v in final]
-    inner = [(r, s) for r, s in enumerate(ends) if s != r and s < touched]
-    outer = [(r, s - touched) for r, s in enumerate(ends) if s >= touched]
-    moves = tuple((tuple(r for r, _ in m), tuple(s for _, s in m))
-                  for m in (inner, outer))
-    return Program(touched, extra, tuple(pins), tuple(program), moves)
+
+def _run_rows(program: Program, cells: np.ndarray) -> None:
+    """Execute a compiled schedule on numpy cell rows: the op runs in place
+    on views of the touched rows and on a scratch buffer, then the rows
+    whose final value sits in another slot take it from there."""
+    extra = np.empty((program.extra, cells.shape[1]), dtype=WORD)
+    slots = [*cells[: program.touched], *extra]
+    for slot, bit in program.pins:
+        slots[slot].fill(bit * ((1 << WORD_BITS) - 1))
+    for step in program.steps:
+        for f, x, y, out in step:
+            f(slots[x], slots[y], slots[out])
+    moved = [(r, s) for s, rows in program.stores for r in rows if r != s]
+    if moved:
+        cells[[r for r, _ in moved]] = np.stack([slots[s] for _, s in moved])
+
+
+def _run_ints(program: Program, cells: np.ndarray) -> None:
+    """Execute a compiled schedule on one Python int per slot row: the rows
+    it loads are read in with int.from_bytes, the rows it stores written
+    back with to_bytes. Converting a row costs about as much as 15 ops on
+    it, so rows the program leaves alone are never converted."""
+    words = cells.shape[1]
+    size = words * WORD.itemsize
+    slots = [0] * (program.touched + program.extra)
+    raw = memoryview(cells[list(program.loads)].tobytes())
+    for at, r in enumerate(program.loads):
+        slots[r] = int.from_bytes(raw[at * size : (at + 1) * size], "little")
+    for slot, bit in program.pins:
+        slots[slot] = bit * ((1 << words * WORD_BITS) - 1)
+    for step in program.steps:
+        for f, x, y, out in step:
+            if f is _BXOR:
+                slots[out] = slots[x] ^ slots[y]
+            elif f is _BAND:
+                slots[out] = slots[x] & slots[y]
+            else:
+                slots[out] = slots[x] | slots[y]
+    if program.stores:
+        done = b"".join([slots[s].to_bytes(size, "little")
+                         for s, _ in program.stores])
+        ends = np.frombuffer(done, dtype=WORD).reshape(-1, words)
+        cells[[r for _, rows in program.stores for r in rows]] = ends.repeat(
+            [len(rows) for _, rows in program.stores], axis=0)
 
 
 def _run_program(program: Program, cells: np.ndarray) -> None:
-    """Execute a compiled schedule on packed cell rows, every column at once.
+    """Execute a compiled schedule on packed cell rows, every column at once,
+    on Python ints up to INT_ROW_WORDS words per row and numpy rows above.
 
     Leaves cells exactly as applying the schedule's events one by one would,
     on every row and bit, padding included.
     """
-    extra = np.empty((program.extra, cells.shape[1]), dtype=WORD)
-    slots = [*cells[: program.touched], *extra]
-    for slot, fill in program.pins:
-        slots[slot].fill(fill)
-    for step in program.steps:
-        for f, x, y, out in step:
-            f(slots[x], slots[y], slots[out])
-    (rows, src), (rows_x, src_x) = program.moves
-    if rows:
-        cells[list(rows)] = cells[list(src)]
-    if rows_x:
-        cells[list(rows_x)] = extra[list(src_x)]
+    if cells.shape[1] <= INT_ROW_WORDS:
+        _run_ints(program, cells)
+    else:
+        _run_rows(program, cells)
 
 
 class Schedule(NamedTuple):

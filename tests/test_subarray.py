@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pimsim import subarray
@@ -607,30 +607,45 @@ class TestPackedCells:
             assert read_product_column(again, col) == a * b
 
 
+# each executor on its own, and the dispatch that picks one by width
+EXECUTORS = (subarray._run_ints, subarray._run_rows, subarray._run_program)
+CUTOFF = subarray.INT_ROW_WORDS
+
+
 class TestCompiledMultiply:
-    @settings(max_examples=60, deadline=None)
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("pair", range(3))
+    @settings(max_examples=6, deadline=None)
     @given(
-        n=st.integers(1, 8),
-        pair=st.integers(0, 2),
         cols=st.one_of(st.integers(1, 200),
                        st.integers(0, 4).map(lambda k: 64 * k + 5)),
         above=st.integers(0, 3),
         seed=st.integers(0, 2**32 - 1),
     )
+    # one state as wide as the cutoff and one a word wider, both ragged
+    @example(cols=64 * CUTOFF - 3, above=0, seed=1)
+    @example(cols=64 * CUTOFF + 5, above=1, seed=2)
     def test_program_leaves_the_cells_the_events_do(self, n, pair, cols,
                                                     above, seed):
         # random cells everywhere, padding bits and rows past the schedule
-        # included: the compiled run must match the per-event interpreter
+        # included: multiply and each executor run directly must match the
+        # per-event interpreter
         rows = 9 + (n - 1) + 2 * n + (pair + 2) * n + above
         st_ = new_subarray(rows, cols, n)
         rng = np.random.default_rng(seed)
         st_.cells[:] = rng.integers(0, 1 << 64, size=st_.cells.shape,
                                     dtype=np.uint64)
+        start = st_.cells.copy()
         want = st_.cells.copy()
         events = multiply(st_, pair=pair)
         for event in events:
             subarray.apply_event(want, event)
         assert np.array_equal(st_.cells, want)
+        program = subarray._schedule(n, pair).program
+        for run in EXECUTORS:
+            cells = start.copy()
+            run(program, cells)
+            assert np.array_equal(cells, want), run.__name__
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -659,14 +674,18 @@ class TestCompiledMultiply:
                                                 (*copies, neg)))
                 events.append(subarray.AapEvent(
                     subarray.QUINTUPLE, (*rows[:3], neg, *rows[4:])))
+        words = data.draw(st.sampled_from([1, 3, CUTOFF, CUTOFF + 1]))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        cells = rng.integers(0, 1 << 64, size=(touched + 1, 3),
+        start = rng.integers(0, 1 << 64, size=(touched + 1, words),
                              dtype=np.uint64)
-        want = cells.copy()
+        want = start.copy()
         for event in events:
             subarray.apply_event(want, event)
-        subarray._run_program(subarray._compile(events, touched), cells)
-        assert np.array_equal(cells, want)
+        program = subarray._compile(events, touched)
+        for run in EXECUTORS:
+            cells = start.copy()
+            run(program, cells)
+            assert np.array_equal(cells, want), run.__name__
 
     def test_quintuple_off_the_sum_bit_is_rejected(self):
         # the negated row holds no majority of the inputs, so the activation
@@ -675,17 +694,31 @@ class TestCompiledMultiply:
         with pytest.raises(ValueError, match="sum bit"):
             subarray._compile(events, 4)
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n, ops", [(1, 1), (2, 15), (3, 57), (4, 155),
+                                        (5, 339), (6, 639), (7, 1085),
+                                        (8, 1707)])
     @pytest.mark.parametrize("pair", [0, 2])
-    def test_one_step_per_logic_event(self, n, pair):
+    def test_one_step_per_and_and_full_adder(self, n, ops, pair):
+        # every TRIPLE has its QUINTUPLE, and the two are one step
         sched = subarray._schedule(n, pair)
-        logic = [e for e in sched.events
-                 if e.kind not in (subarray.COPY, subarray.WRITE_ROW0)]
-        assert len(sched.program.steps) == len(logic)
+        kinds = [e.kind for e in sched.events]
+        adders = kinds.count(subarray.TRIPLE)
+        assert kinds.count(subarray.QUINTUPLE) == adders
+        steps = sched.program.steps
+        assert len(steps) == kinds.count(subarray.AND_STAGE) + adders
+        # an AND is 1 op; a full adder 5, or 2 when nothing reads its carry;
+        # the one sum complement that Cout keeps at the end costs 1 more
+        assert sorted({len(step) for step in steps}) == (
+            [1] if n == 1 else [1, 5, 6] if n == 2 else [1, 2, 5, 6])
+        assert sum(len(step) == 6 for step in steps) == (n > 1)
+        assert sum(map(len, steps)) == ops
 
     def test_eight_bit_program(self):
         sched = subarray._schedule(8, 0)
         assert len(sched.events) == mul_aap_count(8) == 1592
-        assert len(sched.program.steps) == 764
-        # copies are renames: the run needs only a few scratch rows
-        assert sched.program.extra <= 3
+        # 64 ANDs and 350 full adders, 36 of whose carries nothing reads
+        assert len(sched.program.steps) == 414
+        assert sum(map(len, sched.program.steps)) == 64 + 5 * 314 + 2 * 36 + 1
+        # copies are renames: the run needs only the full adders' scratch
+        # row and the all-ones row of the complement
+        assert sched.program.extra == 2

@@ -159,3 +159,11 @@ def test_readme_timing_config_is_the_default():
 
     assert TimingParams.from_text(
         _readme_block("Timing configuration")) == TimingParams()
+
+
+def test_declared_numpy_floor_has_bitwise_count():
+    # datapath.packed_mac_sums calls np.bitwise_count, which NumPy 2.0 added
+    text = (ROOT / "pyproject.toml").read_text()
+    floor = re.search(r'"numpy>=(\d+)\.(\d+)', text)
+    assert floor, "pyproject.toml declares no numpy floor"
+    assert tuple(map(int, floor.groups())) >= (2, 0)
