@@ -69,11 +69,21 @@ class RunConfig:
             raise RunConfigError("need at least one image")
 
 
+def _read_text(path: Path, what: str, error: type[Exception]) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path} is not UTF-8: {exc.reason}") from None
+
+
 def load_network(path: str | Path) -> NetworkDescription:
     p = Path(path)
     if not p.exists():
         raise MappingError(f"network file {p} does not exist")
-    return network_from_json(p.read_text())
+    try:
+        return network_from_json(_read_text(p, "network file", MappingError))
+    except RecursionError:
+        raise MappingError(f"network file {p} nests too deeply") from None
 
 
 def save_network(net: NetworkDescription, path: str | Path) -> None:
@@ -355,7 +365,9 @@ def main(argv: list[str] | None = None) -> int:
 
         params = TimingParams()
         if args.timing_config:
-            params = TimingParams.from_text(Path(args.timing_config).read_text())
+            params = TimingParams.from_text(_read_text(
+                Path(args.timing_config), "timing config",
+                timing.TimingConfigError))
 
         # Timing-only runs default to the full-size array; functional runs
         # default to a desk-scale subarray that finishes in seconds.

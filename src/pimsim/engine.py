@@ -94,9 +94,10 @@ def build_bank(place: LayerPlacement,
                subarrays: range | None = None) -> list[SubarrayState]:
     """One packed state for the given subarrays of the layer (default: all),
     holding only the rows the layer touches and mac_size columns for each
-    MAC those subarrays hold, in MAC order; returned as a one-element list.
-    Rows, width and precision come from the placement, whose row budget the
-    mapper has checked.
+    MAC those subarrays hold, in MAC order; returned as a one-element list
+    because the benchmark's traced run (`_count_alloc` in bench/tracing.py)
+    iterates over what this returns. Rows, width and precision come from
+    the placement, whose row budget the mapper has checked.
     """
     if subarrays is None:
         subarrays = range(place.subarrays_used)

@@ -1,12 +1,11 @@
 """Bit-exact model of a compute-capable DRAM subarray.
 
 A subarray is a rows x cols grid of single-bit cells. Nine reserved compute
-rows (row0, A, A-1, B, B-1, Cin, Cin-1, Cout, Cout-1) plus, for precisions
-above 2 bits, a block of intermediate rows implement row copy, bitwise AND,
-bit-serial ADD and full n x n multiplication using nothing but row copies and
-simultaneous multi-row activations. Every primitive appends to an AapTrace,
-one entry per AAP (ACTIVATE-ACTIVATE-PRECHARGE), so command counts can be
-audited exactly:
+rows (row0, A, A-1, B, B-1, Cin, Cin-1, Cout, Cout-1) plus, for n > 2, a
+block of intermediate rows implement bitwise AND, bit-serial ADD and n x n
+multiplication as AAPs (ACTIVATE-ACTIVATE-PRECHARGE): RowClone copies and
+multi-row activations. Each primitive logs one AapTrace entry per AAP, so
+command counts can be audited exactly:
 
     and_count(n)     = n*n                AND operations per multiply
     add_count(n)     = (n-2)(n-1)+n       intermediate ADDs (0 when n == 1)
@@ -41,7 +40,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -63,10 +61,6 @@ class RowBoundsError(IndexError):
 
 class AliasingError(ValueError):
     """Source and destination row groups overlap or touch reserved rows."""
-
-
-class ActivationPatternError(ValueError):
-    """Multi-row activation with an unsupported row set."""
 
 
 class OperandRangeError(ValueError):
@@ -121,8 +115,6 @@ class AapTrace:
 # The nine compute rows sit at the same indices in every subarray.
 ROW0, A, A1, B, B1, CIN, CIN1, COUT, COUT1 = range(9)
 COMPUTE_ROW_COUNT = 9
-COMPUTE_ROWS = MappingProxyType({name: row for row, name in enumerate(
-    ("row0", "A", "A1", "B", "B1", "Cin", "Cin1", "Cout", "Cout1"))})
 WORD_BITS = 64
 WORD = np.dtype("<u8")
 
@@ -132,29 +124,14 @@ def word_count(cols: int) -> int:
     return -(-cols // WORD_BITS)
 
 
-def pack_columns(bits: np.ndarray, words: int) -> np.ndarray:
-    """Pack a (rows, cols) array of 0/1 cells into (rows, words) uint64."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    out = np.zeros((bits.shape[0], words * (WORD_BITS // 8)), dtype=np.uint8)
-    out[:, : packed.shape[1]] = packed
-    return out.view(WORD)
-
-
-def unpack_columns(words: np.ndarray, cols: int) -> np.ndarray:
-    """Inverse of pack_columns: (rows, words) uint64 to (rows, cols) uint8."""
-    raw = np.ascontiguousarray(words, dtype=WORD).view(np.uint8)
-    return np.unpackbits(raw, axis=1, count=cols, bitorder="little")
-
-
 @dataclass
 class SubarrayState:
     """One subarray, or a packed bank of equal-width subarrays side by side:
     bit-packed cell rows and its command trace.
 
     Row layout (fixed, derived from n alone): the compute rows ROW0..COUT1 at
-    0..8 (`compute_rows` maps their names), then n-1 intermediate rows, then
-    2n product rows, then operand data rows from `data_base`.
+    0..8, then n-1 intermediate rows, then 2n product rows, then operand data
+    rows from `data_base`.
     A data column holds one n-bit activation followed by one n-bit weight per
     stacked pair, all LSB first. cells is (rows, word_count(cols)) uint64;
     bits past the last column are don't-care. A packed bank holds the MACs
@@ -168,7 +145,6 @@ class SubarrayState:
     cells: np.ndarray
     trace: AapTrace = field(default_factory=AapTrace)
     subarrays: range = range(1)
-    compute_rows = COMPUTE_ROWS
 
     @property
     def intermediate_rows(self) -> range:
@@ -277,49 +253,6 @@ def _run(state: SubarrayState, kind: str, rows: Sequence[int]) -> None:
 # --------------------------------------------------------------------------
 # Public primitives
 # --------------------------------------------------------------------------
-
-def row_clone(state: SubarrayState, src_row: int, dst_row: int) -> list[AapEvent]:
-    """Copy one row onto another. Costs exactly 1 AAP."""
-    _check_rows(state, (src_row, dst_row))
-    if src_row == dst_row:
-        raise AliasingError("cannot clone a row onto itself")
-    start = len(state.trace.events)
-    _run(state, COPY, (src_row, dst_row))
-    return state.trace.events[start:]
-
-
-def multi_row_activate(
-    state: SubarrayState, row_set: Sequence[int], use_negated_cout: bool = False
-) -> np.ndarray:
-    """Simultaneously activate 3 or 5 compute rows and return the majority,
-    one 0/1 value per column.
-
-    The quintuple form lists the Cout row twice; with use_negated_cout it
-    contributes its complement through the dual-contact cell. All activated
-    cells are overwritten by the sensed result (full restore), the negated
-    participant with the complement.
-    """
-    rows = [int(r) for r in row_set]
-    _check_rows(state, rows)
-    if any(r >= COMPUTE_ROW_COUNT for r in rows):
-        raise ActivationPatternError("multi-row activation is limited to compute rows")
-    if len(rows) == 3 and not use_negated_cout:
-        _run(state, TRIPLE, rows)
-        return read_row(state, rows[0])
-    if len(rows) == 5 and use_negated_cout:
-        if rows.count(COUT) != 2:
-            raise ActivationPatternError(
-                "quintuple activation needs the negated Cout row listed twice"
-            )
-        plain = [r for r in rows if r != COUT]
-        if len(plain) != 3:
-            raise ActivationPatternError("quintuple activation needs 3 plain rows")
-        _run(state, QUINTUPLE, (plain[0], plain[1], plain[2], COUT))
-        return read_row(state, plain[0])
-    raise ActivationPatternError(
-        f"unsupported activation pattern of {len(rows)} rows"
-    )
-
 
 def and_op(
     state: SubarrayState,
@@ -870,61 +803,3 @@ def multiply(state: SubarrayState, pair: int = 0) -> list[AapEvent]:
     trace.events.extend(events)
     return trace.events[start:]
 
-
-# --------------------------------------------------------------------------
-# Cell access
-# --------------------------------------------------------------------------
-
-def read_row(state: SubarrayState, row: int) -> np.ndarray:
-    """One row as a 0/1 uint8 array, one entry per column."""
-    _check_rows(state, (row,))
-    return unpack_columns(state.cells[row : row + 1], state.cols)[0]
-
-
-def write_row(state: SubarrayState, row: int, bits) -> None:
-    """Overwrite one row with 0/1 values (one per column, or one for all)."""
-    _check_rows(state, (row,))
-    full = np.broadcast_to(np.asarray(bits, dtype=np.uint8), (state.cols,))
-    state.cells[row] = pack_columns(full[None, :], state.cells.shape[1])[0]
-
-
-def write_bit(state: SubarrayState, row: int, col: int, value: int) -> None:
-    _check_rows(state, (row,))
-    if not 0 <= col < state.cols:
-        raise RowBoundsError(f"column {col} outside 0..{state.cols - 1}")
-    word, bit = divmod(col, WORD_BITS)
-    mask = 1 << bit
-    old = int(state.cells[row, word])
-    state.cells[row, word] = old | mask if value else old & ~mask
-
-
-def write_operand_column(
-    state: SubarrayState, col: int, a: int, b: int, pair: int = 0
-) -> None:
-    """Store one operand pair in a column: activation a, weight b, LSB first."""
-    n = state.n
-    if not 0 <= col < state.cols:
-        raise RowBoundsError(f"column {col} outside 0..{state.cols - 1}")
-    if not 0 <= a < (1 << n) or not 0 <= b < (1 << n):
-        raise OperandRangeError(f"operands must fit {n} unsigned bits")
-    for k, row in enumerate(state.activation_rows()):
-        write_bit(state, row, col, (a >> k) & 1)
-    for k, row in enumerate(state.weight_rows(pair)):
-        write_bit(state, row, col, (b >> k) & 1)
-
-
-def read_product_column(state: SubarrayState, col: int) -> int:
-    """Read back the 2n-bit product of a column."""
-    return read_row_bits(state, state.product_rows, col)
-
-
-def read_row_bits(state: SubarrayState, rows: Sequence[int], col: int) -> int:
-    """Assemble an integer from the given rows of a column, LSB first."""
-    _check_rows(state, rows)
-    if not 0 <= col < state.cols:
-        raise RowBoundsError(f"column {col} outside 0..{state.cols - 1}")
-    word, bit = divmod(col, WORD_BITS)
-    value = 0
-    for k, row in enumerate(rows):
-        value |= (int(state.cells[row, word]) >> bit & 1) << k
-    return value

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from cells import read_products, unpack_columns, write_operands
 from pimsim.cli import RunConfig, run
 from pimsim.datapath import (
     AccumulatorState,
@@ -36,10 +37,6 @@ from pimsim.subarray import (
     mul_aap_count,
     multiply,
     new_subarray,
-    read_product_column,
-    read_row,
-    read_row_bits,
-    write_operand_column,
 )
 from pimsim.timing import (
     LayerLatency,
@@ -62,25 +59,19 @@ def test_criterion_1_multiplication_correctness():
     for n in range(1, 7):
         pairs = list(itertools.product(range(1 << n), repeat=2))
         st = new_subarray(9 + (n - 1) + 4 * n + 4, len(pairs), n)
-        for col, (a, b) in enumerate(pairs):
-            write_operand_column(st, col, a, b)
+        write_operands(st, *zip(*pairs))
         multiply(st)
-        for col, (a, b) in enumerate(pairs):
-            assert read_product_column(st, col) == a * b, (n, a, b)
+        assert read_products(st).tolist() == [a * b for a, b in pairs], n
         checked += len(pairs)
 
     rng = np.random.default_rng(1234)
     n = 8
-    rand_pairs = list(
-        zip(rng.integers(0, 256, 10000), rng.integers(0, 256, 10000))
-    )
-    st = new_subarray(64, len(rand_pairs), n)
-    for col, (a, b) in enumerate(rand_pairs):
-        write_operand_column(st, col, int(a), int(b))
+    acts, weights = rng.integers(0, 256, 10000), rng.integers(0, 256, 10000)
+    st = new_subarray(64, len(acts), n)
+    write_operands(st, acts, weights)
     multiply(st)
-    for col, (a, b) in enumerate(rand_pairs):
-        assert read_product_column(st, col) == int(a) * int(b)
-    checked += len(rand_pairs)
+    assert np.array_equal(read_products(st), acts * weights)
+    checked += len(acts)
 
     elapsed = time.monotonic() - t0
     _verdict(
@@ -93,7 +84,7 @@ def test_criterion_1_multiplication_correctness():
 def test_criterion_2_aap_cost_exactness():
     for n in range(1, 9):
         st = new_subarray(9 + (n - 1) + 4 * n + 4, 2, n)
-        write_operand_column(st, 0, (1 << n) - 1, 1)
+        write_operands(st, [(1 << n) - 1], [1])
         multiply(st)
         tr = st.trace
         assert tr.total_aap == mul_aap_count(n), n
@@ -127,14 +118,14 @@ def test_criterion_3_mac_pipeline_identity():
         a = rng.integers(0, 1 << n, size)
         b = rng.integers(0, 1 << n, size)
         st = new_subarray(9 + (n - 1) + 4 * n + 4, 64, n)
-        for col in range(size):
-            write_operand_column(st, col, int(a[col]), int(b[col]))
+        write_operands(st, a, b)
         multiply(st)
         cfg = build_adder_tree(64, [size])
         acc = AccumulatorState()
+        planes = unpack_columns(st.cells[list(st.product_rows)], 64)
         for plane_idx in range(2 * n):
             plane = np.zeros(64, dtype=np.int64)
-            plane[:size] = read_row(st, st.product_rows[plane_idx])[:size]
+            plane[:size] = planes[plane_idx, :size]
             accumulate_bitplane(acc, int(tree_reduce(cfg, plane)[0]), plane_idx)
         expected = int(np.dot(a.astype(np.int64), b.astype(np.int64)))
         assert acc.value == expected, (n, size)

@@ -714,6 +714,33 @@ class TestMainEntry:
         assert message in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag, content, message", [
+        ("--model", b"\xff\xfe{}", "network file {} is not UTF-8: "),
+        ("--model", b"[" * 100_000 + b"]" * 100_000,
+         "network file {} nests too deeply"),
+        ("--timing-config", b"\xff\xfet_aap = 1\n",
+         "timing config {} is not UTF-8: "),
+    ], ids=["network-not-utf8", "network-too-deep", "timing-not-utf8"])
+    def test_undecodable_input_file_exit_code(self, tmp_path, capsys, flag,
+                                              content, message):
+        # each ended in a traceback: UnicodeDecodeError, or RecursionError
+        # from json.loads
+        bad = tmp_path / "bad.in"
+        bad.write_bytes(content)
+        netfile = tmp_path / "toy.json"
+        save_network(toy_net(), netfile)
+        model = bad if flag == "--model" else netfile
+        argv = ["--model", str(model), "--mode", "both",
+                "--output", str(tmp_path / "out")]
+        if flag == "--timing-config":
+            argv += [flag, str(bad)]
+        status = main(argv)
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err.startswith("error: " + message.format(bad)), err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_timing_config_flag(self, tmp_path):
         cfg = tmp_path / "timing.txt"
         cfg.write_text("t_aap = 97.5\nsfu_cycles.pool = 3\n")

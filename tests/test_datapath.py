@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cells import pack_columns, unpack_columns
 from pimsim.datapath import (
     TREE_WIDTH,
     AccumulatorState,
@@ -34,13 +35,7 @@ from pimsim.engine import (
     prepare_operands,
     run_functional,
 )
-from pimsim.subarray import (
-    new_subarray,
-    pack_columns,
-    rows_needed,
-    unpack_columns,
-    word_count,
-)
+from pimsim.subarray import new_subarray, rows_needed, word_count
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Subarray primitive tests: copies, activations, AND, ADD, multiply."""
+"""Subarray primitive tests: AAP events, AND, ADD, multiply."""
 
 import hashlib
 import itertools
@@ -8,9 +8,29 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pimsim import subarray
+from cells import (
+    pack_columns,
+    read_products,
+    read_values,
+    unpack_columns,
+    write_operands,
+    write_values,
+)
+from pimsim import engine, subarray
 from pimsim.subarray import (
-    ActivationPatternError,
+    A,
+    A1,
+    B,
+    B1,
+    CIN,
+    CIN1,
+    COPY,
+    COUT,
+    COUT1,
+    QUINTUPLE,
+    ROW0,
+    TRIPLE,
+    AapEvent,
     AliasingError,
     ConfigurationError,
     OperandRangeError,
@@ -18,20 +38,13 @@ from pimsim.subarray import (
     add_count,
     and_count,
     and_op,
+    apply_event,
     mul_aap_count,
-    multi_row_activate,
     multiply,
     new_subarray,
-    pack_columns,
-    read_product_column,
-    read_row,
-    read_row_bits,
-    row_clone,
-    unpack_columns,
-    write_bit,
-    write_operand_column,
-    write_row,
 )
+
+COMPUTE = (ROW0, A, A1, B, B1, CIN, CIN1, COUT, COUT1)
 
 
 def make_state(n, cols=8, extra_rows=16):
@@ -46,7 +59,7 @@ def make_state(n, cols=8, extra_rows=16):
 class TestNewSubarray:
     def test_default_geometry_reserves_rows(self):
         st_ = new_subarray(4096, 4096, 4)
-        assert len(st_.compute_rows) == 9
+        assert st_.intermediate_rows.start == len(set(COMPUTE)) == 9
         assert len(st_.intermediate_rows) == 3
         assert len(st_.product_rows) == 8
         assert not st_.cells.any()
@@ -63,84 +76,65 @@ class TestNewSubarray:
 
     def test_reserved_rows_disjoint(self):
         st_ = make_state(4)
-        named = list(st_.compute_rows.values())
-        all_rows = named + list(st_.intermediate_rows) + list(st_.product_rows)
+        all_rows = [*COMPUTE, *st_.intermediate_rows, *st_.product_rows]
         assert len(set(all_rows)) == len(all_rows)
         assert max(all_rows) < st_.data_base
 
 
 # --------------------------------------------------------------------------
-# RowClone
+# AAP events: RowClone copies and multi-row activations
 # --------------------------------------------------------------------------
 
-class TestRowClone:
-    def test_copies_ones(self):
+class TestApplyEvent:
+    def test_copy_writes_every_destination(self):
         st_ = make_state(2)
-        write_row(st_, 20, 1)
-        row_clone(st_, 20, 21)
-        assert read_row(st_, 21).all()
-        assert st_.trace.total_aap == 1
+        st_.cells[20] = 2**64 - 1
+        st_.cells[21:23] = 0x5A
+        apply_event(st_.cells, AapEvent(COPY, (20, 21, 22)))
+        assert (st_.cells[20:23] == 2**64 - 1).all()
+        assert not np.delete(st_.cells, [20, 21, 22], axis=0).any()
 
-    def test_row0_source_gives_zeros(self):
+    def test_copy_from_row0_gives_zeros(self):
         st_ = make_state(2)
-        write_row(st_, 21, 1)
-        row_clone(st_, st_.compute_rows["row0"], 21)
-        assert not read_row(st_, 21).any()
+        write_values(st_, [21], [1] * st_.cols)
+        apply_event(st_.cells, AapEvent(COPY, (ROW0, 21)))
+        assert not read_values(st_, [21]).any()
 
-    def test_self_clone_rejected(self):
-        st_ = make_state(2)
-        with pytest.raises(AliasingError):
-            row_clone(st_, 20, 20)
-
-
-# --------------------------------------------------------------------------
-# Multi-row activation
-# --------------------------------------------------------------------------
-
-class TestMultiRowActivate:
     def test_triple_majority_exhaustive(self):
+        # columns 0..7 hold every (a, b, c); the sensed majority restores
+        # into all three activated rows and the two destinations
+        combos = np.array(list(itertools.product((0, 1), repeat=3)))
         st_ = make_state(2, cols=8)
-        C = st_.compute_rows
-        rows = (C["A"], C["B"], C["Cin"])
-        for col, bits in enumerate(itertools.product((0, 1), repeat=3)):
-            for r, v in zip(rows, bits):
-                write_bit(st_, r, col, v)
-        result = multi_row_activate(st_, rows)
-        for col, bits in enumerate(itertools.product((0, 1), repeat=3)):
-            assert result[col] == (sum(bits) >= 2)
-        # destructive restore
-        for r in rows:
-            assert np.array_equal(read_row(st_, r), result)
-        assert st_.trace.total_aap == 1
+        rows = (A, B, CIN)
+        for r, column in zip(rows, combos.T):
+            write_values(st_, [r], column)
+        before = st_.cells.copy()
+        apply_event(st_.cells, AapEvent(TRIPLE, (*rows, COUT, COUT1)))
+        want = (combos.sum(axis=1) >= 2).astype(np.int64)
+        for r in (*rows, COUT, COUT1):
+            assert read_values(st_, [r]).tolist() == want.tolist(), r
+        others = [r for r in range(st_.rows) if r not in (*rows, COUT, COUT1)]
+        assert np.array_equal(st_.cells[others], before[others])
 
-    def test_quintuple_with_negated_cout(self):
-        # (A, B, Cin) = (1, 0, 0) with Cout = 0: maj(1,0,0,1,1) = 1
-        st_ = make_state(2, cols=32)
-        C = st_.compute_rows
-        plain = (C["A"], C["B"], C["Cin"])
-        cout = C["Cout"]
-        combos = list(itertools.product((0, 1), repeat=4))
-        for col, bits in enumerate(combos):
-            for r, v in zip((*plain, cout), bits):
-                write_bit(st_, r, col, v)
-        result = multi_row_activate(
-            st_, (*plain, cout, cout), use_negated_cout=True
-        )
-        for col, (a, b, c, q) in enumerate(combos):
-            assert result[col] == (a + b + c + 2 * (1 - q) >= 3)
-
-    def test_pattern_errors(self):
-        st_ = make_state(2)
-        C = st_.compute_rows
-        with pytest.raises(ActivationPatternError):
-            multi_row_activate(st_, (C["A"], C["B"]))
-        with pytest.raises(ActivationPatternError):
-            multi_row_activate(
-                st_, (C["A"], C["B"], C["Cin"], C["Cout"], C["Cin1"]),
-                use_negated_cout=True,
-            )
-        with pytest.raises(ActivationPatternError):
-            multi_row_activate(st_, (C["A"], C["B"], st_.data_base))
+    def test_quintuple_with_negated_row_exhaustive(self):
+        # columns 0..15 hold every (a, b, c, neg); the sense amplifier sees
+        # maj(a, b, c, ~neg, ~neg), restores it into the three plain rows and
+        # the destination, and its complement into the negated row
+        combos = np.array(list(itertools.product((0, 1), repeat=4)))
+        st_ = make_state(2, cols=16)
+        rows = (A1, B1, CIN1, COUT)
+        for r, column in zip(rows, combos.T):
+            write_values(st_, [r], column)
+        before = st_.cells.copy()
+        dst = st_.product_rows[1]
+        apply_event(st_.cells, AapEvent(QUINTUPLE, (*rows, dst)))
+        a, b, c, neg = combos.T
+        want = (a + b + c + 2 * (1 - neg) >= 3).astype(np.int64)
+        for r in (A1, B1, CIN1, dst):
+            assert read_values(st_, [r]).tolist() == want.tolist(), r
+        assert read_values(st_, [COUT]).tolist() == (1 - want).tolist()
+        others = [r for r in range(st_.rows) if r not in (*rows, dst)]
+        assert np.array_equal(st_.cells[others], before[others])
 
 
 # --------------------------------------------------------------------------
@@ -151,23 +145,21 @@ class TestAndOp:
     def test_truth_table_and_cost(self):
         st_ = make_state(2, cols=4)
         base = st_.data_base
-        for col, (a, b) in enumerate(itertools.product((0, 1), repeat=2)):
-            write_bit(st_, base, col, a)
-            write_bit(st_, base + 1, col, b)
+        write_values(st_, [base], [0, 0, 1, 1])
+        write_values(st_, [base + 1], [0, 1, 0, 1])
         dst = st_.product_rows[0]
         and_op(st_, base, base + 1, (dst,))
-        assert list(read_row(st_, dst)[:4]) == [0, 0, 0, 1]
+        assert read_values(st_, [dst]).tolist() == [0, 0, 0, 1]
         assert st_.trace.total_aap == 3
         assert st_.trace.and_ops == 1
 
     def test_two_destinations_hold_result(self):
         st_ = make_state(2, cols=2)
         base = st_.data_base
-        write_row(st_, base, 1)
-        write_row(st_, base + 1, 1)
-        C = st_.compute_rows
-        and_op(st_, base, base + 1, (C["B"], C["B1"]), pair="b")
-        assert read_row(st_, C["B"]).all() and read_row(st_, C["B1"]).all()
+        write_values(st_, [base], [1, 1])
+        write_values(st_, [base + 1], [1, 1])
+        and_op(st_, base, base + 1, (B, B1), pair="b")
+        assert read_values(st_, [B]).all() and read_values(st_, [B1]).all()
 
     def test_dst_alias_rejected(self):
         st_ = make_state(2)
@@ -185,11 +177,8 @@ def _place_add_operands(st_, n, pairs):
     a_rows = list(range(base, base + n))
     b_rows = list(range(base + n, base + 2 * n))
     out_rows = list(range(base + 2 * n, base + 3 * n + 1))
-    for col, (a, b) in enumerate(pairs):
-        for k, r in enumerate(a_rows):
-            write_bit(st_, r, col, (a >> k) & 1)
-        for k, r in enumerate(b_rows):
-            write_bit(st_, r, col, (b >> k) & 1)
+    write_values(st_, a_rows, [a for a, _ in pairs])
+    write_values(st_, b_rows, [b for _, b in pairs])
     return a_rows, b_rows, out_rows
 
 
@@ -201,8 +190,7 @@ class TestAddBitserial:
         a_rows, b_rows, out_rows = _place_add_operands(st_, n, pairs)
         add_bitserial(st_, a_rows, b_rows, out_rows)
         assert st_.trace.total_aap == 4 * n + 1
-        for col, (a, b) in enumerate(pairs):
-            assert read_row_bits(st_, out_rows, col) == a + b
+        assert read_values(st_, out_rows).tolist() == [a + b for a, b in pairs]
 
     def test_specific_sums(self):
         # 0b1111 + 0b0001 = 0b10000 at 17 AAPs; identity with zero; 3+3=6
@@ -212,9 +200,7 @@ class TestAddBitserial:
         )
         delta = add_bitserial(st_, a_rows, b_rows, out_rows)
         assert len(delta) == 17
-        assert read_row_bits(st_, out_rows, 0) == 0b10000
-        assert read_row_bits(st_, out_rows, 1) == 11
-        assert read_row_bits(st_, out_rows, 2) == 6
+        assert read_values(st_, out_rows)[:3].tolist() == [0b10000, 11, 6]
 
     def test_overlapping_groups_rejected(self):
         st_ = make_state(2, extra_rows=16)
@@ -231,7 +217,7 @@ class TestAddBitserial:
         st_ = new_subarray(9 + (n - 1) + 4 * n + 3 * n + 2, 2, n)
         a_rows, b_rows, out_rows = _place_add_operands(st_, n, [(a, b)])
         add_bitserial(st_, a_rows, b_rows, out_rows)
-        assert read_row_bits(st_, out_rows, 0) == a + b
+        assert read_values(st_, out_rows)[0] == a + b
         assert st_.trace.total_aap == 4 * n + 1
 
 
@@ -269,16 +255,14 @@ class TestMultiply:
     def test_exhaustive_products(self, n):
         pairs = list(itertools.product(range(1 << n), repeat=2))
         st_ = new_subarray(9 + (n - 1) + 4 * n + 4, len(pairs), n)
-        for col, (a, b) in enumerate(pairs):
-            write_operand_column(st_, col, a, b)
+        write_operands(st_, *zip(*pairs))
         multiply(st_)
-        for col, (a, b) in enumerate(pairs):
-            assert read_product_column(st_, col) == a * b, (n, a, b)
+        assert read_products(st_).tolist() == [a * b for a, b in pairs], n
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8])
     def test_cost_exactness(self, n):
         st_ = make_state(n, cols=4)
-        write_operand_column(st_, 0, (1 << n) - 1, (1 << n) - 1)
+        write_operands(st_, [(1 << n) - 1], [(1 << n) - 1])
         multiply(st_)
         tr = st_.trace
         assert tr.total_aap == mul_aap_count(n)
@@ -292,54 +276,52 @@ class TestMultiply:
 
     def test_example_values(self):
         st_ = make_state(2, cols=1)
-        write_operand_column(st_, 0, 0b11, 0b10)
+        write_operands(st_, [0b11], [0b10])
         delta = multiply(st_)
-        assert read_product_column(st_, 0) == 6
+        assert read_products(st_)[0] == 6
         assert len(delta) == 19
 
         st4 = make_state(4, cols=1)
-        write_operand_column(st4, 0, 15, 15)
+        write_operands(st4, [15], [15])
         delta = multiply(st4)
-        assert read_product_column(st4, 0) == 225
+        assert read_products(st4)[0] == 225
         assert len(delta) == 168
 
     def test_trace_is_data_independent(self):
         traces = []
         for a, b in [(0, 0), (13, 7), (15, 15)]:
             st_ = make_state(4, cols=2)
-            write_operand_column(st_, 0, a, b)
+            write_operands(st_, [a], [b])
             multiply(st_)
             traces.append(st_.trace.events)
         assert traces[0] == traces[1] == traces[2]
 
     def test_simd_many_columns_same_trace(self):
         one = make_state(3, cols=1)
-        write_operand_column(one, 0, 5, 6)
+        write_operands(one, [5], [6])
         multiply(one)
         many = make_state(3, cols=64)
-        for col in range(64):
-            write_operand_column(many, col, col % 8, (col * 3) % 8)
+        acts, weights = np.arange(64) % 8, (np.arange(64) * 3) % 8
+        write_operands(many, acts, weights)
         multiply(many)
         assert one.trace.events == many.trace.events
-        for col in range(64):
-            assert read_product_column(many, col) == (col % 8) * ((col * 3) % 8)
+        assert np.array_equal(read_products(many), acts * weights)
 
     def test_operand_rows_preserved(self):
         st_ = make_state(4, cols=16)
-        for col in range(16):
-            write_operand_column(st_, col, col, 15 - col)
+        write_operands(st_, np.arange(16), 15 - np.arange(16))
         before = st_.cells[st_.data_base:].copy()
         multiply(st_)
         assert np.array_equal(st_.cells[st_.data_base:], before)
 
     def test_stacked_pair_multiplies(self):
         st_ = new_subarray(64, 4, 3)
-        write_operand_column(st_, 0, 5, 3, pair=0)
-        write_operand_column(st_, 0, 5, 7, pair=1)
+        write_operands(st_, [5], [3], pair=0)
+        write_operands(st_, [5], [7], pair=1)
         multiply(st_, pair=0)
-        assert read_product_column(st_, 0) == 15
+        assert read_products(st_)[0] == 15
         multiply(st_, pair=1)
-        assert read_product_column(st_, 0) == 35
+        assert read_products(st_)[0] == 35
 
     def test_pair_beyond_capacity_rejected(self):
         st_ = new_subarray(32, 4, 2)   # capacity: (32-14)//2 - 1 = 8 pairs
@@ -352,9 +334,9 @@ class TestMultiply:
         a = data.draw(st.integers(0, (1 << n) - 1))
         b = data.draw(st.integers(0, (1 << n) - 1))
         st_ = new_subarray(9 + (n - 1) + 4 * n + 4, 2, n)
-        write_operand_column(st_, 0, a, b)
+        write_operands(st_, [a], [b])
         multiply(st_)
-        assert read_product_column(st_, 0) == a * b
+        assert read_products(st_)[0] == a * b
         assert st_.trace.total_aap == mul_aap_count(n)
 
 
@@ -365,33 +347,32 @@ class TestMultiply:
 class TestOperandColumns:
     def test_zero_operand(self):
         st_ = make_state(4, cols=2)
-        write_operand_column(st_, 0, 5, 0)
+        write_operands(st_, [5], [0])
         multiply(st_)
-        assert read_product_column(st_, 0) == 0
+        assert read_products(st_)[0] == 0
 
     def test_small_product(self):
         st_ = make_state(4, cols=2)
-        write_operand_column(st_, 1, 2, 3)
+        write_operands(st_, [0, 2], [0, 3])
         multiply(st_)
-        assert read_product_column(st_, 1) == 6
+        assert read_products(st_)[1] == 6
 
     def test_overflow_rejected(self):
-        st_ = make_state(2)
+        # operands reach the cells through the engine, which checks the width
         with pytest.raises(OperandRangeError):
-            write_operand_column(st_, 0, 4, 0)
+            engine._operand_bytes([3, 4], 2)
+        with pytest.raises(OperandRangeError):
+            engine._operand_bytes([-1], 2)
+        assert engine._operand_bytes([0, 3], 2).tolist() == [0, 3]
 
     def test_n6_random_grid(self):
         # every (a, b) pair once, read back the full grid of products
         n = 6
         pairs = [(a, b) for a in range(0, 64, 5) for b in range(0, 64, 3)]
         st_ = new_subarray(64, len(pairs), n)
-        for col, (a, b) in enumerate(pairs):
-            write_operand_column(st_, col, a, b)
+        write_operands(st_, *zip(*pairs))
         multiply(st_)
-        assert all(
-            read_product_column(st_, col) == a * b
-            for col, (a, b) in enumerate(pairs)
-        )
+        assert read_products(st_).tolist() == [a * b for a, b in pairs]
 
 
 # --------------------------------------------------------------------------
@@ -401,9 +382,9 @@ class TestOperandColumns:
 class TestTrace:
     def test_total_equals_event_count_and_monotone(self):
         st_ = make_state(2, cols=2)
-        write_operand_column(st_, 0, 1, 1)
+        write_operands(st_, [1], [1])
         counts = []
-        row_clone(st_, st_.data_base, st_.data_base + 5)
+        and_op(st_, st_.data_base, st_.data_base + 2, (st_.data_base + 5,))
         counts.append(st_.trace.total_aap)
         multiply(st_)
         counts.append(st_.trace.total_aap)
@@ -412,7 +393,7 @@ class TestTrace:
 
     def test_golden_kind_sequence_n2(self):
         st_ = make_state(2, cols=1)
-        write_operand_column(st_, 0, 3, 3)
+        write_operands(st_, [3], [3])
         multiply(st_)
         kinds = [e.kind for e in st_.trace.events]
         assert kinds == [
@@ -444,7 +425,7 @@ class TestTrace:
             "summary total_aap=19 and_ops=4 add_ops=2\n"
         )
         st_ = new_subarray(32, 1, 2)
-        write_operand_column(st_, 0, 3, 3)
+        write_operands(st_, [3], [3])
         multiply(st_)
         assert st_.trace.to_text() == golden
 
@@ -530,8 +511,7 @@ def _ragged_state(n, pairs):
     """State whose last word is ragged: 5 columns past the last full word."""
     cols = 64 * -(-len(pairs) // 64) + 5
     st_ = new_subarray(9 + (n - 1) + 4 * n + 4, cols, n)
-    for col, (a, b) in enumerate(pairs):
-        write_operand_column(st_, col, a, b)
+    write_operands(st_, *zip(*pairs))
     return st_
 
 
@@ -545,21 +525,20 @@ class TestPackedCells:
 
     def test_column_to_bit_mapping(self):
         st_ = new_subarray(32, 130, 2)
-        write_bit(st_, 20, 129, 1)
-        write_bit(st_, 20, 64, 1)
-        assert int(st_.cells[20, 2]) == 1 << 1
-        assert int(st_.cells[20, 1]) == 1
-        assert list(np.nonzero(read_row(st_, 20))[0]) == [64, 129]
+        ones = np.zeros(130, dtype=np.int64)
+        ones[[64, 129]] = 1
+        write_values(st_, [20], ones)
+        assert st_.cells[20].tolist() == [0, 1, 1 << 1]
+        assert list(np.nonzero(read_values(st_, [20]))[0]) == [64, 129]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_exhaustive_products_ragged_last_word(self, n):
         pairs = list(itertools.product(range(1 << n), repeat=2))
         st_ = _ragged_state(n, pairs)
         multiply(st_)
-        for col, (a, b) in enumerate(pairs):
-            assert read_product_column(st_, col) == a * b, (n, a, b)
-        for col in range(len(pairs), st_.cols):
-            assert read_product_column(st_, col) == 0
+        products = read_products(st_).tolist()
+        assert products[: len(pairs)] == [a * b for a, b in pairs], n
+        assert products[len(pairs):] == [0] * (st_.cols - len(pairs))
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_random_products_ragged_last_word(self, n):
@@ -568,8 +547,8 @@ class TestPackedCells:
                  for _ in range(3 * 64 + 5)]
         st_ = _ragged_state(n, pairs)
         multiply(st_)
-        for col, (a, b) in enumerate(pairs):
-            assert read_product_column(st_, col) == a * b, (n, a, b)
+        products = read_products(st_).tolist()
+        assert products[: len(pairs)] == [a * b for a, b in pairs], n
 
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("pair", [0, 1])
@@ -580,7 +559,7 @@ class TestPackedCells:
         else:
             subarray._multiply_wide(fresh, pair)
         st_ = new_subarray(64, 3, n)
-        row_clone(st_, st_.data_base, st_.data_base + 1)
+        subarray._run(st_, COPY, (st_.data_base, st_.data_base + 1))
         multiply(st_, pair=pair)
         multiply(st_, pair=pair)
         once = fresh.trace
@@ -603,8 +582,8 @@ class TestPackedCells:
         for event in st_.trace.events:
             subarray.apply_event(again.cells, event)
         assert np.array_equal(again.cells, st_.cells)
-        for col, (a, b) in enumerate(pairs):
-            assert read_product_column(again, col) == a * b
+        products = read_products(again).tolist()
+        assert products[: len(pairs)] == [a * b for a, b in pairs]
 
 
 # each executor on its own, and the dispatch that picks one by width

@@ -35,6 +35,20 @@ def test_every_traced_name_resolves():
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
 
 
+# work counters of one traced simulation of each workload; they depend on
+# the geometry and the command stream, not on the seed
+TRACED_WORK = {
+    "cnn-wide": {"subarray.aap_executed": 504,
+                 "subarray.multiply_calls": 3,
+                 "engine.alloc_bytes": 12_615_680,
+                 "datapath.plane_reads": 1_776},
+    "mlp-n8": {"subarray.aap_executed": 7_960,
+               "subarray.multiply_calls": 5,
+               "engine.alloc_bytes": 1_081_344,
+               "datapath.plane_reads": 1_184},
+}
+
+
 def test_tracer_counts_work_and_uninstalls(tmp_path):
     # the traced bench run reads result shapes (build_bank's list of states,
     # multiply's events, bank_execute's accounting); a change to them would
@@ -47,7 +61,7 @@ def test_tracer_counts_work_and_uninstalls(tmp_path):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        for sim, name in enumerate(["cnn-wide", "mlp-n8"]):
+        for sim, name in enumerate(TRACED_WORK):
             tracer.begin_sim(sim)
             try:
                 statuses, _ = workloads.simulate(
@@ -57,11 +71,9 @@ def test_tracer_counts_work_and_uninstalls(tmp_path):
             assert statuses == [0]
     finally:
         tracer.uninstall()
-    for sim in (0, 1):
+    for sim, want in enumerate(TRACED_WORK.values()):
         counts = tracer.counts[sim]
-        for counter in ("engine.alloc_bytes", "subarray.multiply_calls",
-                        "subarray.aap_executed", "datapath.plane_reads"):
-            assert counts[counter] > 0, (sim, counter)
+        assert {counter: counts[counter] for counter in want} == want, sim
     for (module, attr, _, _), original in zip(tracing.WRAPPED, originals):
         assert getattr(importlib.import_module(module), attr) is original
 
