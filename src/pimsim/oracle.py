@@ -19,7 +19,8 @@ from .mapper import LayerSpec
 _BN_FRAC = 16
 _SAT_MIN = -(1 << 31)
 _SAT_MAX = (1 << 31) - 1
-# linear_ref promotes w to int64 in blocks of one to two times this many.
+# linear_ref promotes w, and conv_ref the patches, to int64 in blocks of
+# about this many elements.
 _BLOCK_ELEMENTS = 1 << 20
 
 
@@ -35,19 +36,28 @@ def _round_half_even(num: np.ndarray, denom_log2: int) -> np.ndarray:
 
 def conv_ref(x: np.ndarray, w: np.ndarray, p: int, s: int) -> np.ndarray:
     """Convolution as im2col plus an int64 matrix product; x is (I, H, W),
-    w is (O, I, K, L); integer exact."""
+    w is (O, I, K, L); integer exact. The patches are built and promoted
+    to int64 a block of output rows at a time, about _BLOCK_ELEMENTS
+    elements but at least one row, so one block is all that is ever held
+    at eight bytes per element."""
     I, H, W = x.shape
     O, Iw, K, L = w.shape
     if I != Iw:
         raise ValueError(f"input has {I} channels, weights expect {Iw}")
-    xp = np.pad(x.astype(np.int64), ((0, 0), (p, p), (p, p)))
+    xp = np.pad(x, ((0, 0), (p, p), (p, p)))
     oh = (H - K + 2 * p) // s + 1
     ow = (W - L + 2 * p) // s + 1
     windows = sliding_window_view(xp, (K, L), axis=(1, 2))
     windows = windows[:, : (oh - 1) * s + 1 : s, : (ow - 1) * s + 1 : s]
-    patches = windows.transpose(1, 2, 0, 3, 4).reshape(oh * ow, I * K * L)
-    out = w.reshape(O, I * K * L).astype(np.int64) @ patches.T
-    return out.reshape(O, oh, ow)
+    windows = windows.transpose(1, 2, 0, 3, 4)
+    w = w.reshape(O, I * K * L).astype(np.int64)
+    out = np.empty((O, oh, ow), dtype=np.int64)
+    rows = max(1, _BLOCK_ELEMENTS // (ow * I * K * L))
+    for r in range(0, oh, rows):
+        patches = windows[r : r + rows].reshape(-1, I * K * L)
+        block = w @ patches.astype(np.int64, copy=False).T
+        out[:, r : r + rows] = block.reshape(O, -1, ow)
+    return out
 
 
 def linear_ref(x: np.ndarray, w: np.ndarray) -> np.ndarray:

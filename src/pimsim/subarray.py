@@ -23,7 +23,10 @@ and the stacked pair, never on operand values: it is recorded once per
 (n, pair) and compiled once into a program over row slots, in which copies
 are renames, each AND is one op and each full adder (a TRIPLE and the
 QUINTUPLE that senses the parity of the same three values) one step of 5
-ops. Every later call runs that program, and one run drives every column
+ops. The symbolic run of the events folds each QUINTUPLE into its TRIPLE's
+full adder; one backward pass then drops the ops nothing needs and one
+forward scan places every value in a row, so the multiply uses no scratch
+rows. Every later call runs that program, and one run drives every column
 at once (SIMD across bitlines). A state at most INT_ROW_WORDS words wide
 runs it on one Python int per row, a wider one on numpy rows: a numpy op
 costs about a microsecond of call overhead at any width, which an int op
@@ -39,6 +42,7 @@ the subarrays it covers, each of which is charged the command stream.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -485,12 +489,13 @@ class Program:
     """A multiply schedule compiled to logic over slot rows.
 
     Slots 0..touched-1 are the state's own cell rows, slots from touched on
-    are rows of a scratch buffer of `extra` rows. Each step is one AND or
-    one full adder, as (ufunc, x, y, out) slot operations. A full adder is
-    a TRIPLE together with the QUINTUPLE that senses the parity of the same
-    three values: 5 ops write its carry and sum bit, and one more the sum's
-    complement when something reads it. Copies and zero writes are row
-    renames and cost nothing. pins sets every bit of a scratch slot to 0 or
+    are rows of a scratch buffer of `extra` rows; the multiply needs none,
+    since its temporaries fit in rows the copies rename. Each step is one
+    AND or one full adder, as (ufunc, x, y, out) slot operations. A full
+    adder is a TRIPLE together with the QUINTUPLE that senses the parity of
+    the same three values: 5 ops write its carry and sum bit, and one more
+    the sum's complement when something reads it. Copies and zero writes
+    are row renames and cost nothing. pins sets every bit of a slot to 0 or
     1 before the steps, as (slot, bit). loads lists the touched rows whose
     starting value the program uses. stores gives each slot whose value
     some rows end with in place of their own, and those rows, as (slot,
@@ -509,7 +514,6 @@ class Program:
     stores: tuple[tuple[int, tuple[int, ...]], ...]
 
 
-_AND, _MAJ3, _XOR3, _FA = "and", "maj3", "xor3", "full_adder"
 _ZERO, _ONES = -1, -2     # value ids of the pinned all-zero and all-one rows
 _BAND, _BOR, _BXOR = np.bitwise_and, np.bitwise_or, np.bitwise_xor
 # A state at most this many words wide runs its program on Python ints, a
@@ -526,15 +530,18 @@ def _values(events: Sequence[AapEvent], touched: int):
     """Symbolic run of the events over value ids: rows start as their own
     ids 0..touched-1, every logic event makes new ids, copies only rename.
 
-    Returns the logic steps as (op, input ids, output ids) and the final id
-    of every row. The multiply only ever activates a QUINTUPLE whose negated
-    row holds the majority of its own three inputs, so it senses their
-    parity (Ambit's sum bit) and becomes an XOR; its second output is the
-    complement restored into the negated row. Any other QUINTUPLE raises
-    ValueError: it has no step here, and apply_event stays its meaning.
+    Returns the steps as (input ids, output ids) and the final id of every
+    row. An AND_STAGE is a step with one output. A TRIPLE opens a full
+    adder over its three inputs, whose outputs are its carry (the
+    majority), its sum bit (the parity) and the sum's complement. The
+    multiply only ever activates a QUINTUPLE whose negated row holds the
+    carry of a full adder over the same three values, so it senses their
+    parity (Ambit's sum bit): its rows take that adder's sum and the
+    negated row the complement. Any other QUINTUPLE raises ValueError: it
+    has no step here, and apply_event stays its meaning.
     """
     row_val = list(range(touched))
-    majority_of: dict[int, list[int]] = {}
+    adders: dict[int, tuple[list[int], tuple[int, ...]]] = {}   # by carry
     steps = []
     fresh = touched
     for event in events:
@@ -547,153 +554,108 @@ def _values(events: Sequence[AapEvent], touched: int):
             for d in rows:
                 row_val[d] = _ZERO
             continue
+        if kind == QUINTUPLE:
+            inputs, outs = adders.get(row_val[rows[3]], (None, ()))
+            if inputs != sorted(row_val[r] for r in rows[:3]):
+                raise ValueError(
+                    f"quintuple activation {rows} is not a full adder's sum "
+                    f"bit: its negated row holds no carry of its inputs")
+            for d in rows:
+                row_val[d] = outs[1]
+            row_val[rows[3]] = outs[2]
+            continue
         if kind == AND_STAGE:
-            op, ins = _AND, rows[:2]
+            ins, width = rows[:2], 1
         elif kind == TRIPLE:
-            op, ins = _MAJ3, rows[:3]
-        elif kind == QUINTUPLE:
-            op, ins = _XOR3, rows[:3]
+            ins, width = rows[:3], 3
         else:
             raise ValueError(f"unknown AAP event kind {kind!r}")
         ins = tuple(row_val[r] for r in ins)
-        if op == _XOR3 and majority_of.get(row_val[rows[3]]) != sorted(ins):
-            raise ValueError(
-                f"quintuple activation {rows} is not a full adder's sum bit: "
-                f"its negated row does not hold the majority of its inputs")
-        outs = (fresh,) if op != _XOR3 else (fresh, fresh + 1)
-        fresh += len(outs)
+        outs = tuple(range(fresh, fresh + width))
+        fresh += width
         for d in rows:
             row_val[d] = outs[0]
-        if op == _MAJ3:
-            majority_of[outs[0]] = sorted(ins)
-        elif op == _XOR3:
-            row_val[rows[3]] = outs[1]
-        steps.append((op, ins, outs))
+        if kind == TRIPLE:
+            adders[outs[0]] = (sorted(ins), outs)
+        steps.append((ins, outs))
     return steps, row_val
 
 
-def _full_adders(steps, final):
-    """Fold each XOR3 of _values into the first MAJ3 over the same input
-    values, as one full-adder step (_FA) at the MAJ3's place.
-
-    Values never change, so the sum bit may be computed where the carry is.
-    A full adder's outs are (carry,) or, once an XOR3 joins it, (carry,
-    sum, complement). A later XOR3 over the same values gives the same bits
-    and takes the ids of the first one's outputs. Returns the steps and the
-    final id of every row, as _values does.
-    """
-    fused, first, same = [], {}, {}
-    for op, ins, outs in steps:
-        ins = tuple(same.get(v, v) for v in ins)
-        key = tuple(sorted(ins))
-        if op == _XOR3:
-            at = first[key]
-            _, adder_ins, adder_outs = fused[at]
-            if len(adder_outs) == 1:
-                fused[at] = (_FA, adder_ins, adder_outs + outs)
-            else:
-                same.update(zip(outs, adder_outs[1:]))
-            continue
-        if op == _MAJ3:
-            first.setdefault(key, len(fused))
-            op = _FA
-        fused.append((op, ins, outs))
-    return fused, [same.get(v, v) for v in final]
-
-
 def _compile(events: Sequence[AapEvent], touched: int) -> Program:
-    """Allocate slots to the values of the full-adder steps and emit the
-    slot program.
+    """Compile the steps of _values to a slot program.
 
-    A value's slot is freed after its last read unless some row ends with
-    it, and an output may reuse a slot freed by its own step once no later
-    op of the step reads it. An output takes the home slot of a row that
-    ends with it when that slot is free, so most rows keep their value in
-    place. An output that nothing reads and no row ends with is not
-    computed.
+    1. Lower each step to (ufunc, x, y, out) ops over value ids: an AND to
+       one op, a full adder to t=a^b, o=a&b, sum=t^c, t2=t&c, carry=o|t2
+       and comp=sum^ONES.
+    2. Drop every op whose output no kept op reads and no row ends with, in
+       one backward pass.
+    3. Give each value a slot in one forward scan. A row's own value starts
+       in that row, and _ZERO and _ONES are pinned before the first op. A
+       value's slot is freed after its last read unless some row ends with
+       it, so an op may overwrite an input it reads last. A value takes the
+       home row of a row that ends with it when that row is free, so most
+       rows get their value in place.
     """
-    steps, final = _full_adders(*_values(events, touched))
-    kept = set(final)
-    last_read = {v: i for i, (_, ins, _) in enumerate(steps) for v in ins}
-    live = kept | last_read.keys()
-    home_of: dict[int, list[int]] = {}
-    for r, v in enumerate(final):
-        if v >= touched:
-            home_of.setdefault(v, []).append(r)
-    free = {r for r in range(touched) if r not in live}
-    slot_of = {r: r for r in range(touched) if r not in free}
-    extra = 0
-    pins = []
-
-    def new_extra() -> int:
-        nonlocal extra
-        extra += 1
-        return touched + extra - 1
-
-    def pin(value: int, bit: int) -> int:
-        if value not in slot_of:
-            slot_of[value] = new_extra()
-            pins.append((slot_of[value], bit))
-        return slot_of[value]
-
-    t = new_extra()     # scratch row of the full adders
-    if _ZERO in live:
-        pin(_ZERO, 0)
-
-    def alloc(value: int) -> int:
-        for slot in home_of.get(value, ()):
-            if slot in free:
-                break
-        else:
-            slot = min(free) if free else new_extra()
-        free.discard(slot)
-        slot_of[value] = slot
-        return slot
-
-    def release(values: set[int], i: int) -> None:
-        for v in values:
-            if last_read[v] == i and v not in kept and v != _ZERO:
-                free.add(slot_of.pop(v))
-
-    program = []
-    for i, (op, ins, outs) in enumerate(steps):
-        x = [slot_of[v] for v in ins]
-        if op == _AND:
-            release(set(ins), i)
-            program.append(((_BAND, x[0], x[1], alloc(outs[0])),)
-                           if outs[0] in live else ())
+    steps, final = _values(events, touched)
+    # t, o and t2 take ids past every id of _values
+    fresh = itertools.count(touched + sum(len(outs) for _, outs in steps))
+    lowered = []
+    for ins, outs in steps:
+        if len(ins) == 2:
+            lowered.append([(_BAND, *ins, *outs)])
             continue
-        # t = a^b, carry = (a&b) | (t&c), sum = t^c: a and b are done once
-        # the carry's AND is written, c once t&c is
-        (a, b, c), (va, vb, vc) = x, ins
-        carry, *sums = outs
-        want_carry = carry in live
-        want_sum = any(v in live for v in sums)
-        ops = [(_BXOR, a, b, t)] if want_carry or want_sum else []
-        release({va, vb} - {vc}, i)
-        if want_carry:
-            o = alloc(carry)
-            ops.append((_BAND, a, b, o))
-        else:
-            release({vc}, i)
-        if want_sum:
-            s = alloc(sums[0])
-            ops.append((_BXOR, t, c, s))
-        if want_carry:
-            ops += [(_BAND, t, c, t), (_BOR, o, t, o)]
-            release({vc}, i)
-        if want_sum and sums[1] in live:
-            ops.append((_BXOR, s, pin(_ONES, 1), alloc(sums[1])))
-        if want_sum and sums[0] not in live:
-            free.add(slot_of.pop(sums[0]))
-        program.append(tuple(ops))
+        (a, b, c), (carry, total, comp) = ins, outs
+        t, o, t2 = next(fresh), next(fresh), next(fresh)
+        lowered.append([(_BXOR, a, b, t), (_BAND, a, b, o),
+                        (_BXOR, t, c, total), (_BAND, t, c, t2),
+                        (_BOR, o, t2, carry), (_BXOR, total, _ONES, comp)])
+
+    kept = set(final)
+    needed = set(kept)
+    for step in reversed(lowered):
+        used = []
+        for op in reversed(step):
+            if op[3] in needed:
+                needed.update(op[1:3])
+                used.append(op)
+        step[:] = used[::-1]
+
+    ops = [op for step in lowered for op in step]
+    last_read = {v: i for i, op in enumerate(ops) for v in op[1:3]}
     ends: dict[int, list[int]] = {}
     for r, v in enumerate(final):
         if v != r:
             ends.setdefault(v, []).append(r)
+    live = kept | last_read.keys()
+    slot_of = {r: r for r in range(touched) if r in live}
+    free = set(range(touched)) - live
+    extra = 0
+
+    def alloc(value: int) -> int:
+        nonlocal extra
+        homes = [r for r in ends.get(value, ()) if r in free]
+        if not homes and not free:
+            free.add(touched + extra)
+            extra += 1
+        slot = homes[0] if homes else min(free)
+        free.remove(slot)
+        slot_of[value] = slot
+        return slot
+
+    pins = tuple((alloc(v), bit) for v, bit in ((_ZERO, 0), (_ONES, 1))
+                 if v in live)
+    slotted = []
+    for i, (f, x, y, out) in enumerate(ops):
+        sx, sy = slot_of[x], slot_of[y]
+        for v in {x, y} - kept:
+            if last_read[v] == i:
+                free.add(slot_of.pop(v))
+        slotted.append((f, sx, sy, alloc(out)))
+    at = iter(slotted)
+    program = tuple(tuple(itertools.islice(at, len(step))) for step in lowered)
     loads = tuple(r for r in range(touched) if r in last_read or r in ends)
     stores = tuple((slot_of[v], tuple(rows)) for v, rows in ends.items())
-    return Program(touched, extra, tuple(pins), tuple(program), loads, stores)
+    return Program(touched, extra, pins, program, loads, stores)
 
 
 def _run_rows(program: Program, cells: np.ndarray) -> None:

@@ -18,6 +18,7 @@ values are overridable configuration, not measured ground truth.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
@@ -69,9 +70,12 @@ class TimingParams:
                 )
         for unit in SFU_UNITS:
             cycles = self.sfu_cycles.get(unit, 0)
-            if not (math.isfinite(cycles) and cycles >= 0):
+            # compared, not converted: math.isfinite overflows on a huge int
+            if not 0 <= cycles <= sys.float_info.max:
+                huge = isinstance(cycles, int) and cycles > 0
                 raise TimingConfigError(
-                    f"sfu_cycles.{unit} must be finite and >= 0, got {cycles}"
+                    f"sfu_cycles.{unit} must be finite and >= 0, got "
+                    + ("an int beyond float range" if huge else f"{cycles}")
                 )
 
     @property

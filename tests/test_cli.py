@@ -697,6 +697,9 @@ class TestMainEntry:
         ("t_aap = fast", "t_aap = 'fast' is not a valid float"),
         ("sfu_cycles.relu = 1.5", "sfu_cycles.relu = '1.5' is not a valid int"),
         ("t_aap = nan", "t_aap must be positive and finite, got nan"),
+        pytest.param("sfu_cycles.pool = " + "9" * 4300,
+                     "sfu_cycles.pool must be finite and >= 0, got an int "
+                     "beyond float range", id="sfu_cycles-beyond-float"),
     ])
     def test_bad_timing_config_exit_code(self, tmp_path, capsys, line,
                                          message):

@@ -5,6 +5,7 @@ import ast
 import inspect
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -67,6 +68,19 @@ class TestConvRef:
         assert got.shape == (3, 4, 4)
         assert np.array_equal(got, conv_loops(x, w, 1, 2))
         assert np.array_equal(got, oracle.conv_ref(x, w, 1, 1)[:, ::2, ::2])
+
+
+    @pytest.mark.parametrize("block", [1, 300, 1 << 20])
+    def test_blocks_of_output_rows_match_loops(self, monkeypatch, block):
+        # one output row per block, two per block with a short last block,
+        # and all nine in one; uint8 operands are promoted block by block
+        rng = np.random.default_rng(block)
+        x = rng.integers(0, 256, size=(2, 9, 7), dtype=np.uint8)
+        w = rng.integers(0, 256, size=(3, 2, 3, 3), dtype=np.uint8)
+        monkeypatch.setattr(oracle, "_BLOCK_ELEMENTS", block)
+        got = oracle.conv_ref(x, w, 1, 1)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, conv_loops(x, w, 1, 1))
 
 
 class TestMaxpoolRef:

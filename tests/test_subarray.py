@@ -508,10 +508,13 @@ def test_command_streams_are_frozen(n):
 # --------------------------------------------------------------------------
 
 def _ragged_state(n, pairs):
-    """State whose last word is ragged: 5 columns past the last full word."""
+    """State whose last word is ragged, 5 columns past the last full word,
+    with the operands in its last len(pairs) columns: the leading columns
+    hold zeros and the ragged word holds the last five pairs."""
     cols = 64 * -(-len(pairs) // 64) + 5
     st_ = new_subarray(9 + (n - 1) + 4 * n + 4, cols, n)
-    write_operands(st_, *zip(*pairs))
+    lead = [0] * (cols - len(pairs))
+    write_operands(st_, *(lead + list(values) for values in zip(*pairs)))
     return st_
 
 
@@ -537,8 +540,8 @@ class TestPackedCells:
         st_ = _ragged_state(n, pairs)
         multiply(st_)
         products = read_products(st_).tolist()
-        assert products[: len(pairs)] == [a * b for a, b in pairs], n
-        assert products[len(pairs):] == [0] * (st_.cols - len(pairs))
+        assert products[-len(pairs):] == [a * b for a, b in pairs], n
+        assert products[: -len(pairs)] == [0] * (st_.cols - len(pairs))
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_random_products_ragged_last_word(self, n):
@@ -548,7 +551,7 @@ class TestPackedCells:
         st_ = _ragged_state(n, pairs)
         multiply(st_)
         products = read_products(st_).tolist()
-        assert products[: len(pairs)] == [a * b for a, b in pairs], n
+        assert products[-len(pairs):] == [a * b for a, b in pairs], n
 
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("pair", [0, 1])
@@ -583,7 +586,7 @@ class TestPackedCells:
             subarray.apply_event(again.cells, event)
         assert np.array_equal(again.cells, st_.cells)
         products = read_products(again).tolist()
-        assert products[: len(pairs)] == [a * b for a, b in pairs]
+        assert products[-len(pairs):] == [a * b for a, b in pairs]
 
 
 # each executor on its own, and the dispatch that picks one by width
@@ -666,6 +669,88 @@ class TestCompiledMultiply:
             run(program, cells)
             assert np.array_equal(cells, want), run.__name__
 
+    # per n, for every pair: ops, steps, loaded rows, store slots, stored
+    # rows, stored rows whose value sits in another slot, scratch rows
+    SHAPES = {1: (1, 1, 2, 2, 11, 9, 0), 2: (15, 6, 4, 6, 12, 6, 0),
+              3: (57, 19, 7, 9, 16, 7, 0), 4: (155, 46, 9, 12, 19, 7, 0),
+              5: (339, 93, 11, 15, 22, 7, 0), 6: (639, 166, 13, 18, 25, 7, 0),
+              7: (1085, 271, 15, 21, 28, 7, 0),
+              8: (1707, 414, 17, 24, 31, 9, 0)}
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("pair", range(3))
+    def test_program_shape(self, n, pair):
+        program = subarray._schedule(n, pair).program
+        stored = [r for _, rows in program.stores for r in rows]
+        moved = [r for slot, rows in program.stores for r in rows
+                 if r != slot]
+        assert (sum(map(len, program.steps)), len(program.steps),
+                len(program.loads), len(program.stores), len(stored),
+                len(moved), program.extra) == self.SHAPES[n]
+        assert len(set(stored)) == len(stored)
+
+    @staticmethod
+    def _compiles_exactly(events, touched):
+        # every executor, on one, three and CUTOFF + 1 words of random
+        # cells and one row past the touched ones, leaves what the events do
+        program = subarray._compile(events, touched)
+        rng = np.random.default_rng(touched)
+        for words in (1, 3, CUTOFF + 1):
+            start = rng.integers(0, 1 << 64, size=(touched + 1, words),
+                                 dtype=np.uint64)
+            want = start.copy()
+            for event in events:
+                subarray.apply_event(want, event)
+            for run in EXECUTORS:
+                cells = start.copy()
+                run(program, cells)
+                assert np.array_equal(cells, want), (run.__name__, words)
+        return program
+
+    @staticmethod
+    def _copies(*pairs):
+        return [AapEvent(COPY, pair) for pair in pairs]
+
+    def test_two_triples_over_the_same_values(self):
+        # rows 0-2 hold a, b, c; rows 6 and 7 each take the carry of its
+        # own TRIPLE, which rows 10 and 11 keep, and a QUINTUPLE against
+        # each gives the sum twice
+        inputs = self._copies((0, 3), (1, 4), (2, 5))
+        events = [*inputs, AapEvent(TRIPLE, (3, 4, 5, 6, 10)),
+                  *inputs, AapEvent(TRIPLE, (3, 4, 5, 7, 11)),
+                  *inputs, AapEvent(QUINTUPLE, (3, 4, 5, 6, 8)),
+                  AapEvent(QUINTUPLE, (0, 1, 2, 7, 9))]
+        program = self._compiles_exactly(events, 12)
+        # each QUINTUPLE completes its own TRIPLE's full adder: carry, sum
+        # and complement
+        assert [len(step) for step in program.steps] == [6, 6]
+
+    def test_repeated_quintuple_reuses_the_sum(self):
+        # rows 6 and 7 both hold the carry; the second QUINTUPLE senses the
+        # same sum, and its complement, as the first
+        events = [*self._copies((0, 3), (1, 4), (2, 5)),
+                  AapEvent(TRIPLE, (3, 4, 5, 6, 7)),
+                  *self._copies((0, 3), (1, 4), (2, 5)),
+                  AapEvent(QUINTUPLE, (0, 1, 2, 6, 8)),
+                  AapEvent(QUINTUPLE, (3, 4, 5, 7, 9))]
+        program = self._compiles_exactly(events, 10)
+        # one full adder whose carry no row keeps: t, the sum and its
+        # complement, each held in one slot
+        assert [len(step) for step in program.steps] == [3]
+        assert len(program.stores) == 2
+
+    def test_and_feeding_only_a_dead_full_adder_costs_nothing(self):
+        # the AND feeds the TRIPLE, and every row either ends with zeros or
+        # keeps its own value: both steps are dropped, and nothing is loaded
+        events = [*self._copies((0, 4), (1, 5)),
+                  AapEvent(subarray.AND_STAGE, (4, 5, 3)),
+                  AapEvent(TRIPLE, (3, 2, 6)),
+                  AapEvent(subarray.WRITE_ROW0, (2, 3, 4, 5, 6))]
+        program = self._compiles_exactly(events, 7)
+        assert program.steps == ((), ())
+        assert program.loads == ()
+        assert program.pins == ((2, 0),)
+
     def test_quintuple_off_the_sum_bit_is_rejected(self):
         # the negated row holds no majority of the inputs, so the activation
         # is not a full adder's sum bit and has no compiled step
@@ -698,6 +783,6 @@ class TestCompiledMultiply:
         # 64 ANDs and 350 full adders, 36 of whose carries nothing reads
         assert len(sched.program.steps) == 414
         assert sum(map(len, sched.program.steps)) == 64 + 5 * 314 + 2 * 36 + 1
-        # copies are renames: the run needs only the full adders' scratch
-        # row and the all-ones row of the complement
-        assert sched.program.extra == 2
+        # copies are renames, and the full adders' temporaries and the
+        # all-ones row of the complement live in rows the copies rename
+        assert sched.program.extra == 0

@@ -310,3 +310,8 @@ class TestTimingConfig:
             TimingParams(t_row_read=float(value))
         with pytest.raises(TimingConfigError, match="finite"):
             TimingParams(sfu_cycles={"pool": float(value)})
+
+    def test_cycles_beyond_float_range_rejected(self):
+        # math.isfinite raised OverflowError on an int this large
+        with pytest.raises(TimingConfigError, match="beyond float range"):
+            TimingParams(sfu_cycles={"pool": 10**400})
