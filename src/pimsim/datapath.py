@@ -290,7 +290,6 @@ def sfu_stage(sums: np.ndarray, sfu: SfuParams) -> np.ndarray:
 @dataclass
 class BankAccounting:
     aap_total: int = 0
-    multiplies: int = 0
     plane_reads: int = 0
 
 
@@ -351,7 +350,6 @@ def bank_execute(
         for p in range(plan_slice.passes):
             events = multiply(state, pair=p)
             acct.aap_total += len(events) * subs
-            acct.multiplies += subs
             product = state.product_rows
             base = p * plan_slice.macs_per_pass
             mac_sums[base + held.start : base + held.stop] = packed_mac_sums(

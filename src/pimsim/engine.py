@@ -47,14 +47,12 @@ BANK_CHUNK_COLUMNS = 1 << 21
 
 
 @dataclass
-class LayerRun:
-    outputs: np.ndarray
-    accounting: BankAccounting
-
-
-@dataclass
 class FunctionalResult:
-    layer_runs: list[LayerRun]
+    """The accounting of each layer run, in order, and the first mismatch.
+    A layer's output tensor is not kept: it lives until the next layer has
+    read it."""
+
+    accounting: list[BankAccounting]
     mismatch: str | None = None
 
     @property
@@ -62,7 +60,7 @@ class FunctionalResult:
         return self.mismatch is None
 
     def total_aap(self) -> int:
-        return sum(run.accounting.aap_total for run in self.layer_runs)
+        return sum(acct.aap_total for acct in self.accounting)
 
 
 def default_quant_shift(layer: LayerSpec, n: int) -> int:
@@ -186,7 +184,7 @@ def run_layer(
     x: np.ndarray,
     w: np.ndarray,
     sfu: SfuParams,
-) -> LayerRun:
+) -> tuple[np.ndarray, BankAccounting]:
     step = max(1, BANK_CHUNK_COLUMNS // place.column_size)
     acts, weights = prepare_operands(place, layer, x, w)
 
@@ -197,8 +195,7 @@ def run_layer(
             place_operands(bank, place, acts, weights)
             yield from bank
 
-    outputs, acct = bank_execute(banks(), place, layer, sfu)
-    return LayerRun(outputs=outputs, accounting=acct)
+    return bank_execute(banks(), place, layer, sfu)
 
 
 def run_functional(
@@ -209,10 +206,10 @@ def run_functional(
     """Simulate the whole network and cross-check against the oracle.
 
     The plan, map_network's for this network, carries all the geometry.
-    Returns the per-layer runs; mismatch carries the first divergent element
-    if the datapath ever disagrees. The layers must chain (cli.run checks
-    it). Raises ConfigurationError if a layer's dot products could leave
-    int64, the width of the MAC sums here and in the oracle.
+    Returns the per-layer accounting; mismatch carries the first divergent
+    element if the datapath ever disagrees. The layers must chain (cli.run
+    checks it). Raises ConfigurationError if a layer's dot products could
+    leave int64, the width of the MAC sums here and in the oracle.
     """
     n = net.precision
     for idx, layer in enumerate(net.layers):
@@ -238,13 +235,12 @@ def run_functional(
         net, x0, weights,
         [(None, (sfu.quantize_width, sfu.quantize_shift)) for sfu in sfus])
 
-    layer_runs: list[LayerRun] = []
+    accounting: list[BankAccounting] = []
     mismatch = None
     x = x0
     for idx, (layer, place) in enumerate(zip(net.layers, plan.layers)):
-        run = run_layer(place, layer, x, weights[idx], sfus[idx])
-        layer_runs.append(run)
-        got = run.outputs
+        got, acct = run_layer(place, layer, x, weights[idx], sfus[idx])
+        accounting.append(acct)
         want = ref_outputs[idx]
         if got.shape != want.shape:
             mismatch = (
@@ -261,4 +257,4 @@ def run_functional(
             )
             break
         x = got
-    return FunctionalResult(layer_runs, mismatch)
+    return FunctionalResult(accounting, mismatch)

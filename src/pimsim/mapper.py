@@ -169,6 +169,8 @@ class NetworkDescription:
 
     def validate(self) -> list[str]:
         issues = []
+        if not isinstance(self.name, str):
+            issues.append(f"name must be a string, got {self.name!r}")
         if not _is_int(self.precision):
             issues.append(f"precision must be an integer, got {self.precision!r}")
         elif self.precision < 1:

@@ -4,8 +4,10 @@ A subarray is a rows x cols grid of single-bit cells. Nine reserved compute
 rows (row0, A, A-1, B, B-1, Cin, Cin-1, Cout, Cout-1) plus, for n > 2, a
 block of intermediate rows implement bitwise AND, bit-serial ADD and n x n
 multiplication as AAPs (ACTIVATE-ACTIVATE-PRECHARGE): RowClone copies and
-multi-row activations. Each primitive logs one AapTrace entry per AAP, so
-command counts can be audited exactly:
+multi-row activations. and_op and add_bitserial log one AapTrace entry
+per AAP into the state's trace; the multiply's command stream is recorded
+once per (n, pair) in its cached schedule, and a state logs none of it.
+So command counts can be audited exactly:
 
     and_count(n)     = n*n                AND operations per multiply
     add_count(n)     = (n-2)(n-1)+n       intermediate ADDs (0 when n == 1)
@@ -131,7 +133,9 @@ def word_count(cols: int) -> int:
 @dataclass
 class SubarrayState:
     """One subarray, or a packed bank of equal-width subarrays side by side:
-    bit-packed cell rows and its command trace.
+    bit-packed cell rows and the trace of the and_op and add_bitserial calls
+    made on it. A multiply logs nothing here: its command stream lives once
+    per (n, pair) in the cached schedule (_schedule).
 
     Row layout (fixed, derived from n alone): the compute rows ROW0..COUT1 at
     0..8, then n-1 intermediate rows, then 2n product rows, then operand data
@@ -744,24 +748,20 @@ def _schedule(n: int, pair: int) -> Schedule:
                     tuple(tr.add_spans), _compile(tr.events, touched))
 
 
-def multiply(state: SubarrayState, pair: int = 0) -> list[AapEvent]:
+def multiply(state: SubarrayState, pair: int = 0) -> tuple[AapEvent, ...]:
     """Multiply the operands of every column, product into P0..P(2n-1).
 
-    pair selects which stacked weight block multiplies the shared activation
-    bits. Runs the compiled program of the recorded sequence for (n, pair)
-    and logs its events: mul_aap_count(n) AAPs regardless of operand values
-    or column count.
+    pair selects the stacked weight block the shared activation bits are
+    multiplied with. Runs the compiled program of the sequence recorded once
+    for (n, pair) and returns that sequence's events, the cached schedule's
+    own tuple: mul_aap_count(n) AAPs regardless of operand values or column
+    count. The state's trace is left alone.
     """
     if not 0 <= pair < state.pair_capacity:
         raise ConfigurationError(
             f"pair {pair} exceeds stacking capacity {state.pair_capacity}"
         )
-    events, and_spans, add_spans, program = _schedule(state.n, pair)
-    _run_program(program, state.cells)
-    trace = state.trace
-    start = trace.total_aap
-    trace.and_spans.extend((lo + start, hi + start) for lo, hi in and_spans)
-    trace.add_spans.extend((lo + start, hi + start) for lo, hi in add_spans)
-    trace.events.extend(events)
-    return trace.events[start:]
+    schedule = _schedule(state.n, pair)
+    _run_program(schedule.program, state.cells)
+    return schedule.events
 

@@ -62,21 +62,17 @@ class TimingParams:
     dram_logic_penalty: float = 1.215     # DRAM-process delay on logic blocks
 
     def __post_init__(self):
-        for name in TIME_FIELDS:
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+        # compared, not converted: math.isfinite overflows on a huge int
+        checks = [(name, getattr(self, name), True) for name in TIME_FIELDS]
+        checks += [(f"sfu_cycles.{unit}", self.sfu_cycles.get(unit, 0), False)
+                   for unit in SFU_UNITS]
+        for name, value, positive in checks:
+            if not 0 <= value <= sys.float_info.max or positive and not value:
+                rule = "positive and finite" if positive else "finite and >= 0"
+                huge = isinstance(value, int) and value > 0
                 raise TimingConfigError(
-                    f"{name} must be positive and finite, got {value}"
-                )
-        for unit in SFU_UNITS:
-            cycles = self.sfu_cycles.get(unit, 0)
-            # compared, not converted: math.isfinite overflows on a huge int
-            if not 0 <= cycles <= sys.float_info.max:
-                huge = isinstance(cycles, int) and cycles > 0
-                raise TimingConfigError(
-                    f"sfu_cycles.{unit} must be finite and >= 0, got "
-                    + ("an int beyond float range" if huge else f"{cycles}")
-                )
+                    f"{name} must be {rule}, got "
+                    + ("an int beyond float range" if huge else f"{value}"))
 
     @property
     def logic_ns(self) -> float:

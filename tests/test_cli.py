@@ -668,6 +668,8 @@ class TestMainEntry:
         ("pool", "a", "pool must be an integer or null, got 'a'"),
         ("pool", 9, "pool window 9 must be 1 to 3 for the 3x3 output"),
         ("precision", "4", "precision must be an integer, got '4'"),
+        ("name", ["x", {"y": None}],
+         "name must be a string, got ['x', {'y': None}]"),
         ("parallelism", [1.5], "k must be an integer, got 1.5"),
         ("parallelism", [0], "k=0 must be at least 1"),
     ])

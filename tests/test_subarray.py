@@ -31,6 +31,7 @@ from pimsim.subarray import (
     ROW0,
     TRIPLE,
     AapEvent,
+    AapTrace,
     AliasingError,
     ConfigurationError,
     OperandRangeError,
@@ -50,6 +51,15 @@ COMPUTE = (ROW0, A, A1, B, B1, CIN, CIN1, COUT, COUT1)
 def make_state(n, cols=8, extra_rows=16):
     rows = 9 + (n - 1) + 4 * n + extra_rows
     return new_subarray(rows, cols, n)
+
+
+def multiply_trace(st_, pair=0):
+    """Run multiply and return its events as an AapTrace, with the AND and
+    ADD spans that the cached schedule recorded."""
+    events = multiply(st_, pair=pair)
+    schedule = subarray._schedule(st_.n, pair)
+    return AapTrace(list(events), list(schedule.and_spans),
+                    list(schedule.add_spans))
 
 
 # --------------------------------------------------------------------------
@@ -263,8 +273,7 @@ class TestMultiply:
     def test_cost_exactness(self, n):
         st_ = make_state(n, cols=4)
         write_operands(st_, [(1 << n) - 1], [(1 << n) - 1])
-        multiply(st_)
-        tr = st_.trace
+        tr = multiply_trace(st_)
         assert tr.total_aap == mul_aap_count(n)
         assert tr.and_ops == and_count(n)
         assert tr.add_ops == add_count(n)
@@ -292,19 +301,16 @@ class TestMultiply:
         for a, b in [(0, 0), (13, 7), (15, 15)]:
             st_ = make_state(4, cols=2)
             write_operands(st_, [a], [b])
-            multiply(st_)
-            traces.append(st_.trace.events)
+            traces.append(multiply(st_))
         assert traces[0] == traces[1] == traces[2]
 
     def test_simd_many_columns_same_trace(self):
         one = make_state(3, cols=1)
         write_operands(one, [5], [6])
-        multiply(one)
         many = make_state(3, cols=64)
         acts, weights = np.arange(64) % 8, (np.arange(64) * 3) % 8
         write_operands(many, acts, weights)
-        multiply(many)
-        assert one.trace.events == many.trace.events
+        assert multiply(one) == multiply(many)
         assert np.array_equal(read_products(many), acts * weights)
 
     def test_operand_rows_preserved(self):
@@ -335,9 +341,24 @@ class TestMultiply:
         b = data.draw(st.integers(0, (1 << n) - 1))
         st_ = new_subarray(9 + (n - 1) + 4 * n + 4, 2, n)
         write_operands(st_, [a], [b])
-        multiply(st_)
+        assert len(multiply(st_)) == mul_aap_count(n)
         assert read_products(st_)[0] == a * b
-        assert st_.trace.total_aap == mul_aap_count(n)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("pair", range(3))
+    def test_multiply_logs_nothing_and_returns_the_schedule(self, n, pair):
+        base = subarray.rows_needed(n, 3)
+        st_ = new_subarray(base + 3 * n + 1, 2, n)
+        # an AND and an ADD log first, so neither span list is empty
+        and_op(st_, st_.data_base, st_.data_base + n, (st_.product_rows[0],))
+        add_bitserial(st_, range(base - 2 * n, base - n),
+                      range(base - n, base), range(base, base + n + 1))
+        before = AapTrace(list(st_.trace.events), list(st_.trace.and_spans),
+                          list(st_.trace.add_spans))
+        events = multiply(st_, pair=pair)
+        assert st_.trace == before
+        assert events is subarray._schedule(n, pair).events
+        assert len(events) == mul_aap_count(n)
 
 
 # --------------------------------------------------------------------------
@@ -383,19 +404,22 @@ class TestTrace:
     def test_total_equals_event_count_and_monotone(self):
         st_ = make_state(2, cols=2)
         write_operands(st_, [1], [1])
-        counts = []
-        and_op(st_, st_.data_base, st_.data_base + 2, (st_.data_base + 5,))
+        counts = [st_.trace.total_aap]
+        base = st_.data_base
+        and_op(st_, base, base + 2, (base + 5,))
         counts.append(st_.trace.total_aap)
-        multiply(st_)
+        add_bitserial(st_, (base, base + 1), (base + 2, base + 3),
+                      (base + 4, base + 5, base + 6))
         counts.append(st_.trace.total_aap)
-        assert counts == sorted(counts)
+        assert counts == sorted(counts) == [0, 3, 3 + 9]
         assert st_.trace.total_aap == len(st_.trace.events)
+        recorded = multiply_trace(st_)
+        assert recorded.total_aap == len(recorded.events) == mul_aap_count(2)
 
     def test_golden_kind_sequence_n2(self):
         st_ = make_state(2, cols=1)
         write_operands(st_, [3], [3])
-        multiply(st_)
-        kinds = [e.kind for e in st_.trace.events]
+        kinds = [e.kind for e in multiply(st_)]
         assert kinds == [
             "write_row0",
             "copy", "copy", "and_stage",
@@ -426,13 +450,13 @@ class TestTrace:
         )
         st_ = new_subarray(32, 1, 2)
         write_operands(st_, [3], [3])
-        multiply(st_)
-        assert st_.trace.to_text() == golden
+        assert multiply_trace(st_).to_text() == golden
 
 
-# sha256 of AapTrace.to_text() per precision n: multiply at pairs 0, 1 and 2,
-# then add_bitserial. Frozen, so any change to the order or the rows of an
-# AAP above n=2 shows here, not only in the products and the counts.
+# sha256 of AapTrace.to_text() per precision n: the recorded multiply at
+# pairs 0, 1 and 2, then add_bitserial. Frozen, so any change to the order
+# or the rows of an AAP above n=2 shows here, not only in the products and
+# the counts.
 STREAM_SHA256 = {
     1: (
         "8144ff445a9f9e45159d5cb83cac5cca45be80d313126a0c8cd21f92ad1c0fb2",
@@ -494,8 +518,8 @@ def test_command_streams_are_frozen(n):
     *mul, add = STREAM_SHA256[n]
     for pair, digest in enumerate(mul):
         st_ = new_subarray(subarray.rows_needed(n, 3), 1, n)
-        multiply(st_, pair=pair)
-        assert _sha256(st_.trace.to_text()) == digest, (n, pair)
+        text = multiply_trace(st_, pair).to_text()
+        assert _sha256(text) == digest, (n, pair)
     base = subarray.rows_needed(n, 1)
     st_ = new_subarray(base + 3 * n + 1, 1, n)
     add_bitserial(st_, range(base, base + n), range(base + n, base + 2 * n),
@@ -562,17 +586,9 @@ class TestPackedCells:
         else:
             subarray._multiply_wide(fresh, pair)
         st_ = new_subarray(64, 3, n)
-        subarray._run(st_, COPY, (st_.data_base, st_.data_base + 1))
-        multiply(st_, pair=pair)
-        multiply(st_, pair=pair)
-        once = fresh.trace
-        assert st_.trace.events[1:] == once.events * 2
-        assert st_.trace.and_ops == 2 * once.and_ops
-        assert st_.trace.add_ops == 2 * once.add_ops
-        shifted = [(lo + 1, hi + 1) for lo, hi in once.and_spans]
-        shifted += [(lo + 1 + len(once.events), hi + 1 + len(once.events))
-                    for lo, hi in once.and_spans]
-        assert st_.trace.and_spans == shifted
+        first = multiply_trace(st_, pair)
+        assert first == fresh.trace
+        assert multiply_trace(st_, pair) == first
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_replay_of_parsed_trace_gives_same_products(self, n):
@@ -580,9 +596,9 @@ class TestPackedCells:
         pairs = [tuple(int(v) for v in rng.integers(0, 1 << n, 2))
                  for _ in range(70)]
         st_ = _ragged_state(n, pairs)
-        multiply(st_)
+        events = multiply(st_)
         again = _ragged_state(n, pairs)
-        for event in st_.trace.events:
+        for event in events:
             subarray.apply_event(again.cells, event)
         assert np.array_equal(again.cells, st_.cells)
         products = read_products(again).tolist()

@@ -15,6 +15,7 @@ from pimsim.timing import (
     AREA_UM2,
     POWER_NW,
     POWER_PCT,
+    TIME_FIELDS,
     TREE_LEVELS,
     LayerLatency,
     TimingConfigError,
@@ -100,7 +101,7 @@ class TestLayerLatency:
         params = TimingParams()
         lat = layer_latency(plan.layers[0], net.layers[0], params)
         result = run_functional(net, plan, seed=0)
-        loads = result.layer_runs[0].accounting.plane_reads // (2 * 2)
+        loads = result.accounting[0].plane_reads // (2 * 2)
         assert loads == 1
         assert lat.reduce_ns == pytest.approx(loads * (
             TREE_LEVELS * params.logic_ns + 2 * 2 * params.t_row_read))
@@ -315,3 +316,10 @@ class TestTimingConfig:
         # math.isfinite raised OverflowError on an int this large
         with pytest.raises(TimingConfigError, match="beyond float range"):
             TimingParams(sfu_cycles={"pool": 10**400})
+
+    @pytest.mark.parametrize("name", TIME_FIELDS)
+    def test_time_field_beyond_float_range_rejected(self, name):
+        # math.isfinite raised OverflowError on an int this large
+        with pytest.raises(TimingConfigError, match=f"^{name} must be "
+                           "positive and finite, got an int beyond float"):
+            TimingParams(**{name: 10**400})

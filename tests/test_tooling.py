@@ -1,9 +1,10 @@
-"""The benchmark's tracing contract, the example scripts and the README
-examples run on the current sources."""
+"""The benchmark's tracing contract, the example scripts, the module entry
+point and the README examples run on the current sources."""
 
 import hashlib
 import importlib
 import importlib.util
+import os
 import re
 import subprocess
 import sys
@@ -145,6 +146,26 @@ def test_script_runs(argv):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+@pytest.mark.parametrize("extra, status", [([], 0), (["--rows", "0"], 2)],
+                         ids=["runs", "rows-0"])
+def test_module_entry_point_exit_status(extra, status, tmp_path):
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-m", "pimsim", "--preset", "alexnet",
+         "--mode", "timing", "--cols", "32768", "--output", str(out), *extra],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert done.returncode == status, done.stderr
+    if status == 0:
+        assert sorted(p.name for p in out.iterdir()) == [
+            "plan.txt", "report.json", "report.txt"]
+    else:
+        assert done.stderr.startswith("error: ")
+        assert done.stderr.count("\n") == 1
+        assert not out.exists()
 
 
 def _readme_block(section):
