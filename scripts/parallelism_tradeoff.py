@@ -33,7 +33,7 @@ def main():
     for tag in sorted(PARALLELISM[args.preset.lower()]):
         net = preset(args.preset, tag)
         plan = map_network(net, args.column_size)
-        lats = network_latencies(net, plan, params)
+        lats = network_latencies(plan, params)
         rep = pipeline_schedule(lats, args.images)
         occupied = sum(p.occupied_bits() for p in plan.layers)
         depth = max(p.passes for p in plan.layers)

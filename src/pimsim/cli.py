@@ -120,9 +120,7 @@ def _build_report(
                 "transfer_ns": lat.transfer_ns,
                 "total_ns": lat.total_ns,
                 "aap_count": lat.aap_count,
-                "footprint_bits": footprint_bits(
-                    net.layers[place.layer_index], net.precision
-                ),
+                "footprint_bits": footprint_bits(place.layer, net.precision),
                 "placed_bits": place.placed_bits(),
                 "padding_bits": place.padding_bits(),
             }
@@ -245,7 +243,7 @@ def run(net: NetworkDescription, config: RunConfig,
     plan.reserved_banks = residual
 
     try:
-        latencies = timing.network_latencies(net, plan, config.timing)
+        latencies = timing.network_latencies(plan, config.timing)
         pipeline = timing.pipeline_schedule(latencies, config.images)
         residual_ns = timing.residual_overhead(
             residual, net.precision, config.timing, column_size

@@ -326,15 +326,14 @@ def packed_mac_sums(rows: np.ndarray, macs: int, mac_size: int) -> np.ndarray:
 
 def bank_execute(
     subarrays: Iterable[SubarrayState],
-    plan_slice,
-    layer,
+    place,
     sfu_params: SfuParams,
 ) -> tuple[np.ndarray, BankAccounting]:
-    """Run one layer on one bank: multiply, reduce, accumulate, SFU chain.
+    """Run place's layer on its bank: multiply, reduce, accumulate, SFU chain.
 
     subarrays are packed bank states (see subarray.SubarrayState) covering
     consecutive whole subarrays of the layer in order, with operands already
-    placed per plan_slice (a LayerPlacement) in MAC order; an iterable lets
+    placed in MAC order as the LayerPlacement lays them out; an iterable lets
     the caller build them one at a time. Stacked operand pairs execute as
     sequential passes, one multiply per pass and state, charged to every
     subarray it covers. Returns the post-SFU output tensor, (O, oh', ow')
@@ -342,22 +341,23 @@ def bank_execute(
     are those of the TREE_WIDTH-input tree.
     """
     acct = BankAccounting()
-    n = plan_slice.precision
-    mac_sums = np.zeros(plan_slice.macs_total, dtype=np.int64)
+    n = place.precision
+    mac_sums = np.zeros(place.macs_total, dtype=np.int64)
     for state in subarrays:
         subs = len(state.subarrays)
-        held = plan_slice.pass_macs(state.subarrays)
-        for p in range(plan_slice.passes):
+        held = place.pass_macs(state.subarrays)
+        for p in range(place.passes):
             events = multiply(state, pair=p)
             acct.aap_total += len(events) * subs
             product = state.product_rows
-            base = p * plan_slice.macs_per_pass
+            base = p * place.macs_per_pass
             mac_sums[base + held.start : base + held.stop] = packed_mac_sums(
                 state.cells[product.start : product.stop], len(held),
-                plan_slice.mac_size)
+                place.mac_size)
     acct.plane_reads = (
-        2 * n * plan_slice.passes * tree_loads_per_pass(plan_slice, TREE_WIDTH)
+        2 * n * place.passes * tree_loads_per_pass(place, TREE_WIDTH)
     )
+    layer = place.layer
     if layer.kind == "conv":
         mac_sums = mac_sums.reshape(layer.O, *layer.output_hw())
     return sfu_stage(mac_sums, sfu_params), acct

@@ -13,9 +13,9 @@ pair. bank_execute runs one multiply per pass, reduces the packed product
 rows by popcount, accumulates and runs the SFU chain. A
 layer wider than BANK_CHUNK_COLUMNS runs in chunks of whole subarrays, built
 one at a time. Each layer's output tensor is compared with the oracle's as it
-is and feeds the next layer unchanged. Every geometry parameter (rows,
-column size, precision, passes) is read from the layer's placement; the
-mapper owns their checks.
+is and feeds the next layer unchanged. The layer and every geometry
+parameter (rows, column size, precision, passes) are read from the layer's
+placement; the mapper owns their checks.
 """
 
 from __future__ import annotations
@@ -131,13 +131,13 @@ def _im2col(layer: LayerSpec, x: np.ndarray) -> np.ndarray:
     return cols.reshape(oh * ow, -1)
 
 
-def prepare_operands(place: LayerPlacement, layer: LayerSpec, x: np.ndarray,
+def prepare_operands(place: LayerPlacement, x: np.ndarray,
                      w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A layer's operands as place_operands takes them, in the smallest
     unsigned type of n bits: the im2col activations, (channel_positions,
     mac_size), and the weights, (output channels, mac_size)."""
     n = place.precision
-    return (_im2col(layer, _operand_bytes(x, n)),
+    return (_im2col(place.layer, _operand_bytes(x, n)),
             _operand_bytes(w, n).reshape(-1, place.mac_size))
 
 
@@ -178,15 +178,10 @@ def place_operands(
                             weights[ids // positions])
 
 
-def run_layer(
-    place: LayerPlacement,
-    layer: LayerSpec,
-    x: np.ndarray,
-    w: np.ndarray,
-    sfu: SfuParams,
-) -> tuple[np.ndarray, BankAccounting]:
+def run_layer(place: LayerPlacement, x: np.ndarray, w: np.ndarray,
+              sfu: SfuParams) -> tuple[np.ndarray, BankAccounting]:
     step = max(1, BANK_CHUNK_COLUMNS // place.column_size)
-    acts, weights = prepare_operands(place, layer, x, w)
+    acts, weights = prepare_operands(place, x, w)
 
     def banks():
         for first in range(0, place.subarrays_used, step):
@@ -195,7 +190,7 @@ def run_layer(
             place_operands(bank, place, acts, weights)
             yield from bank
 
-    return bank_execute(banks(), place, layer, sfu)
+    return bank_execute(banks(), place, sfu)
 
 
 def run_functional(
@@ -212,8 +207,8 @@ def run_functional(
     leave int64, the width of the MAC sums here and in the oracle.
     """
     n = net.precision
-    for idx, layer in enumerate(net.layers):
-        terms = mac_size(layer)
+    for idx, place in enumerate(plan.layers):
+        terms = place.mac_size
         if 2 * n + terms.bit_length() > 63:
             raise ConfigurationError(
                 f"layer {idx}: {terms}-term dot products at precision {n} "
@@ -238,8 +233,8 @@ def run_functional(
     accounting: list[BankAccounting] = []
     mismatch = None
     x = x0
-    for idx, (layer, place) in enumerate(zip(net.layers, plan.layers)):
-        got, acct = run_layer(place, layer, x, weights[idx], sfus[idx])
+    for idx, place in enumerate(plan.layers):
+        got, acct = run_layer(place, x, weights[idx], sfus[idx])
         accounting.append(acct)
         want = ref_outputs[idx]
         if got.shape != want.shape:

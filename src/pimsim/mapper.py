@@ -231,28 +231,52 @@ def footprint_bits(layer: LayerSpec, n: int) -> int:
 # Placement
 # --------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class LayerPlacement:
-    """Closed-form placement of one layer inside its bank.
+    """Closed-form placement of one layer inside its bank (bank layer_index).
 
-    MAC ids are global and consecutive: conv MAC f*num_macs+q is output
-    position q of filter f; linear MAC j is neuron j. Pass p holds MACs
-    [p*macs_per_pass, (p+1)*macs_per_pass), laid out identically, stacked at
-    pair depth p.
+    It holds the layer, its k (passes), the column size and the precision,
+    and derives every count from them once; a MAC wider than column_size
+    raises MappingError. MAC ids are global and consecutive: conv MAC
+    f*num_macs+q is output position q of filter f; linear MAC j is neuron
+    j. Pass p holds MACs [p*macs_per_pass, (p+1)*macs_per_pass), laid out
+    identically, stacked at pair depth p.
     """
 
     layer_index: int
-    bank: int
-    kind: str
-    mac_size: int
-    macs_total: int
+    layer: LayerSpec
     passes: int
-    macs_per_pass: int
-    macs_per_subarray: int
-    subarrays_used: int
     column_size: int
     precision: int
-    channel_positions: int      # MACs per output channel (1 for linear)
+    kind: str = field(init=False)
+    mac_size: int = field(init=False)
+    macs_total: int = field(init=False)
+    macs_per_pass: int = field(init=False)
+    macs_per_subarray: int = field(init=False)
+    subarrays_used: int = field(init=False)
+    channel_positions: int = field(init=False)  # MACs per output channel
+
+    def __post_init__(self):
+        layer, ms = self.layer, mac_size(self.layer)
+        if ms > self.column_size:
+            raise MappingError(
+                f"layer {self.layer_index}: MAC of {ms} multiplications "
+                f"exceeds column_size {self.column_size}; a MAC cannot span "
+                f"subarrays"
+            )
+        total = total_macs(layer)
+        per_pass, per_sub = total // self.passes, self.column_size // ms
+        # frozen: the derived fields are set past the blocked __setattr__
+        self.__dict__.update(
+            kind=layer.kind, mac_size=ms, macs_total=total,
+            macs_per_pass=per_pass, macs_per_subarray=per_sub,
+            subarrays_used=-(-per_pass // per_sub),
+            channel_positions=num_macs(layer) if layer.kind == "conv" else 1,
+        )
+
+    @property
+    def bank(self) -> int:
+        return self.layer_index
 
     def mac_location(self, mac_id: int) -> tuple[int, int, int, int]:
         """(pass, sub_no, col_no, pair_depth) for a MAC; 1-based sub/col."""
@@ -307,16 +331,8 @@ def _place_layer(
     idx: int, layer: LayerSpec, k: int, n: int, column_size: int,
     subarrays_per_bank: int | None, rows: int | None,
 ) -> LayerPlacement:
-    ms = mac_size(layer)
-    if ms > column_size:
-        raise MappingError(
-            f"layer {idx}: MAC of {ms} multiplications exceeds "
-            f"column_size {column_size}; a MAC cannot span subarrays"
-        )
-    total = total_macs(layer)
-    macs_per_pass = total // k
-    mps = column_size // ms
-    subs = -(-macs_per_pass // mps)
+    place = LayerPlacement(idx, layer, k, column_size, n)
+    subs = place.subarrays_used
     if subarrays_per_bank is not None and subs > subarrays_per_bank:
         raise MappingError(
             f"layer {idx}: needs {subs} subarrays at k={k}, bank has "
@@ -328,20 +344,7 @@ def _place_layer(
             f"layer {idx}: {rows} rows cannot stack {k} pairs at n={n} "
             f"(need {needed})"
         )
-    return LayerPlacement(
-        layer_index=idx,
-        bank=idx,
-        kind=layer.kind,
-        mac_size=ms,
-        macs_total=total,
-        passes=k,
-        macs_per_pass=macs_per_pass,
-        macs_per_subarray=mps,
-        subarrays_used=subs,
-        column_size=column_size,
-        precision=n,
-        channel_positions=num_macs(layer) if layer.kind == "conv" else 1,
-    )
+    return place
 
 
 def map_network(
@@ -408,50 +411,27 @@ def plan_residual(
 # --------------------------------------------------------------------------
 
 def validate_plan(plan: MappingPlan, net: NetworkDescription) -> list[str]:
-    """Check the mapping rules in closed form; returns a list of violations
-    (empty = clean).
-
-    Checked per layer: the MAC size matches the layer; the MACs of one
-    subarray fit its columns, so a MAC never spans subarrays and distinct
-    slots get disjoint columns; the MACs cover the analytic multiplication
-    count; the passes cover every MAC; one pass uses exactly the subarrays
-    it needs, and no more than the bank has. Together these make
-    `mac_location` one-to-one onto in-range (subarray, column, pair) slots.
+    """Check the plan against the network; returns a list of violations
+    (empty = clean): each placement must be its layer's, at the layer's k,
+    and fit the bank. A placement derives every count from its layer and k
+    and holds no MAC wider than its columns, so `mac_location` is then
+    one-to-one onto in-range (subarray, column, pair) slots.
     """
     issues: list[str] = []
     if len(plan.layers) != len(net.layers):
         return [f"plan has {len(plan.layers)} layers, network {len(net.layers)}"]
-    for place, layer in zip(plan.layers, net.layers):
-        tag = f"layer {place.layer_index}"
-        ms, mps = place.mac_size, place.macs_per_subarray
-        if ms != mac_size(layer) or ms < 1:
-            issues.append(f"{tag}: plan mac_size {ms} != {mac_size(layer)}")
-        if mps < 1 or mps * ms > place.column_size:
-            issues.append(
-                f"{tag}: {mps} MACs of {ms} multiplications per subarray "
-                f"overrun column_size {place.column_size} or a MAC spans "
-                f"subarrays"
-            )
-        if place.macs_total * ms != total_multiplications(layer):
-            issues.append(
-                f"{tag}: placed {place.macs_total * ms} multiplications, "
-                f"expected {total_multiplications(layer)}"
-            )
-        if place.passes * place.macs_per_pass != place.macs_total:
-            issues.append(f"{tag}: passes do not cover all MACs")
-        needed = -(-place.macs_per_pass // mps) if mps >= 1 else None
-        if needed is not None and place.subarrays_used != needed:
-            issues.append(
-                f"{tag}: uses {place.subarrays_used} subarrays, one pass "
-                f"needs {needed}"
-            )
+    for idx, (place, layer, k) in enumerate(
+        zip(plan.layers, net.layers, net.parallelism)
+    ):
+        if (place.layer_index, place.layer, place.passes) != (idx, layer, k):
+            issues.append(f"layer {idx}: placement is not this layer's at k={k}")
         if (
             plan.subarrays_per_bank is not None
             and place.subarrays_used > plan.subarrays_per_bank
         ):
             issues.append(
-                f"{tag}: uses {place.subarrays_used} subarrays, bank has "
-                f"{plan.subarrays_per_bank}"
+                f"layer {idx}: uses {place.subarrays_used} subarrays, bank "
+                f"has {plan.subarrays_per_bank}"
             )
     return issues
 
@@ -501,7 +481,7 @@ def plan_to_text(plan: MappingPlan) -> bytes:
             f"subarrays_used={pl.subarrays_used} "
             f"channel_positions={pl.channel_positions}\n".encode()
         )
-        if 0 < pl.macs_total <= LISTED_MACS:
+        if pl.macs_total <= LISTED_MACS:
             parts.append(_mac_listing(pl))
     for res in plan.reserved_banks:
         parts.append(

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
 from .datapath import TREE_WIDTH, tree_loads_per_pass
-from .mapper import LayerPlacement, LayerSpec, MappingPlan, NetworkDescription
+from .mapper import LayerPlacement, MappingPlan, NetworkDescription
 from .mapper import ResidualAssignment, map_network
 from .subarray import mul_aap_count
 
@@ -62,17 +62,29 @@ class TimingParams:
     dram_logic_penalty: float = 1.215     # DRAM-process delay on logic blocks
 
     def __post_init__(self):
-        # compared, not converted: math.isfinite overflows on a huge int
+        # the rules from_text applies; values are compared, not converted,
+        # since math.isfinite overflows on a huge int
         checks = [(name, getattr(self, name), True) for name in TIME_FIELDS]
-        checks += [(f"sfu_cycles.{unit}", self.sfu_cycles.get(unit, 0), False)
-                   for unit in SFU_UNITS]
+        checks += [(f"sfu_cycles.{unit}", self.sfu_cycles[unit], False)
+                   for unit in SFU_UNITS if unit in self.sfu_cycles]
         for name, value, positive in checks:
-            if not 0 <= value <= sys.float_info.max or positive and not value:
+            number = (isinstance(value, (int, float))
+                      and not isinstance(value, bool))
+            if number and (not 0 <= value <= sys.float_info.max
+                           or positive and not value):
                 rule = "positive and finite" if positive else "finite and >= 0"
                 huge = isinstance(value, int) and value > 0
                 raise TimingConfigError(
                     f"{name} must be {rule}, got "
                     + ("an int beyond float range" if huge else f"{value}"))
+            if not number or not positive and isinstance(value, float):
+                kind = "a number" if positive else "an integer"
+                raise TimingConfigError(
+                    f"{name} must be {kind}, got {value!r}")
+        if set(self.sfu_cycles) != set(SFU_UNITS):
+            raise TimingConfigError(
+                f"sfu_cycles must give one count per unit of {SFU_UNITS}, "
+                f"got {sorted(self.sfu_cycles)}")
 
     @property
     def logic_ns(self) -> float:
@@ -128,11 +140,7 @@ class LayerLatency:
         return self.total_ns - self.transfer_ns
 
 
-def layer_latency(
-    place: LayerPlacement,
-    layer: LayerSpec,
-    params: TimingParams,
-) -> LayerLatency:
+def layer_latency(place: LayerPlacement, params: TimingParams) -> LayerLatency:
     """Phase breakdown for one layer on its bank, at the placement's
     precision n.
 
@@ -143,8 +151,6 @@ def layer_latency(
     rate. transfer: RowClone rows to move the layer output, at row
     granularity of the column width.
     """
-    if place.macs_total == 0:
-        return LayerLatency(place.layer_index, 0.0, 0.0, 0.0, 0.0, 0.0, 0)
     n, passes = place.precision, place.passes
     mul_aaps = mul_aap_count(n) * passes
     multiply_ns = mul_aaps * params.t_aap
@@ -159,7 +165,7 @@ def layer_latency(
     )
     sfu_ns = place.macs_total * chain_cycles * params.logic_ns
 
-    outputs = layer.output_elements()
+    outputs = place.layer.output_elements()
     transpose_ns = outputs * params.sfu_cycles["transpose"] * params.logic_ns
 
     rows = -(-outputs * n // place.column_size)
@@ -321,15 +327,9 @@ def energy_estimate_nj(active_ns: float) -> dict:
 # Sweeps
 # --------------------------------------------------------------------------
 
-def network_latencies(
-    net: NetworkDescription,
-    plan: MappingPlan,
-    params: TimingParams,
-) -> list[LayerLatency]:
-    return [
-        layer_latency(place, layer, params)
-        for place, layer in zip(plan.layers, net.layers)
-    ]
+def network_latencies(plan: MappingPlan,
+                      params: TimingParams) -> list[LayerLatency]:
+    return [layer_latency(place, params) for place in plan.layers]
 
 
 def precision_sweep(
@@ -343,9 +343,8 @@ def precision_sweep(
     for n in sorted(n_values):
         if n < 1:
             raise TimingConfigError(f"precision {n} is invalid")
-        swept = replace(net, precision=n)
-        plan = map_network(swept, column_size)
-        lats = network_latencies(swept, plan, params)
+        plan = map_network(replace(net, precision=n), column_size)
+        lats = network_latencies(plan, params)
         report = pipeline_schedule(lats, 1)
         series.append(
             {

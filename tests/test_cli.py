@@ -489,8 +489,8 @@ class TestMainEntry:
         # tamper(layer_index, outputs) returns the outputs the run sees
         execute = engine.bank_execute
 
-        def tampered(banks, place, layer, sfu):
-            outputs, acct = execute(banks, place, layer, sfu)
+        def tampered(banks, place, sfu):
+            outputs, acct = execute(banks, place, sfu)
             return tamper(place.layer_index, outputs), acct
 
         monkeypatch.setattr(engine, "bank_execute", tampered)

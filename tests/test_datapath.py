@@ -290,8 +290,8 @@ def _run_single_layer(layer, x, w, n, sfu, cols=64):
     plan = map_network(net, column_size=cols)
     place = plan.layers[0]
     subarrays = build_bank(place)
-    place_operands(subarrays, place, *prepare_operands(place, layer, x, w))
-    return bank_execute(subarrays, place, layer, sfu)
+    place_operands(subarrays, place, *prepare_operands(place, x, w))
+    return bank_execute(subarrays, place, sfu)
 
 
 class TestBankExecute:
@@ -357,8 +357,8 @@ class TestBankExecute:
         place = plan.layers[0]
         assert place.passes == 2
         subarrays = build_bank(place)
-        place_operands(subarrays, place, *prepare_operands(place, layer, x, w))
-        outputs, acct = bank_execute(subarrays, place, layer, SfuParams())
+        place_operands(subarrays, place, *prepare_operands(place, x, w))
+        outputs, acct = bank_execute(subarrays, place, SfuParams())
         assert outputs.tolist() == [5, 6]
         assert acct.aap_total == 2 * mul_aap_count(3)   # one per pass
 
@@ -455,8 +455,8 @@ class TestVectorizedReduction:
         w = rng.integers(0, 1 << n, size=(macs * k, size))
         width = 1 << width_log2
         bank = build_bank(place)
-        place_operands(bank, place, *prepare_operands(place, layer, x, w))
-        outputs, acct = bank_execute(bank, place, layer, SfuParams())
+        place_operands(bank, place, *prepare_operands(place, x, w))
+        outputs, acct = bank_execute(bank, place, SfuParams())
         sums, reads = _seed_tree_reduction(
             place, n, width, lambda mac, j: int(x[j]) * int(w[mac, j]))
         assert outputs.tolist() == [sums[i] for i in range(place.macs_total)]

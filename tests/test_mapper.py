@@ -1,7 +1,7 @@
 """Mapping algorithm tests: counts, placement rules, footprints, residuals."""
 
 import re
-from dataclasses import asdict
+from dataclasses import FrozenInstanceError, asdict, replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from pimsim.mapper import (
     LISTED_MACS,
+    LayerPlacement,
     MappingError,
     NetworkDescription,
     conv_layer,
@@ -107,6 +108,17 @@ class TestMapNetwork:
         net = NetworkDescription("w", 4, [linear_layer(w1=100, w2=2)])
         with pytest.raises(MappingError, match="cannot span"):
             map_network(net, column_size=64)
+        # no placement of such a MAC can be built
+        with pytest.raises(MappingError, match=re.escape(
+                "layer 0: MAC of 100 multiplications exceeds column_size 64")):
+            LayerPlacement(0, net.layers[0], 1, 64, 4)
+
+    def test_placement_is_frozen(self):
+        net = NetworkDescription("f", 4, [linear_layer(w1=4, w2=6)])
+        place = map_network(net, column_size=64).layers[0]
+        for name in ("passes", "layer", "macs_total", "subarrays_used"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(place, name, getattr(place, name))
 
     def test_capacity_error_names_deficit(self):
         net = NetworkDescription(
@@ -183,10 +195,21 @@ class TestCompleteness:
             layer = linear_layer(w1=data.draw(st.integers(1, 30)), w2=w2)
             k = data.draw(st.sampled_from([1, 2]))
         net = NetworkDescription("p", 4, [layer], parallelism=[k])
-        plan = map_network(net, column_size=max(64, mac_size(layer)))
+        column_size = max(64, mac_size(layer))
+        plan = map_network(net, column_size=column_size)
         place = plan.layers[0]
         assert place.macs_total * place.mac_size == total_multiplications(layer)
         assert validate_plan(plan, net) == []
+        # every count the placement derives, against the closed forms
+        assert (place.mac_size, place.macs_total) == (mac_size(layer),
+                                                      total_macs(layer))
+        assert place.channel_positions == (
+            num_macs(layer) if kind == "conv" else 1)
+        assert place.macs_per_pass * k == place.macs_total
+        assert place.macs_per_subarray == column_size // mac_size(layer)
+        assert place.subarrays_used == -(-place.macs_per_pass
+                                         // place.macs_per_subarray)
+        assert (place.kind, place.bank) == (kind, 0)
 
     def test_monotone_parallelism(self):
         depths, cols = [], []
@@ -228,18 +251,19 @@ class TestValidatePlan:
         net, plan = self._plan()
         assert validate_plan(plan, net) == []
 
-    def test_injected_straddle_violation(self):
+    def test_placement_of_another_layer(self):
         net, plan = self._plan()
-        plan.layers[0].macs_per_subarray = 5    # 5 * 8 = 40 > 32
-        issues = validate_plan(plan, net)
-        assert any("spans subarrays" in v or "column_size" in v for v in issues)
+        plan.layers[0] = replace(plan.layers[0],
+                                 layer=linear_layer(w1=8, w2=6))
+        assert validate_plan(plan, net) == [
+            "layer 0: placement is not this layer's at k=2"]
 
     def test_injected_capacity_violation(self):
         net, plan = self._plan()
         plan.subarrays_per_bank = 1
-        plan.layers[0].subarrays_used = 3
+        plan.layers[0] = replace(plan.layers[0], column_size=8)
         issues = validate_plan(plan, net)
-        assert any("subarrays" in v for v in issues)
+        assert issues == ["layer 0: uses 2 subarrays, bank has 1"]
 
 
 def _reference_faults(plan, net):
@@ -275,57 +299,61 @@ def _reference_faults(plan, net):
     return faults
 
 
-TAMPERED_FIELDS = ("mac_size", "macs_per_subarray", "macs_per_pass", "passes",
-                   "macs_total", "subarrays_used", "column_size")
+# The fields a placement is built from; it derives every other one.
+TAMPERED_FIELDS = ("layer", "passes", "column_size")
+
+
+def _draw_layer(data):
+    """A small conv or linear layer and a k that divides its outputs."""
+    if data.draw(st.booleans()):
+        outputs = data.draw(st.sampled_from([2, 4, 6]))
+        layer = conv_layer(
+            H=data.draw(st.integers(2, 5)), W=data.draw(st.integers(2, 5)),
+            I=data.draw(st.integers(1, 2)), O=outputs, K=2, p=0, s=1,
+        )
+    else:
+        outputs = data.draw(st.sampled_from([4, 6, 9]))
+        layer = linear_layer(w1=data.draw(st.integers(1, 8)), w2=outputs)
+    k = data.draw(st.sampled_from([k for k in (1, 2, 3) if outputs % k == 0]))
+    return layer, k
 
 
 class TestValidatePlanClosedForm:
-    def test_subarrays_used_too_small(self):
+    def test_bank_one_subarray_short(self):
         # linear 8 -> 16 at column_size 32: 4 MACs per subarray, 4 subarrays
         net = NetworkDescription("u", 4, [linear_layer(w1=8, w2=16)])
         plan = map_network(net, column_size=32)
         assert plan.layers[0].subarrays_used == 4
-        plan.layers[0].subarrays_used = 1
+        plan.subarrays_per_bank = 3
         assert plan.layers[0].mac_location(15)[1] == 4
         assert _reference_faults(plan, net)
-        issues = validate_plan(plan, net)
-        assert any("one pass needs 4" in v for v in issues)
+        assert validate_plan(plan, net) == [
+            "layer 0: uses 4 subarrays, bank has 3"]
 
-    def test_mac_size_traded_against_mac_count(self):
-        # 6 MACs of 4 relabelled as 12 MACs of 2: every count still agrees,
-        # but the real MACs overlap
+    def test_another_layer_of_as_many_multiplications(self):
+        # 6 MACs of 4 placed as 12 MACs of 2: the multiplication count
+        # agrees, but the real MACs overlap
         net = NetworkDescription("m", 4, [linear_layer(w1=4, w2=6)])
         plan = map_network(net, column_size=32)
-        place = plan.layers[0]
-        place.mac_size, place.macs_per_subarray = 2, 16
-        place.macs_total = place.macs_per_pass = 12
-        assert _reference_faults(plan, net)
-        assert validate_plan(plan, net) == ["layer 0: plan mac_size 2 != 4"]
-
-    def test_mac_count_short_of_the_layer(self):
-        net = NetworkDescription("c", 4, [linear_layer(w1=4, w2=6)])
-        plan = map_network(net, column_size=32)
-        place = plan.layers[0]
-        place.macs_total = place.macs_per_pass = 5
+        plan.layers[0] = replace(plan.layers[0],
+                                 layer=linear_layer(w1=2, w2=12))
         assert _reference_faults(plan, net)
         assert validate_plan(plan, net) == [
-            "layer 0: placed 20 multiplications, expected 24"
-        ]
+            "layer 0: placement is not this layer's at k=1"]
+
+    def test_placement_at_a_k_that_does_not_divide(self):
+        # 6 MACs in 4 passes of one: MACs 4 and 5 fall below the last pass
+        net = NetworkDescription("c", 4, [linear_layer(w1=4, w2=6)])
+        plan = map_network(net, column_size=32)
+        plan.layers[0] = replace(plan.layers[0], passes=4)
+        assert _reference_faults(plan, net)
+        assert validate_plan(plan, net) == [
+            "layer 0: placement is not this layer's at k=1"]
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_no_fault_the_brute_force_walk_finds_is_missed(self, data):
-        if data.draw(st.booleans()):
-            o = data.draw(st.sampled_from([2, 4, 6]))
-            layer = conv_layer(
-                H=data.draw(st.integers(2, 5)), W=data.draw(st.integers(2, 5)),
-                I=data.draw(st.integers(1, 2)), O=o, K=2, p=0, s=1,
-            )
-            k = data.draw(st.sampled_from([k for k in (1, 2, 3) if o % k == 0]))
-        else:
-            w2 = data.draw(st.sampled_from([4, 6, 9]))
-            layer = linear_layer(w1=data.draw(st.integers(1, 8)), w2=w2)
-            k = data.draw(st.sampled_from([k for k in (1, 2, 3) if w2 % k == 0]))
+        layer, k = _draw_layer(data)
         net = NetworkDescription("t", 2, [layer], parallelism=[k])
         column_size = data.draw(st.integers(mac_size(layer), 3 * mac_size(layer)))
         plan = map_network(net, column_size)
@@ -334,11 +362,21 @@ class TestValidatePlanClosedForm:
         plan.subarrays_per_bank = data.draw(st.one_of(
             st.none(), st.integers(place.subarrays_used - 1,
                                    place.subarrays_used + 1)))
+        changes = {}
         for name in data.draw(st.lists(st.sampled_from(TAMPERED_FIELDS),
                                        min_size=1, unique=True)):
-            old = getattr(place, name)
-            setattr(place, name, data.draw(st.one_of(
-                st.integers(old - 2, old + 2), st.integers(-1, 2 * old + 1))))
+            if name == "layer":
+                changes[name] = _draw_layer(data)[0]
+            else:
+                high = 4 if name == "passes" else 3 * column_size
+                changes[name] = data.draw(st.integers(1, high))
+        try:
+            plan.layers[0] = replace(place, **changes)
+        except MappingError:
+            # a MAC wider than its columns has no placement at all
+            assert (mac_size(changes.get("layer", layer))
+                    > changes.get("column_size", column_size))
+            return
         if _reference_faults(plan, net):
             assert validate_plan(plan, net) != []
 

@@ -47,7 +47,7 @@ class TestLayerLatency:
     def test_multiply_phase_example(self):
         net = _toy_net(n=2)
         plan = map_network(net, 64)
-        lat = layer_latency(plan.layers[0], net.layers[0], TimingParams())
+        lat = layer_latency(plan.layers[0], TimingParams())
         assert lat.multiply_ns == pytest.approx(19 * 48.75)
 
     def test_stacked_pairs_double_multiply(self):
@@ -55,15 +55,15 @@ class TestLayerLatency:
         double = _toy_net(n=2, k=2)
         p1 = map_network(single, 64)
         p2 = map_network(double, 64)
-        l1 = layer_latency(p1.layers[0], single.layers[0], TimingParams())
-        l2 = layer_latency(p2.layers[0], double.layers[0], TimingParams())
+        l1 = layer_latency(p1.layers[0], TimingParams())
+        l2 = layer_latency(p2.layers[0], TimingParams())
         assert l2.multiply_ns == pytest.approx(2 * l1.multiply_ns)
 
     def test_phase_additivity(self):
         net = _toy_net(n=4)
         plan = map_network(net, 64)
-        for place, layer in zip(plan.layers, net.layers):
-            lat = layer_latency(place, layer, TimingParams())
+        for place in plan.layers:
+            lat = layer_latency(place, TimingParams())
             assert lat.total_ns == pytest.approx(
                 lat.multiply_ns + lat.reduce_ns + lat.sfu_ns
                 + lat.transpose_ns + lat.transfer_ns
@@ -76,7 +76,7 @@ class TestLayerLatency:
         off = TimingParams(dram_logic_penalty=1.0)
 
         def phases(params):
-            lat = layer_latency(plan.layers[0], net.layers[0], params)
+            lat = layer_latency(plan.layers[0], params)
             return lat
 
         with_p, without = phases(base), phases(off)
@@ -99,18 +99,12 @@ class TestLayerLatency:
         net = NetworkDescription("tree", 2, [linear_layer(w1=9, w2=14)])
         plan = map_network(net, 128)
         params = TimingParams()
-        lat = layer_latency(plan.layers[0], net.layers[0], params)
+        lat = layer_latency(plan.layers[0], params)
         result = run_functional(net, plan, seed=0)
         loads = result.accounting[0].plane_reads // (2 * 2)
         assert loads == 1
         assert lat.reduce_ns == pytest.approx(loads * (
             TREE_LEVELS * params.logic_ns + 2 * 2 * params.t_row_read))
-
-    def test_zero_mac_layer_is_free(self):
-        place = map_network(_toy_net(), 64).layers[0]
-        place.macs_total = 0
-        lat = layer_latency(place, _toy_net().layers[0], TimingParams())
-        assert lat.total_ns == 0
 
 
 def _simulate_epochs(busy, transfers, images):
@@ -323,3 +317,22 @@ class TestTimingConfig:
         with pytest.raises(TimingConfigError, match=f"^{name} must be "
                            "positive and finite, got an int beyond float"):
             TimingParams(**{name: 10**400})
+
+    @pytest.mark.parametrize("kwargs, message", [
+        # to_text printed this as `t_aap = True`
+        ({"t_aap": True}, "t_aap must be a number, got True"),
+        ({"logic_clock": "1"}, "logic_clock must be a number, got '1'"),
+        # to_text and the latency model failed with KeyError: 'batchnorm'
+        ({"sfu_cycles": {"relu": 2}},
+         r"sfu_cycles must give one count per unit of .*, got \['relu'\]"),
+        ({"sfu_cycles": {**TimingParams().sfu_cycles, "gelu": 1}},
+         r"sfu_cycles must give one count per unit of .*'gelu'"),
+        ({"sfu_cycles": {**TimingParams().sfu_cycles, "pool": 1.5}},
+         "sfu_cycles.pool must be an integer, got 1.5"),
+        ({"sfu_cycles": {**TimingParams().sfu_cycles, "pool": True}},
+         "sfu_cycles.pool must be an integer, got True"),
+    ], ids=["bool-time", "str-time", "missing-unit", "unknown-unit",
+            "float-cycles", "bool-cycles"])
+    def test_fields_checked_as_from_text_reads_them(self, kwargs, message):
+        with pytest.raises(TimingConfigError, match=f"^{message}"):
+            TimingParams(**kwargs)
