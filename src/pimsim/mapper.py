@@ -18,10 +18,9 @@ demand.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field, asdict
-
-import numpy as np
 
 from .subarray import rows_needed
 
@@ -171,6 +170,12 @@ class NetworkDescription:
         issues = []
         if not isinstance(self.name, str):
             issues.append(f"name must be a string, got {self.name!r}")
+        else:
+            # the reports carry the name as UTF-8; a lone surrogate has none
+            try:
+                self.name.encode()
+            except UnicodeEncodeError:
+                issues.append(f"name must encode to UTF-8, got {self.name!r}")
         if not _is_int(self.precision):
             issues.append(f"precision must be an integer, got {self.precision!r}")
         elif self.precision < 1:
@@ -236,8 +241,9 @@ class LayerPlacement:
     """Closed-form placement of one layer inside its bank (bank layer_index).
 
     It holds the layer, its k (passes), the column size and the precision,
-    and derives every count from them once; a MAC wider than column_size
-    raises MappingError. MAC ids are global and consecutive: conv MAC
+    and derives every count from them once; a MAC wider than column_size,
+    or a k that does not split the MACs into equal passes, raises
+    MappingError. MAC ids are global and consecutive: conv MAC
     f*num_macs+q is output position q of filter f; linear MAC j is neuron
     j. Pass p holds MACs [p*macs_per_pass, (p+1)*macs_per_pass), laid out
     identically, stacked at pair depth p.
@@ -265,6 +271,11 @@ class LayerPlacement:
                 f"subarrays"
             )
         total = total_macs(layer)
+        if self.passes < 1 or total % self.passes:
+            raise MappingError(
+                f"layer {self.layer_index}: k={self.passes} does not split "
+                f"its {total} MACs into equal passes"
+            )
         per_pass, per_sub = total // self.passes, self.column_size // ms
         # frozen: the derived fields are set past the blocked __setattr__
         self.__dict__.update(
@@ -413,9 +424,10 @@ def plan_residual(
 def validate_plan(plan: MappingPlan, net: NetworkDescription) -> list[str]:
     """Check the plan against the network; returns a list of violations
     (empty = clean): each placement must be its layer's, at the layer's k,
-    and fit the bank. A placement derives every count from its layer and k
-    and holds no MAC wider than its columns, so `mac_location` is then
-    one-to-one onto in-range (subarray, column, pair) slots.
+    and fit the bank. A placement derives every count from its layer and k,
+    splits its MACs into equal passes and holds no MAC wider than its
+    columns, so `mac_location` is then one-to-one onto in-range (subarray,
+    column, pair) slots.
     """
     issues: list[str] = []
     if len(plan.layers) != len(net.layers):
@@ -440,13 +452,21 @@ def validate_plan(plan: MappingPlan, net: NetworkDescription) -> list[str]:
 LISTED_MACS = 10000
 
 
+@functools.cache
+def _decimals() -> tuple[bytes, ...]:
+    """The ASCII decimals of 0..LISTED_MACS, every mac_id and sub_no a
+    listing prints; built on the first listing, not at import."""
+    return tuple(b"%d" % i for i in range(LISTED_MACS + 1))
+
+
 def _mac_listing(pl: LayerPlacement) -> bytes:
     """One line per MAC of the layer with its mac_location, each ending in a
     newline.
 
     A pass repeats one subarray's col_no run at one pair_depth, so those are
-    baked into a byte template; only mac_id and sub_no are formatted per
-    line, in one `%` over the layer.
+    baked into a byte template. mac_id and sub_no fill its `%s` holes from
+    the decimal table, in one `%` over the layer; no int is formatted per
+    line.
     """
     # a subarray can hold up to 2**63 - 1 one-column MACs; a pass fills at
     # most macs_per_pass of them
@@ -455,13 +475,18 @@ def _mac_listing(pl: LayerPlacement) -> bytes:
     cols = [b"%d" % (slot * pl.mac_size + 1) for slot in range(per_sub)]
     template = []
     for depth in range(pl.passes):
-        lines = [b"  mac_id=%%d sub_no=%%d col_no=%s pair_depth=%d\n"
+        lines = [b"  mac_id=%%s sub_no=%%s col_no=%s pair_depth=%d\n"
                  % (col, depth) for col in cols]
         template += [b"".join(lines) * full, *lines[:rest]]
-    mac = np.arange(pl.macs_total)
-    sub = mac % pl.macs_per_pass // per_sub + 1
-    return b"".join(template) % tuple(
-        np.stack([mac, sub], axis=1).ravel().tolist())
+    decimals = _decimals()
+    subs = [b""] * pl.macs_per_pass
+    for slot in range(per_sub):
+        # this slot of every full subarray, and of the last if it holds one
+        subs[slot::per_sub] = decimals[1:full + 1 + (slot < rest)]
+    values = [b""] * (2 * pl.macs_total)
+    values[::2] = decimals[:pl.macs_total]
+    values[1::2] = subs * pl.passes
+    return b"".join(template) % tuple(values)
 
 
 def plan_to_text(plan: MappingPlan) -> bytes:

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import os
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -15,6 +16,7 @@ from pimsim import engine, timing
 from pimsim.cli import (
     RunConfig,
     RunConfigError,
+    _write,
     emit_report,
     load_network,
     main,
@@ -166,6 +168,21 @@ class TestRunDriver:
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
         assert (a / "report.txt").read_bytes() == (b / "report.txt").read_bytes()
 
+    def test_rerun_over_longer_reports_rewrites_each_in_place(self, tmp_path):
+        # an AlexNet timing run leaves reports longer than the toy network's
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        status, _ = run(preset("alexnet"),
+                        RunConfig(mode="timing", rows=4096, cols=32768),
+                        reused)
+        assert status == 0
+        names = ("report.json", "report.txt", "plan.txt")
+        old = {name: (reused / name).stat().st_size for name in names}
+        for out in (reused, fresh):
+            assert run(toy_net(), RunConfig(mode="both", seed=3), out)[0] == 0
+        for name in names:
+            assert (reused / name).stat().st_size < old[name]
+            assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+
     def test_mode_consistency(self, tmp_path):
         _, func = run(toy_net(), RunConfig(mode="both", seed=4), None)
         _, tim = run(toy_net(), RunConfig(mode="timing", seed=4), None)
@@ -226,6 +243,26 @@ class TestReports:
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(RunConfigError):
             emit_report({}, "xml", tmp_path / "r.xml")
+
+    def test_writer_leaves_exactly_the_new_bytes(self, tmp_path):
+        path = tmp_path / "r.txt"
+        _write(path, b"a longer first version\n" * 100)
+        _write(path, b"short\n")
+        assert path.read_bytes() == b"short\n"
+        _write(path, b"")
+        assert path.read_bytes() == b""
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002],
+                             ids=["022", "077", "002"])
+    def test_writer_creates_the_mode_write_bytes_does(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            _write(tmp_path / "a", b"x")
+            (tmp_path / "b").write_bytes(b"x")
+        finally:
+            os.umask(old)
+        assert ((tmp_path / "a").stat().st_mode
+                == (tmp_path / "b").stat().st_mode)
 
 
 class TestFunctionalEngine:
@@ -693,6 +730,20 @@ class TestMainEntry:
         assert status == 2
         assert err.count("\n") == 1
         assert message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode", ["timing", "functional", "both"])
+    def test_name_without_utf8_exit_code(self, tmp_path, capsys, mode):
+        # a lone surrogate survives JSON but has no UTF-8 encoding
+        doc = json.loads(network_to_json(toy_net()))
+        doc["name"] = "\ud800"
+        netfile = tmp_path / "bad.json"
+        netfile.write_text(json.dumps(doc))
+        status = main(["--model", str(netfile), "--mode", mode,
+                       "--output", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err == "error: name must encode to UTF-8, got '\\ud800'\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("line,message", [

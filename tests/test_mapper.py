@@ -342,13 +342,16 @@ class TestValidatePlanClosedForm:
             "layer 0: placement is not this layer's at k=1"]
 
     def test_placement_at_a_k_that_does_not_divide(self):
-        # 6 MACs in 4 passes of one: MACs 4 and 5 fall below the last pass
-        net = NetworkDescription("c", 4, [linear_layer(w1=4, w2=6)])
-        plan = map_network(net, column_size=32)
-        plan.layers[0] = replace(plan.layers[0], passes=4)
-        assert _reference_faults(plan, net)
-        assert validate_plan(plan, net) == [
-            "layer 0: placement is not this layer's at k=1"]
+        # 6 MACs in 4 passes of one would leave MACs 4 and 5 unplaced, so no
+        # such placement can be built
+        with pytest.raises(MappingError, match=re.escape(
+                "layer 0: k=4 does not split its 6 MACs into equal passes")):
+            LayerPlacement(0, linear_layer(w1=4, w2=6), 4, 32, 4)
+
+    def test_placement_at_k_zero(self):
+        with pytest.raises(MappingError, match=re.escape(
+                "layer 0: k=0 does not split its 6 MACs into equal passes")):
+            LayerPlacement(0, linear_layer(w1=4, w2=6), 0, 32, 4)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -373,9 +376,11 @@ class TestValidatePlanClosedForm:
         try:
             plan.layers[0] = replace(place, **changes)
         except MappingError:
-            # a MAC wider than its columns has no placement at all
-            assert (mac_size(changes.get("layer", layer))
-                    > changes.get("column_size", column_size))
+            # a MAC wider than its columns, or a k that does not split the
+            # MACs into equal passes, has no placement at all
+            drawn = changes.get("layer", layer)
+            assert (mac_size(drawn) > changes.get("column_size", column_size)
+                    or total_macs(drawn) % changes.get("passes", k))
             return
         if _reference_faults(plan, net):
             assert validate_plan(plan, net) != []
