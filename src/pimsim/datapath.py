@@ -13,10 +13,12 @@ Python integers never overflow).
 
 bank_execute runs a layer on packed bank states (see subarray): one multiply
 per stacked pass drives every MAC column of the state at once, and the 2n
-packed product rows, MACs in order, are popcounted per MAC straight from
-their uint64 words (packed_mac_sums: prefix popcounts at the MAC boundary
-columns) and shift-added. That is the arithmetic the tree and accumulators
-perform; mac_plane_sums over unpacked planes, build_adder_tree, tree_reduce
+packed product rows, MACs in order, are reduced straight from their uint64
+words (packed_mac_sums): the per-word popcounts of the planes are first
+folded by the planes' weights 2**p, the shift-add, and one prefix of that
+weighted count is then differenced at the MAC boundary columns. That is the
+arithmetic the tree and accumulators perform, summed in the other order;
+mac_plane_sums over unpacked planes, build_adder_tree, tree_reduce
 and accumulate_bitplane are the references it is tested against. The row
 reads the TREE_WIDTH-input tree would need are counted by
 tree_loads_per_pass, the same arithmetic and the same width the timing model
@@ -308,20 +310,28 @@ def packed_mac_sums(rows: np.ndarray, macs: int, mac_size: int) -> np.ndarray:
     """mac_plane_sums on packed product rows, (2n, words) uint64, whose
     first macs * mac_size columns hold the MACs in order.
 
-    Each plane sum is a difference of prefix popcounts at the MACs' boundary
-    columns: the whole words before column c plus the low c % 64 bits of its
-    word. Bits past the last MAC are never counted. A boundary on the row's
-    end has c % 64 == 0, so it reads the last word under an all-zero mask.
+    The planes are folded by their weights 2**p before any prefix is taken:
+    the uint8 popcounts of every word, weighted and summed over the planes,
+    give one prefix of the row's shift-added count at each word boundary.
+    A MAC's sum is the difference of that prefix at its two boundary
+    columns, each the whole words before column c plus the low c % 64 bits
+    of its word, folded by the same weights. Bits past the last MAC are
+    never counted. A boundary on the row's end has c % 64 == 0, so it reads
+    the last word under an all-zero mask. The prefix wraps mod 2**64 once
+    the row's running total passes int64, and the differences stay exact
+    whenever each MAC sum fits in int64.
     """
-    counts = np.zeros((len(rows), rows.shape[1] + 1), dtype=np.int64)
-    np.cumsum(np.bitwise_count(rows), axis=1, out=counts[:, 1:])
+    weights = np.left_shift(1, np.arange(len(rows), dtype=np.int64))
+    prefix = np.zeros(rows.shape[1] + 1, dtype=np.int64)
+    np.cumsum(np.einsum("pw,p->w", np.bitwise_count(rows), weights),
+              out=prefix[1:])
     bounds = np.arange(macs + 1) * mac_size
     word = bounds >> 6
     tail = np.take(rows, np.minimum(word, rows.shape[1] - 1), axis=1)
     tail &= (np.uint64(1) << (bounds & 63).astype(np.uint64)) - np.uint64(1)
-    prefix = np.take(counts, word, axis=1) + np.bitwise_count(tail)
-    shifts = np.arange(len(rows))[:, None]
-    return np.diff((prefix << shifts).sum(axis=0))
+    prefix = prefix[word] + np.einsum("pw,p->w", np.bitwise_count(tail),
+                                      weights)
+    return np.diff(prefix)
 
 
 def bank_execute(

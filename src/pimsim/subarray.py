@@ -43,6 +43,7 @@ the subarrays it covers, each of which is charged the command stream.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 from dataclasses import dataclass, field
@@ -503,7 +504,10 @@ class Program:
     1 before the steps, as (slot, bit). loads lists the touched rows whose
     starting value the program uses. stores gives each slot whose value
     some rows end with in place of their own, and those rows, as (slot,
-    rows).
+    rows). moves gives the same stores as one copy per row whose value sits
+    in another slot, (row, slot), ordered so that every slot is read before
+    a copy overwrites it; where stored rows exchange values, the cycle
+    first saves one of them to a scratch row of its own.
 
     _run_program runs it on Python ints when the state is at most
     INT_ROW_WORDS words wide and on numpy rows when it is wider; either
@@ -516,6 +520,7 @@ class Program:
     steps: tuple[tuple[tuple[np.ufunc, int, int, int], ...], ...]
     loads: tuple[int, ...]
     stores: tuple[tuple[int, tuple[int, ...]], ...]
+    moves: tuple[tuple[int, int], ...]
 
 
 _ZERO, _ONES = -1, -2     # value ids of the pinned all-zero and all-one rows
@@ -598,7 +603,12 @@ def _compile(events: Sequence[AapEvent], touched: int) -> Program:
        value's slot is freed after its last read unless some row ends with
        it, so an op may overwrite an input it reads last. A value takes the
        home row of a row that ends with it when that row is free, so most
-       rows get their value in place.
+       rows get their value in place. Otherwise it takes a free row that no
+       value still to come ends in, or failing that one whose value ends in
+       other rows too, before a row that is the only home of a later value:
+       so no two stored rows of the multiply exchange values.
+    4. Order the copies of the rows whose value ends in another slot
+       (_order_moves).
     """
     steps, final = _values(events, touched)
     # t, o and t2 take ids past every id of _values
@@ -633,15 +643,24 @@ def _compile(events: Sequence[AapEvent], touched: int) -> Program:
     live = kept | last_read.keys()
     slot_of = {r: r for r in range(touched) if r in live}
     free = set(range(touched)) - live
+    awaited = {r for rows in ends.values() for r in rows}
     extra = 0
+
+    def cost(r: int) -> int:
+        # 0 when no value still to come ends in row r, 1 when the one that
+        # does ends in other rows too, 2 when r is its only home
+        if r not in awaited:
+            return 0
+        return 1 if len(ends[final[r]]) > 1 else 2
 
     def alloc(value: int) -> int:
         nonlocal extra
         homes = [r for r in ends.get(value, ()) if r in free]
+        awaited.difference_update(ends.get(value, ()))
         if not homes and not free:
             free.add(touched + extra)
             extra += 1
-        slot = homes[0] if homes else min(free)
+        slot = homes[0] if homes else min(free, key=lambda r: (cost(r), r))
         free.remove(slot)
         slot_of[value] = slot
         return slot
@@ -659,13 +678,38 @@ def _compile(events: Sequence[AapEvent], touched: int) -> Program:
     program = tuple(tuple(itertools.islice(at, len(step))) for step in lowered)
     loads = tuple(r for r in range(touched) if r in last_read or r in ends)
     stores = tuple((slot_of[v], tuple(rows)) for v, rows in ends.items())
-    return Program(touched, extra, pins, program, loads, stores)
+    moves = _order_moves(stores, touched + extra)
+    extra += any(row == touched + extra for row, _ in moves)
+    return Program(touched, extra, pins, program, loads, stores, moves)
+
+
+def _order_moves(stores: tuple[tuple[int, tuple[int, ...]], ...],
+                 scratch: int) -> tuple[tuple[int, int], ...]:
+    """The stores as (row, slot) copies of the rows whose value sits in
+    another slot, each row written only once no copy still to come reads
+    it. When every row left is still read, the rows left form cycles: one
+    of them is saved to slot scratch first and its readers read it there."""
+    source = {r: s for s, rows in stores for r in rows if r != s}
+    readers = collections.Counter(source.values())
+    moves = []
+    while source:
+        row = next((r for r in source if not readers[r]), None)
+        if row is None:
+            row = min(source)
+            moves.append((scratch, row))
+            source = {r: scratch if s == row else s for r, s in source.items()}
+            readers[row] = 0
+        slot = source.pop(row)
+        readers[slot] -= 1
+        moves.append((row, slot))
+    return tuple(moves)
 
 
 def _run_rows(program: Program, cells: np.ndarray) -> None:
     """Execute a compiled schedule on numpy cell rows: the op runs in place
     on views of the touched rows and on a scratch buffer, then the rows
-    whose final value sits in another slot take it from there."""
+    whose final value sits in another slot take it from there, one copy
+    each in the program's order of moves."""
     extra = np.empty((program.extra, cells.shape[1]), dtype=WORD)
     slots = [*cells[: program.touched], *extra]
     for slot, bit in program.pins:
@@ -673,9 +717,8 @@ def _run_rows(program: Program, cells: np.ndarray) -> None:
     for step in program.steps:
         for f, x, y, out in step:
             f(slots[x], slots[y], slots[out])
-    moved = [(r, s) for s, rows in program.stores for r in rows if r != s]
-    if moved:
-        cells[[r for r, _ in moved]] = np.stack([slots[s] for _, s in moved])
+    for row, slot in program.moves:
+        np.copyto(slots[row], slots[slot])
 
 
 def _run_ints(program: Program, cells: np.ndarray) -> None:

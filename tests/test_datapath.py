@@ -1,5 +1,7 @@
 """Adder tree, accumulator, SFU and whole-bank execution tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -535,6 +537,44 @@ class TestPackedReduction:
         # 5 MACs of 25 columns end at column 125, inside word 1
         assert packed_mac_sums(rows, 5, 25).tolist() == [25 * 3] * 5
         assert packed_mac_sums(rows, 3, 64).tolist() == [64 * 3] * 3
+
+    @pytest.mark.parametrize("planes, mac_size", [(62, 1), (61, 2), (60, 3)])
+    def test_running_total_past_int64(self, planes, mac_size):
+        # every bit set: each MAC sum fits in int64, but the row's running
+        # total passes 2**63 within a few MACs, so the folded prefix wraps
+        macs = 150
+        rows = np.full((planes, word_count(macs * mac_size)),
+                       np.uint64(2**64 - 1))
+        want = mac_plane_sums(np.ones((planes, macs, mac_size), np.uint8))
+        assert want.tolist() == [mac_size * (2**planes - 1)] * macs
+        assert np.array_equal(packed_mac_sums(rows, macs, mac_size), want)
+
+    def test_top_plane_weight_wraps(self):
+        # 64 planes: plane 63 weighs 2**63, which int64 wraps; with the top
+        # two planes clear every MAC sum still fits
+        rng = np.random.default_rng(4)
+        macs, cols = 90, 130
+        rows = rng.integers(0, 2**64, size=(64, word_count(cols)),
+                            dtype=np.uint64)
+        rows[62:] = 0
+        planes = unpack_columns(rows, cols)[:, :macs]
+        want = mac_plane_sums(planes.reshape(64, macs, 1))
+        assert np.array_equal(packed_mac_sums(rows, macs, 1), want)
+
+    def test_temporaries_stay_within_twice_the_rows(self):
+        # AlexNet-conv1-shaped call: 8 planes of 4,608 words, 4,096 MACs of
+        # 72 columns. Per-plane int64 prefix arrays would peak near 4x the
+        # rows' own bytes.
+        rng = np.random.default_rng(5)
+        rows = rng.integers(0, 2**64, size=(8, 4608), dtype=np.uint64)
+        packed_mac_sums(rows, 4096, 72)
+        tracemalloc.start()
+        try:
+            packed_mac_sums(rows, 4096, 72)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * rows.nbytes
 
 
 class TestOperandPlacement:

@@ -691,7 +691,7 @@ class TestCompiledMultiply:
               3: (57, 19, 7, 9, 16, 7, 0), 4: (155, 46, 9, 12, 19, 7, 0),
               5: (339, 93, 11, 15, 22, 7, 0), 6: (639, 166, 13, 18, 25, 7, 0),
               7: (1085, 271, 15, 21, 28, 7, 0),
-              8: (1707, 414, 17, 24, 31, 9, 0)}
+              8: (1707, 414, 17, 24, 31, 7, 0)}
 
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("pair", range(3))
@@ -704,6 +704,13 @@ class TestCompiledMultiply:
                 len(program.loads), len(program.stores), len(stored),
                 len(moved), program.extra) == self.SHAPES[n]
         assert len(set(stored)) == len(stored)
+        # no moved row is read by another move, so no two stored rows
+        # exchange values and the copies need no order
+        assert sorted(program.moves) == sorted(
+            (r, slot) for slot, rows in program.stores for r in rows
+            if r != slot)
+        assert not {r for r, _ in program.moves} & {
+            slot for _, slot in program.moves}
 
     @staticmethod
     def _compiles_exactly(events, touched):
@@ -766,6 +773,23 @@ class TestCompiledMultiply:
         assert program.steps == ((), ())
         assert program.loads == ()
         assert program.pins == ((2, 0),)
+
+    def test_rows_that_exchange_values_go_through_a_scratch_row(self):
+        # rows 0 and 1 swap through row 2, and row 3 takes row 1's old
+        # value: rows 3 and 2 are copied first, then row 0 is saved to the
+        # one scratch row that the cycle needs
+        events = self._copies((0, 2), (1, 0), (2, 1), (0, 3))
+        program = self._compiles_exactly(events, 4)
+        assert program.steps == ()
+        assert program.extra == 1
+        assert program.moves == ((3, 1), (2, 0), (4, 0), (0, 1), (1, 4))
+
+    def test_three_row_cycle_needs_one_scratch_row(self):
+        # rows 0, 1 and 2 rotate their values through row 3
+        events = self._copies((0, 3), (1, 0), (2, 1), (3, 2))
+        program = self._compiles_exactly(events, 4)
+        assert program.extra == 1
+        assert [row for row, _ in program.moves].count(4) == 1
 
     def test_quintuple_off_the_sum_bit_is_rejected(self):
         # the negated row holds no majority of the inputs, so the activation

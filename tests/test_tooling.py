@@ -148,6 +148,24 @@ def test_script_runs(argv):
     assert done.stdout
 
 
+def test_full_size_digests_cover_every_preset_vector():
+    # scripts/full_size.py runs at full size, outside the suite; its pinned
+    # digests must name every preset's parallelism vectors and nothing else
+    from pimsim.presets import PARALLELISM
+
+    spec = importlib.util.spec_from_file_location(
+        "full_size", ROOT / "scripts" / "full_size.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    want = {f"{name}-{vector}" for name, vectors in PARALLELISM.items()
+            for vector in vectors}
+    assert len(want) == 9
+    assert set(script.DIGESTS) == want
+    for digests in script.DIGESTS.values():
+        assert len(digests) == len(script.REPORTS)
+        assert all(re.fullmatch("[0-9a-f]{64}", d) for d in digests)
+
+
 @pytest.mark.parametrize("extra, status", [([], 0), (["--rows", "0"], 2)],
                          ids=["runs", "rows-0"])
 def test_module_entry_point_exit_status(extra, status, tmp_path):
