@@ -11,12 +11,16 @@ mapping or configuration failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
+from typing import BinaryIO
 
 from . import engine, timing
 from .mapper import (
@@ -34,6 +38,10 @@ from .mapper import (
 from .presets import PRESET_NAMES, preset
 from .subarray import ConfigurationError
 from .timing import TimingParams
+
+
+# what run writes under its output directory
+REPORT_NAMES = ("report.json", "report.txt", "plan.txt")
 
 
 class RunConfigError(ValueError):
@@ -87,21 +95,52 @@ def load_network(path: str | Path) -> NetworkDescription:
         raise MappingError(f"network file {p} nests too deeply") from None
 
 
-def _write(path: str | Path, data: bytes) -> None:
-    """Make the file at path hold exactly data.
+def _write(file, blocks: Iterable[bytes]) -> None:
+    """Make a file hold exactly the concatenated byte blocks.
 
-    An existing file is overwritten in place and then cut to len(data), not
-    truncated to zero first: ext4 (auto_da_alloc) flushes a file truncated
-    to zero and rewritten when it closes, which costs several times the
-    write itself. A new file gets the mode Path.write_bytes would give it.
+    file is a path or a binary file open for writing (see _open_reports).
+    An existing file is overwritten in place and then cut at the end of the
+    new bytes, not truncated to zero first: ext4 (auto_da_alloc) flushes a
+    file truncated to zero and rewritten when it closes, which costs several
+    times the write itself. A new file gets the mode Path.write_bytes would
+    give it.
     """
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
-        f.write(data)
-        f.truncate(len(data))
+    if isinstance(file, (str, os.PathLike)):
+        with open(os.open(file, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+            _write(f, blocks)
+        return
+    file.writelines(blocks)
+    file.truncate()
+
+
+def _open_reports(paths: list[Path]) -> list[BinaryIO]:
+    """Open every path for writing before any of them is written.
+
+    When one cannot be opened (it is a directory, say), the files already
+    open are closed, the ones this call created are removed, and the error
+    propagates with nothing written.
+    """
+    files, created = [], []
+    try:
+        for path in paths:
+            try:
+                fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL,
+                             0o666)
+                created.append(path)
+            except FileExistsError:
+                fd = os.open(path, os.O_WRONLY)
+            files.append(open(fd, "wb"))
+    except OSError:
+        for f in files:
+            f.close()
+        for path in created:
+            os.unlink(path)
+        raise
+    return files
 
 
 def save_network(net: NetworkDescription, path: str | Path) -> None:
-    _write(path, network_to_json(net).encode())
+    _write(path, [network_to_json(net).encode()])
 
 
 # --------------------------------------------------------------------------
@@ -215,18 +254,65 @@ def _format_table(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_report(report: dict, fmt: str, path: str | Path) -> Path:
-    """Write the report as a table or JSON document; JSON re-parses losslessly."""
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
+# containers whose items json.dumps puts on lines of their own
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.cache
+def _flat_encoder(depth: int):
+    """The C encoder for a container at depth whose values are all scalars.
+
+    Its item separator starts each item on a line at depth + 1, so only the
+    container's brackets still need padding.
+    """
+    return json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+        None, ": ", ",\n" + "  " * (depth + 1), False, False, True)
+
+
+def _indented_json(value, depth: int = 0) -> str:
+    """json.dumps(value, indent=2) for a value with str keys, at C speed.
+
+    json.dumps runs its pure-Python encoder whenever indent is set. Here
+    each non-empty container of scalars goes through the C encoder, and
+    Python joins only the containers that hold containers.
+    """
+    encode = _flat_encoder(depth)
+    if not isinstance(value, _CONTAINERS):
+        return "".join(encode(value, 0))
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    items = value.values() if isinstance(value, dict) else value
+    pad = "\n" + "  " * depth
+    if not any(map(isinstance, items, repeat(_CONTAINERS))):
+        text = "".join(encode(value, 0))
+        return f"{text[0]}{pad}  {text[1:-1]}{pad}{text[-1]}"
+    if isinstance(value, dict):
+        parts = [f"{json.encoder.encode_basestring_ascii(key)}: "
+                 f"{_indented_json(item, depth + 1)}"
+                 for key, item in value.items()]
+        brackets = "{}"
+    else:
+        parts = [_indented_json(item, depth + 1) for item in value]
+        brackets = "[]"
+    return f"{brackets[0]}{pad}  {f',{pad}  '.join(parts)}{pad}{brackets[1]}"
+
+
+def emit_report(report: dict, fmt: str,
+                path: str | Path | BinaryIO) -> Path | BinaryIO:
+    """Write the report as a table or JSON document to path, or to a binary
+    file open for writing; JSON re-parses losslessly."""
     if fmt == "table":
         text = _format_table(report)
     elif fmt == "json":
-        text = json.dumps(report, indent=2) + "\n"
+        text = _indented_json(report) + "\n"
     else:
         raise RunConfigError(f"unknown report format {fmt!r}")
-    _write(out, text.encode())
-    return out
+    if isinstance(path, (str, os.PathLike)):
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+    _write(path, [text.encode()])
+    return path
 
 
 # --------------------------------------------------------------------------
@@ -298,9 +384,13 @@ def run(net: NetworkDescription, config: RunConfig,
     )
     if output_dir is not None:
         out = Path(output_dir)
-        emit_report(report, "json", out / "report.json")
-        emit_report(report, "table", out / "report.txt")
-        _write(out / "plan.txt", plan_to_text(plan))
+        out.mkdir(parents=True, exist_ok=True)
+        json_file, table_file, plan_file = _open_reports(
+            [out / name for name in REPORT_NAMES])
+        with json_file, table_file, plan_file:
+            emit_report(report, "json", json_file)
+            emit_report(report, "table", table_file)
+            _write(plan_file, plan_to_text(plan))
     return status, report
 
 

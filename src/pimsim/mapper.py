@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field, asdict
 
 from .subarray import rows_needed
@@ -450,6 +451,8 @@ def validate_plan(plan: MappingPlan, net: NetworkDescription) -> list[str]:
 
 # Layers with at most this many MACs get a per-MAC listing in plan.txt.
 LISTED_MACS = 10000
+# plan_to_text yields plan.txt in blocks of at most this many bytes.
+BLOCK_BYTES = 1 << 16
 
 
 @functools.cache
@@ -459,61 +462,83 @@ def _decimals() -> tuple[bytes, ...]:
     return tuple(b"%d" % i for i in range(LISTED_MACS + 1))
 
 
-def _mac_listing(pl: LayerPlacement) -> bytes:
-    """One line per MAC of the layer with its mac_location, each ending in a
-    newline.
+def _mac_listing(pl: LayerPlacement) -> Iterator[bytes]:
+    """One line per MAC of the layer with its mac_location, in blocks of at
+    most BLOCK_BYTES.
 
-    A pass repeats one subarray's col_no run at one pair_depth, so those are
-    baked into a byte template. mac_id and sub_no fill its `%s` holes from
-    the decimal table, in one `%` over the layer; no int is formatted per
-    line.
+    A pass repeats one subarray's col_no run at one pair_depth, so a block
+    of `group` whole subarrays is one `%` over a byte template made once per
+    pass. mac_id and sub_no fill its `%s` holes from the decimal table; no
+    int is formatted per line. A subarray whose lines exceed a block is
+    split into runs of slots instead, one block each.
     """
     # a subarray can hold up to 2**63 - 1 one-column MACs; a pass fills at
     # most macs_per_pass of them
     per_sub = min(pl.macs_per_subarray, pl.macs_per_pass)
-    full, rest = divmod(pl.macs_per_pass, per_sub)
     cols = [b"%d" % (slot * pl.mac_size + 1) for slot in range(per_sub)]
-    template = []
+    decimals = _decimals()
     for depth in range(pl.passes):
         lines = [b"  mac_id=%%s sub_no=%%s col_no=%s pair_depth=%d\n"
                  % (col, depth) for col in cols]
-        template += [b"".join(lines) * full, *lines[:rest]]
-    decimals = _decimals()
-    subs = [b""] * pl.macs_per_pass
-    for slot in range(per_sub):
-        # this slot of every full subarray, and of the last if it holds one
-        subs[slot::per_sub] = decimals[1:full + 1 + (slot < rest)]
-    values = [b""] * (2 * pl.macs_total)
-    values[::2] = decimals[:pl.macs_total]
-    values[1::2] = subs * pl.passes
-    return b"".join(template) % tuple(values)
+        # filled, a line is at most 6 bytes longer: each hole takes a
+        # decimal of at most 5 digits
+        sub_bytes = sum(map(len, lines)) + 6 * per_sub
+        if sub_bytes <= BLOCK_BYTES:
+            group, step = BLOCK_BYTES // sub_bytes, per_sub
+        else:
+            # the last line has the widest col_no
+            group, step = 1, BLOCK_BYTES // (len(lines[-1]) + 6)
+        base, end = depth * pl.macs_per_pass, (depth + 1) * pl.macs_per_pass
+        shape = template = None
+        for sub in range(0, pl.subarrays_used, group):
+            for start in range(0, per_sub, step):
+                lo = base + sub * per_sub + start
+                if lo >= end:
+                    break
+                width = min(step, per_sub - start)
+                hi = min(lo + (group - 1) * per_sub + width, end)
+                count = hi - lo
+                whole, part = divmod(count, width)
+                if shape != (start, count):
+                    # every full block of the pass shares one template; the
+                    # last one's is dropped before the next is built
+                    shape, template = (start, count), None
+                    template = (b"".join(lines[start:start + width]) * whole
+                                + b"".join(lines[start:start + part]))
+                values = [b""] * (2 * count)
+                values[::2] = decimals[lo:hi]
+                if group == 1:
+                    values[1::2] = [decimals[sub + 1]] * count
+                else:
+                    # this slot of every subarray in the block, and of the
+                    # last if the pass ends inside it and it holds the slot
+                    for slot in range(per_sub):
+                        values[2 * slot + 1::2 * per_sub] = decimals[
+                            sub + 1:sub + 1 + whole + (slot < part)]
+                # the list is freed before the block is allocated
+                values = tuple(values)
+                yield template % values
 
 
-def plan_to_text(plan: MappingPlan) -> bytes:
-    """Serialize a plan as the ASCII bytes of plan.txt; layers of at most
-    LISTED_MACS MACs also list per-MAC entries."""
-    parts = [
-        f"plan column_size={plan.column_size} "
-        f"subarrays_per_bank={plan.subarrays_per_bank or 0} "
-        f"precision={plan.precision}\n".encode()
-    ]
+def plan_to_text(plan: MappingPlan) -> Iterator[bytes]:
+    """The ASCII bytes of plan.txt, in blocks of at most BLOCK_BYTES: the
+    header, one line per layer and per reserved bank, and the per-MAC lines
+    of each layer of at most LISTED_MACS MACs."""
+    yield (f"plan column_size={plan.column_size} "
+           f"subarrays_per_bank={plan.subarrays_per_bank or 0} "
+           f"precision={plan.precision}\n".encode())
     for pl in plan.layers:
-        parts.append(
-            f"layer index={pl.layer_index} bank={pl.bank} kind={pl.kind} "
-            f"mac_size={pl.mac_size} macs_total={pl.macs_total} "
-            f"passes={pl.passes} macs_per_pass={pl.macs_per_pass} "
-            f"macs_per_subarray={pl.macs_per_subarray} "
-            f"subarrays_used={pl.subarrays_used} "
-            f"channel_positions={pl.channel_positions}\n".encode()
-        )
+        yield (f"layer index={pl.layer_index} bank={pl.bank} kind={pl.kind} "
+               f"mac_size={pl.mac_size} macs_total={pl.macs_total} "
+               f"passes={pl.passes} macs_per_pass={pl.macs_per_pass} "
+               f"macs_per_subarray={pl.macs_per_subarray} "
+               f"subarrays_used={pl.subarrays_used} "
+               f"channel_positions={pl.channel_positions}\n".encode())
         if pl.macs_total <= LISTED_MACS:
-            parts.append(_mac_listing(pl))
+            yield from _mac_listing(pl)
     for res in plan.reserved_banks:
-        parts.append(
-            f"reserved bank={res.reserved_bank} src={res.edge[0]} "
-            f"dst={res.edge[1]} bits={res.transfer_bits}\n".encode()
-        )
-    return b"".join(parts)
+        yield (f"reserved bank={res.reserved_bank} src={res.edge[0]} "
+               f"dst={res.edge[1]} bits={res.transfer_bits}\n".encode())
 
 
 # --------------------------------------------------------------------------

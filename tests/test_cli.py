@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 
 from pimsim import engine, timing
 from pimsim.cli import (
+    REPORT_NAMES,
     RunConfig,
     RunConfigError,
+    _indented_json,
     _write,
     emit_report,
     load_network,
@@ -138,7 +140,8 @@ class TestRunDriver:
         plan = map_network(net, config.column_size, config.subarrays_per_bank,
                            config.rows)
         plan.reserved_banks = plan_residual(net, 3)
-        assert (tmp_path / "plan.txt").read_bytes() == plan_to_text(plan)
+        assert ((tmp_path / "plan.txt").read_bytes()
+                == b"".join(plan_to_text(plan)))
 
     def test_infeasible_mapping_is_documented_failure(self):
         net = toy_net()
@@ -246,18 +249,40 @@ class TestReports:
 
     def test_writer_leaves_exactly_the_new_bytes(self, tmp_path):
         path = tmp_path / "r.txt"
-        _write(path, b"a longer first version\n" * 100)
-        _write(path, b"short\n")
+        _write(path, [b"a longer first version\n" * 100])
+        _write(path, [b"short\n"])
         assert path.read_bytes() == b"short\n"
-        _write(path, b"")
+        # blocks from a generator, over a longer file and then over a
+        # shorter one
+        blocks = [b"%d\n" % i * 3000 for i in range(5)]
+        _write(path, [b"x" * 100_000])
+        _write(path, (block for block in blocks))
+        assert path.read_bytes() == b"".join(blocks)
+        _write(path, (block for block in blocks * 3))
+        assert path.read_bytes() == b"".join(blocks * 3)
+        _write(path, [])
         assert path.read_bytes() == b""
+
+    @settings(deadline=None)
+    @given(value=st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats()
+        | st.text(),
+        lambda children: st.lists(children)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(st.text(), children),
+        max_leaves=40))
+    @example(value={"a\"\\é\n": ["\u2603 \"q\"", -0.0, float("nan"),
+                                 float("-inf"), 10**30, True, None]})
+    @example(value={"e": {}, "l": [], "n": [[], {}, [[{}]]], "s": 1.5e-300})
+    def test_indented_json_is_the_stdlib_text(self, value):
+        assert _indented_json(value) == json.dumps(value, indent=2)
 
     @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002],
                              ids=["022", "077", "002"])
     def test_writer_creates_the_mode_write_bytes_does(self, tmp_path, umask):
         old = os.umask(umask)
         try:
-            _write(tmp_path / "a", b"x")
+            _write(tmp_path / "a", [b"x"])
             (tmp_path / "b").write_bytes(b"x")
         finally:
             os.umask(old)
@@ -455,6 +480,35 @@ class TestMainEntry:
         assert status == 2
         assert err == "error: subarray dimensions must be positive\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", REPORT_NAMES)
+    def test_report_name_that_is_a_directory_writes_nothing(
+            self, tmp_path, capsys, name):
+        # every report file is opened before any is written; the ones this
+        # run created are removed again
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        status = main(["--preset", "alexnet", "--mode", "timing",
+                       "--cols", "32768", "--output", str(out)])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert [p.name for p in out.iterdir()] == [name]
+
+    def test_reports_of_an_earlier_run_stay_when_one_cannot_open(
+            self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["--preset", "alexnet", "--mode", "timing",
+                     "--cols", "32768", "--output", str(out)]) == 0
+        before = {name: (out / name).read_bytes()
+                  for name in ("report.json", "report.txt")}
+        (out / "plan.txt").unlink()
+        (out / "plan.txt").mkdir()
+        status = main(["--preset", "vgg16", "--mode", "timing",
+                       "--cols", "32768", "--output", str(out)])
+        assert status == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert {name: (out / name).read_bytes() for name in before} == before
 
     def test_mapping_failure_exit_code(self, tmp_path, capsys):
         status = main([

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pimsim.mapper import (
+    BLOCK_BYTES,
     LISTED_MACS,
     LayerPlacement,
     MappingError,
@@ -170,8 +171,8 @@ class TestMapNetwork:
              linear_layer(w1=16, w2=8)],
             parallelism=[2, 2],
         )
-        a = plan_to_text(map_network(net, 256))
-        b = plan_to_text(map_network(net, 256))
+        a = b"".join(plan_to_text(map_network(net, 256)))
+        b = b"".join(plan_to_text(map_network(net, 256)))
         assert a == b
 
 
@@ -473,7 +474,8 @@ class TestPlanText:
         conv = plan.layers[0]
         assert conv.passes == 2 and conv.subarrays_used == 17
         assert conv.macs_per_pass % conv.macs_per_subarray == 2
-        listed = [line for line in plan_to_text(plan).decode().splitlines()
+        text = b"".join(plan_to_text(plan)).decode()
+        listed = [line for line in text.splitlines()
                   if line.startswith("  mac_id=")]
         assert listed == [line for place in plan.layers
                           for line in _reference_listing(place)]
@@ -483,7 +485,7 @@ class TestPlanText:
             linear_layer(w1=1, w2=LISTED_MACS + 1), linear_layer(w1=6, w2=4),
         ])
         plan = map_network(net, column_size=64)
-        lines = plan_to_text(plan).decode().splitlines()
+        lines = b"".join(plan_to_text(plan)).decode().splitlines()
         header = [i for i, line in enumerate(lines)
                   if line.startswith("layer ")]
         # the first layer is over the limit, the 4-MAC linear is listed
@@ -505,6 +507,8 @@ class TestPlanText:
     @example(passes=3, per_pass=5, size=2**63 // 3, per_sub=3, spare=0)
     # column_size 2**63 - 1
     @example(passes=2, per_pass=7, size=2**61, per_sub=3, spare=2**61 - 1)
+    # one subarray's 5,000 lines are more than a block: runs of its slots
+    @example(passes=2, per_pass=5000, size=3, per_sub=6000, spare=0)
     def test_listing_matches_mac_location_on_drawn_placements(
             self, passes, per_pass, size, per_sub, spare):
         per_pass = min(per_pass, LISTED_MACS // passes)
@@ -515,7 +519,9 @@ class TestPlanText:
                                                        w2=passes * per_pass)],
                                  parallelism=[passes])
         plan = map_network(net, column_size)
-        lines = plan_to_text(plan).decode().split("\n")
+        blocks = list(plan_to_text(plan))
+        assert max(map(len, blocks)) <= BLOCK_BYTES
+        lines = b"".join(blocks).decode().split("\n")
         assert lines[2:] == _reference_listing(plan.layers[0]) + [""]
 
     def test_text_of_a_two_layer_plan_with_a_reserved_bank(self):
@@ -527,7 +533,7 @@ class TestPlanText:
         )
         plan = map_network(net, 16, subarrays_per_bank=8)
         plan.reserved_banks = plan_residual(net, 4)
-        assert plan_to_text(plan) == (
+        assert b"".join(plan_to_text(plan)) == (
             b"plan column_size=16 subarrays_per_bank=8 precision=2\n"
             b"layer index=0 bank=0 kind=conv mac_size=4 macs_total=8 "
             b"passes=2 macs_per_pass=4 macs_per_subarray=4 subarrays_used=1 "
@@ -548,5 +554,5 @@ class TestPlanText:
             b"reserved bank=3 src=0 dst=1 bits=16\n"
         )
         # an unbounded bank writes 0 subarrays per bank
-        assert plan_to_text(map_network(net, 16)).startswith(
+        assert b"".join(plan_to_text(map_network(net, 16))).startswith(
             b"plan column_size=16 subarrays_per_bank=0 precision=2\n")

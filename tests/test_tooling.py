@@ -4,10 +4,12 @@ point and the README examples run on the current sources."""
 import hashlib
 import importlib
 import importlib.util
+import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -135,9 +137,60 @@ def test_report_bytes_are_frozen(workload, key, tmp_path):
     assert got == REPORT_DIGESTS[workload, key]
 
 
+@pytest.mark.parametrize("workload", ["cnn-wide", "mlp-n8", "timing-sweep"])
+def test_bench_reports_encode_as_the_stdlib_json(workload):
+    # the report writer's own indent=2 encoder, on every report the bench
+    # writes at seed 0
+    workloads = _load_bench("workloads")
+    cli = importlib.import_module("pimsim.cli")
+    for ev in workloads.workload(workload).evaluations:
+        status, report = cli.run(ev.build(),
+                                 cli.RunConfig(seed=0, **ev.config), None)
+        assert status == 0
+        assert cli._indented_json(report) == json.dumps(report, indent=2)
+
+
+def _sweep_plans():
+    """(key, plan) of every timing-sweep evaluation, as cli.run maps it."""
+    workloads = _load_bench("workloads")
+    cli = importlib.import_module("pimsim.cli")
+    for ev in workloads.workload("timing-sweep").evaluations:
+        net, config = ev.build(), cli.RunConfig(seed=0, **ev.config)
+        plan = cli.map_network(net, config.column_size,
+                               config.subarrays_per_bank, config.rows)
+        plan.reserved_banks = cli.plan_residual(
+            net, len(net.layers) + len(net.residual_edges))
+        yield ev.key, plan
+
+
+def test_sweep_plan_blocks_are_bounded():
+    from pimsim.mapper import BLOCK_BYTES, plan_to_text
+
+    for key, plan in _sweep_plans():
+        assert max(map(len, plan_to_text(plan))) <= BLOCK_BYTES, key
+
+
+def test_sweep_plan_writes_in_bounded_memory(tmp_path):
+    # the listing is formatted a block at a time as it is written; the
+    # largest sweep plan is 455 KB
+    from pimsim import mapper
+    from pimsim.cli import _write
+
+    mapper._decimals()
+    for key, plan in _sweep_plans():
+        tracemalloc.start()
+        try:
+            _write(tmp_path / "plan.txt", mapper.plan_to_text(plan))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 192_000, key
+
+
 @pytest.mark.parametrize("argv", [
     ["scripts/precision_scaling.py", "--n", "1", "2"],
     ["scripts/parallelism_tradeoff.py"],
+    ["scripts/minor_faults.py", "cnn-wide", "2"],
 ])
 def test_script_runs(argv):
     done = subprocess.run(
