@@ -23,17 +23,21 @@ primitives execute through it while they record, and it is the reference any
 other executor must match. The multiply command sequence depends only on n
 and the stacked pair, never on operand values: it is recorded once per
 (n, pair) and compiled once into a program over row slots, in which copies
-are renames, each AND is one op and each full adder (a TRIPLE and the
-QUINTUPLE that senses the parity of the same three values) one step of 5
-ops. The symbolic run of the events folds each QUINTUPLE into its TRIPLE's
-full adder; one backward pass then drops the ops nothing needs and one
-forward scan places every value in a row, so the multiply uses no scratch
-rows. Every later call runs that program, and one run drives every column
-at once (SIMD across bitlines). A state at most INT_ROW_WORDS words wide
-runs it on one Python int per row, a wider one on numpy rows: a numpy op
-costs about a microsecond of call overhead at any width, which an int op
-avoids, while per word the int op and its conversion cost more. Both
-executors leave every cell, padding bits included, as apply_event does.
+are renames and each AND and each full adder (a TRIPLE and the QUINTUPLE
+that senses the parity of the same three values) is one step. The symbolic
+run of the events folds each QUINTUPLE into its TRIPLE's full adder. Row 0
+is the reserved all-zero row, which multiply checks, so the multiply's
+program starts it as the zero value and constants fold through the ops:
+its running-sum ADDs zero-extend from row 0, so most of its full adders
+are half adders of 2 ops in place of 5. One backward pass then drops the
+ops nothing needs and one forward scan places every value in a row, so the
+multiply uses no scratch rows. Every later call runs that program, and one
+run drives every column at once (SIMD across bitlines). A state at most
+INT_ROW_WORDS words wide runs it on one Python int per row, a wider one on
+numpy rows: a numpy op costs about a microsecond of call overhead at any
+width, which an int op avoids, while per word the int op and its
+conversion cost more. Both executors leave every cell, padding bits
+included, as apply_event does.
 A state may also stand for a packed bank: the MAC columns of several
 subarrays side by side, sharing one row layout and one command stream.
 Which subarray and column a MAC sits in never changes a bit, so such a
@@ -499,15 +503,19 @@ class Program:
     AND or one full adder, as (ufunc, x, y, out) slot operations. A full
     adder is a TRIPLE together with the QUINTUPLE that senses the parity of
     the same three values: 5 ops write its carry and sum bit, and one more
-    the sum's complement when something reads it. Copies and zero writes
-    are row renames and cost nothing. pins sets every bit of a slot to 0 or
-    1 before the steps, as (slot, bit). loads lists the touched rows whose
-    starting value the program uses. stores gives each slot whose value
-    some rows end with in place of their own, and those rows, as (slot,
-    rows). moves gives the same stores as one copy per row whose value sits
-    in another slot, (row, slot), ordered so that every slot is read before
-    a copy overwrites it; where stored rows exchange values, the cycle
-    first saves one of them to a scratch row of its own.
+    the sum's complement when something reads it. Ops whose value
+    constants fix are folded away (_compile), so a full adder with an input
+    from a known-zero row, such as the multiply's row 0, is a half adder of
+    2 ops, and a step may hold none. Copies and zero writes are row renames
+    and cost nothing. pins sets every bit of a slot to 0 or 1 before the
+    steps, as (slot, bit). loads lists the touched rows whose starting
+    value the program uses; a known-zero row is never loaded, and is never
+    stored when it ends zero. stores gives each slot whose value some rows
+    end with in place of their own, and those rows, as (slot, rows). moves
+    gives the same stores as one copy per row whose value sits in another
+    slot, (row, slot), ordered so that every slot is read before a copy
+    overwrites it; where stored rows exchange values, the cycle first saves
+    one of them to a scratch row of its own.
 
     _run_program runs it on Python ints when the state is at most
     INT_ROW_WORDS words wide and on numpy rows when it is wider; either
@@ -523,7 +531,7 @@ class Program:
     moves: tuple[tuple[int, int], ...]
 
 
-_ZERO, _ONES = -1, -2     # value ids of the pinned all-zero and all-one rows
+_ZERO, _ONES = -1, -2     # value ids of the all-zero and all-one rows
 _BAND, _BOR, _BXOR = np.bitwise_and, np.bitwise_or, np.bitwise_xor
 # A state at most this many words wide runs its program on Python ints, a
 # wider one on numpy rows. A numpy op pays about a microsecond of call
@@ -535,9 +543,10 @@ _BAND, _BOR, _BXOR = np.bitwise_and, np.bitwise_or, np.bitwise_xor
 INT_ROW_WORDS = 256
 
 
-def _values(events: Sequence[AapEvent], touched: int):
-    """Symbolic run of the events over value ids: rows start as their own
-    ids 0..touched-1, every logic event makes new ids, copies only rename.
+def _values(events: Sequence[AapEvent], start: Sequence[int]):
+    """Symbolic run of the events over value ids: row r starts as start[r],
+    its own id r or _ZERO, every logic event makes new ids past
+    len(start), copies only rename.
 
     Returns the steps as (input ids, output ids) and the final id of every
     row. An AND_STAGE is a step with one output. A TRIPLE opens a full
@@ -549,10 +558,10 @@ def _values(events: Sequence[AapEvent], touched: int):
     negated row the complement. Any other QUINTUPLE raises ValueError: it
     has no step here, and apply_event stays its meaning.
     """
-    row_val = list(range(touched))
+    row_val = list(start)
     adders: dict[int, tuple[list[int], tuple[int, ...]]] = {}   # by carry
     steps = []
-    fresh = touched
+    fresh = len(start)
     for event in events:
         kind, rows = event.kind, event.rows
         if kind == COPY:
@@ -590,41 +599,76 @@ def _values(events: Sequence[AapEvent], touched: int):
     return steps, row_val
 
 
-def _compile(events: Sequence[AapEvent], touched: int) -> Program:
-    """Compile the steps of _values to a slot program.
+def _fold(f: np.ufunc, x: int, y: int) -> int | None:
+    """The value id that op f over ids x and y equals when a constant or a
+    repeated input fixes it, else None: x&0 = 0, x&1 = x&x = x, x|1 = 1,
+    x|0 = x|x = x, x^0 = x and x^x = 0."""
+    if x == y:
+        return _ZERO if f is _BXOR else x
+    for a, b in ((x, y), (y, x)):
+        if b == _ZERO:
+            return _ZERO if f is _BAND else a
+        if b == _ONES and f is not _BXOR:
+            return a if f is _BAND else _ONES
+    return None
+
+
+def _compile(events: Sequence[AapEvent], touched: int,
+             zero_rows: Iterable[int] = ()) -> Program:
+    """Compile the steps of _values to a slot program. zero_rows are rows
+    known to hold all zeros before the events: each starts as _ZERO, and
+    the caller must make that hold (multiply checks it).
 
     1. Lower each step to (ufunc, x, y, out) ops over value ids: an AND to
        one op, a full adder to t=a^b, o=a&b, sum=t^c, t2=t&c, carry=o|t2
-       and comp=sum^ONES.
+       and comp=sum^ONES. An op that _fold fixes to a value is no op: its
+       output is that value. So a full adder with a zero input is a half
+       adder of 2 ops, and one with two is none.
     2. Drop every op whose output no kept op reads and no row ends with, in
        one backward pass.
     3. Give each value a slot in one forward scan. A row's own value starts
        in that row, and _ZERO and _ONES are pinned before the first op. A
        value's slot is freed after its last read unless some row ends with
-       it, so an op may overwrite an input it reads last. A value takes the
-       home row of a row that ends with it when that row is free, so most
-       rows get their value in place. Otherwise it takes a free row that no
-       value still to come ends in, or failing that one whose value ends in
-       other rows too, before a row that is the only home of a later value:
-       so no two stored rows of the multiply exchange values.
+       it, so an op may overwrite an input it reads last. A known-zero row
+       that ends zero is never read or written. A value takes the home row
+       of a row that ends with it when that row is free, so most rows get
+       their value in place. Otherwise it takes a free row that no value
+       still to come ends in, or failing that one whose value ends in other
+       rows too, before a row that is the only home of a later value: so no
+       two stored rows of the multiply exchange values.
     4. Order the copies of the rows whose value ends in another slot
        (_order_moves).
     """
-    steps, final = _values(events, touched)
+    start = list(range(touched))
+    for r in zero_rows:
+        start[r] = _ZERO
+    steps, final = _values(events, start)
     # t, o and t2 take ids past every id of _values
     fresh = itertools.count(touched + sum(len(outs) for _, outs in steps))
+    same: dict[int, int] = {}     # the value each folded op's output equals
     lowered = []
     for ins, outs in steps:
         if len(ins) == 2:
-            lowered.append([(_BAND, *ins, *outs)])
-            continue
-        (a, b, c), (carry, total, comp) = ins, outs
-        t, o, t2 = next(fresh), next(fresh), next(fresh)
-        lowered.append([(_BXOR, a, b, t), (_BAND, a, b, o),
-                        (_BXOR, t, c, total), (_BAND, t, c, t2),
-                        (_BOR, o, t2, carry), (_BXOR, total, _ONES, comp)])
+            logic = [(_BAND, *ins, *outs)]
+        else:
+            (a, b, c), (carry, total, comp) = ins, outs
+            t, o, t2 = next(fresh), next(fresh), next(fresh)
+            logic = [(_BXOR, a, b, t), (_BAND, a, b, o),
+                     (_BXOR, t, c, total), (_BAND, t, c, t2),
+                     (_BOR, o, t2, carry), (_BXOR, total, _ONES, comp)]
+        step = []
+        for f, x, y, out in logic:
+            x, y = same.get(x, x), same.get(y, y)
+            value = _fold(f, x, y)
+            if value is None:
+                step.append((f, x, y, out))
+            else:
+                same[out] = value
+        lowered.append(step)
+    final = [same.get(v, v) for v in final]
 
-    kept = set(final)
+    # a known-zero row that ends zero holds no value of the program
+    kept = {v for v, s in zip(final, start) if not v == s == _ZERO}
     needed = set(kept)
     for step in reversed(lowered):
         used = []
@@ -638,11 +682,12 @@ def _compile(events: Sequence[AapEvent], touched: int) -> Program:
     last_read = {v: i for i, op in enumerate(ops) for v in op[1:3]}
     ends: dict[int, list[int]] = {}
     for r, v in enumerate(final):
-        if v != r:
+        if v != start[r]:
             ends.setdefault(v, []).append(r)
     live = kept | last_read.keys()
     slot_of = {r: r for r in range(touched) if r in live}
-    free = set(range(touched)) - live
+    # a row is free when it ends with another value and its own is dead
+    free = {r for r in range(touched) if final[r] != start[r]} - live
     awaited = {r for rows in ends.values() for r in rows}
     extra = 0
 
@@ -788,7 +833,7 @@ def _schedule(n: int, pair: int) -> Schedule:
         _multiply_wide(state, pair)
     tr = state.trace
     return Schedule(tuple(tr.events), tuple(tr.and_spans),
-                    tuple(tr.add_spans), _compile(tr.events, touched))
+                    tuple(tr.add_spans), _compile(tr.events, touched, (ROW0,)))
 
 
 def multiply(state: SubarrayState, pair: int = 0) -> tuple[AapEvent, ...]:
@@ -798,12 +843,18 @@ def multiply(state: SubarrayState, pair: int = 0) -> tuple[AapEvent, ...]:
     multiplied with. Runs the compiled program of the sequence recorded once
     for (n, pair) and returns that sequence's events, the cached schedule's
     own tuple: mul_aap_count(n) AAPs regardless of operand values or column
-    count. The state's trace is left alone.
+    count. The state's trace is left alone. Row 0 must hold all zeros, the
+    reserved zero row the program is compiled for: otherwise
+    ConfigurationError is raised and no cell changes.
     """
     if not 0 <= pair < state.pair_capacity:
         raise ConfigurationError(
             f"pair {pair} exceeds stacking capacity {state.pair_capacity}"
         )
+    if np.count_nonzero(state.cells[ROW0]):
+        raise ConfigurationError(
+            "row 0 must hold all zeros: the multiply reads it as the "
+            "reserved zero row")
     schedule = _schedule(state.n, pair)
     _run_program(schedule.program, state.cells)
     return schedule.events

@@ -625,14 +625,15 @@ class TestCompiledMultiply:
     @example(cols=64 * CUTOFF + 5, above=1, seed=2)
     def test_program_leaves_the_cells_the_events_do(self, n, pair, cols,
                                                     above, seed):
-        # random cells everywhere, padding bits and rows past the schedule
-        # included: multiply and each executor run directly must match the
-        # per-event interpreter
+        # random cells everywhere but the reserved zero row 0, padding bits
+        # and rows past the schedule included: multiply and each executor
+        # run directly must match the per-event interpreter
         rows = 9 + (n - 1) + 2 * n + (pair + 2) * n + above
         st_ = new_subarray(rows, cols, n)
         rng = np.random.default_rng(seed)
         st_.cells[:] = rng.integers(0, 1 << 64, size=st_.cells.shape,
                                     dtype=np.uint64)
+        st_.cells[ROW0] = 0
         start = st_.cells.copy()
         want = st_.cells.copy()
         events = multiply(st_, pair=pair)
@@ -645,12 +646,30 @@ class TestCompiledMultiply:
             run(program, cells)
             assert np.array_equal(cells, want), run.__name__
 
+    # a set bit in a column, and one in the padding past the last column
+    @pytest.mark.parametrize("n", [1, 4, 8])
+    @pytest.mark.parametrize("word, bit", [(1, 5), (3, 63)])
+    def test_multiply_rejects_a_nonzero_row0(self, n, word, bit):
+        # the program reads row 0 as the reserved zero row, so a state with
+        # any bit set there is refused before a cell changes
+        st_ = make_state(n, cols=200)
+        rng = np.random.default_rng(n)
+        st_.cells[:] = rng.integers(0, 1 << 64, size=st_.cells.shape,
+                                    dtype=np.uint64)
+        st_.cells[ROW0] = 0
+        st_.cells[ROW0, word] = 1 << bit
+        start = st_.cells.copy()
+        with pytest.raises(ConfigurationError, match="row 0"):
+            multiply(st_)
+        assert np.array_equal(st_.cells, start)
+
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_any_event_sequence_compiles_exactly(self, data):
         # arbitrary events over a few rows: repeated rows, values never read,
         # and full adders' sum bits: a quintuple whose negated row holds the
-        # majority of copies of its three inputs
+        # majority of copies of its three inputs. Compiled with no known-zero
+        # rows, then with a drawn set of them zeroed in the start cells.
         touched = data.draw(st.integers(1, 8))
         row = st.integers(0, touched - 1)
         least = {subarray.COPY: 1, subarray.WRITE_ROW0: 1,
@@ -672,26 +691,30 @@ class TestCompiledMultiply:
                                                 (*copies, neg)))
                 events.append(subarray.AapEvent(
                     subarray.QUINTUPLE, (*rows[:3], neg, *rows[4:])))
+        zeros = sorted(data.draw(st.sets(row)))
         words = data.draw(st.sampled_from([1, 3, CUTOFF, CUTOFF + 1]))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        start = rng.integers(0, 1 << 64, size=(touched + 1, words),
-                             dtype=np.uint64)
-        want = start.copy()
-        for event in events:
-            subarray.apply_event(want, event)
-        program = subarray._compile(events, touched)
-        for run in EXECUTORS:
-            cells = start.copy()
-            run(program, cells)
-            assert np.array_equal(cells, want), run.__name__
+        random = rng.integers(0, 1 << 64, size=(touched + 1, words),
+                              dtype=np.uint64)
+        for known in ([], zeros):
+            start = random.copy()
+            start[known] = 0
+            want = start.copy()
+            for event in events:
+                subarray.apply_event(want, event)
+            program = subarray._compile(events, touched, known)
+            for run in EXECUTORS:
+                cells = start.copy()
+                run(program, cells)
+                assert np.array_equal(cells, want), (run.__name__, known)
 
     # per n, for every pair: ops, steps, loaded rows, store slots, stored
     # rows, stored rows whose value sits in another slot, scratch rows
-    SHAPES = {1: (1, 1, 2, 2, 11, 9, 0), 2: (15, 6, 4, 6, 12, 6, 0),
-              3: (57, 19, 7, 9, 16, 7, 0), 4: (155, 46, 9, 12, 19, 7, 0),
-              5: (339, 93, 11, 15, 22, 7, 0), 6: (639, 166, 13, 18, 25, 7, 0),
-              7: (1085, 271, 15, 21, 28, 7, 0),
-              8: (1707, 414, 17, 24, 31, 7, 0)}
+    SHAPES = {1: (1, 1, 2, 2, 10, 8, 0), 2: (9, 6, 4, 5, 11, 6, 0),
+              3: (32, 19, 6, 9, 16, 7, 0), 4: (75, 46, 8, 12, 19, 7, 0),
+              5: (152, 93, 10, 15, 22, 7, 0), 6: (273, 166, 12, 18, 25, 7, 0),
+              7: (452, 271, 14, 21, 28, 7, 0),
+              8: (701, 414, 16, 24, 31, 7, 0)}
 
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("pair", range(3))
@@ -704,6 +727,8 @@ class TestCompiledMultiply:
                 len(program.loads), len(program.stores), len(stored),
                 len(moved), program.extra) == self.SHAPES[n]
         assert len(set(stored)) == len(stored)
+        # row 0 is known zero and ends zero: never loaded, never stored
+        assert ROW0 not in program.loads and ROW0 not in stored
         # no moved row is read by another move, so no two stored rows
         # exchange values and the copies need no order
         assert sorted(program.moves) == sorted(
@@ -798,9 +823,9 @@ class TestCompiledMultiply:
         with pytest.raises(ValueError, match="sum bit"):
             subarray._compile(events, 4)
 
-    @pytest.mark.parametrize("n, ops", [(1, 1), (2, 15), (3, 57), (4, 155),
-                                        (5, 339), (6, 639), (7, 1085),
-                                        (8, 1707)])
+    @pytest.mark.parametrize("n, ops", [(1, 1), (2, 9), (3, 32), (4, 75),
+                                        (5, 152), (6, 273), (7, 452),
+                                        (8, 701)])
     @pytest.mark.parametrize("pair", [0, 2])
     def test_one_step_per_and_and_full_adder(self, n, ops, pair):
         # every TRIPLE has its QUINTUPLE, and the two are one step
@@ -810,19 +835,26 @@ class TestCompiledMultiply:
         assert kinds.count(subarray.QUINTUPLE) == adders
         steps = sched.program.steps
         assert len(steps) == kinds.count(subarray.AND_STAGE) + adders
-        # an AND is 1 op; a full adder 5, or 2 when nothing reads its carry;
-        # the one sum complement that Cout keeps at the end costs 1 more
+        # an AND is 1 op; a full adder 5, a half adder (one input from the
+        # zero row) 2, or 1 when nothing reads its carry, and one with two
+        # zero inputs none; the one sum complement that Cout keeps at the
+        # end costs 1 more, on a half adder
         assert sorted({len(step) for step in steps}) == (
-            [1] if n == 1 else [1, 5, 6] if n == 2 else [1, 2, 5, 6])
-        assert sum(len(step) == 6 for step in steps) == (n > 1)
+            [1] if n == 1 else [1, 2, 3] if n == 2 else [0, 1, 2, 3, 5])
+        assert sum(len(step) == 3 for step in steps) == (n > 1)
         assert sum(map(len, steps)) == ops
 
     def test_eight_bit_program(self):
         sched = subarray._schedule(8, 0)
         assert len(sched.events) == mul_aap_count(8) == 1592
-        # 64 ANDs and 350 full adders, 36 of whose carries nothing reads
+        # 64 ANDs and 350 full adders. The running sums zero-extend from
+        # row 0, so only bit 0 of the 12 seeded ADDs over the intermediate
+        # rows adds three unknown values; 273 adders are half adders, 30
+        # more are half adders whose carry nothing reads and 35 add two zeros
         assert len(sched.program.steps) == 414
-        assert sum(map(len, sched.program.steps)) == 64 + 5 * 314 + 2 * 36 + 1
+        assert sum(map(len, sched.program.steps)) == (
+            64 + 5 * 12 + 2 * 273 + 30 + 1)
+        assert len(sched.program.loads) == 16
         # copies are renames, and the full adders' temporaries and the
         # all-ones row of the complement live in rows the copies rename
         assert sched.program.extra == 0

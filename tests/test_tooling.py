@@ -203,7 +203,8 @@ def test_script_runs(argv):
 
 def test_full_size_digests_cover_every_preset_vector():
     # scripts/full_size.py runs at full size, outside the suite; its pinned
-    # digests must name every preset's parallelism vectors and nothing else
+    # digests must name every preset's parallelism vectors at n = 4, and
+    # AlexNet's and ResNet18 P1 at the other precisions
     from pimsim.presets import PARALLELISM
 
     spec = importlib.util.spec_from_file_location(
@@ -213,10 +214,15 @@ def test_full_size_digests_cover_every_preset_vector():
     want = {f"{name}-{vector}" for name, vectors in PARALLELISM.items()
             for vector in vectors}
     assert len(want) == 9
-    assert set(script.DIGESTS) == want
-    for digests in script.DIGESTS.values():
-        assert len(digests) == len(script.REPORTS)
-        assert all(re.fullmatch("[0-9a-f]{64}", d) for d in digests)
+    assert sorted(script.DIGESTS) == [1, 2, 4, 8]
+    assert set(script.DIGESTS[4]) == want
+    for n in (1, 2, 8):
+        assert set(script.DIGESTS[n]) == {
+            "alexnet-P1", "alexnet-P2", "alexnet-P3", "resnet18-P1"}
+    for table in script.DIGESTS.values():
+        for digests in table.values():
+            assert len(digests) == len(script.REPORTS)
+            assert all(re.fullmatch("[0-9a-f]{64}", d) for d in digests)
 
 
 @pytest.mark.parametrize("extra, status", [([], 0), (["--rows", "0"], 2)],
