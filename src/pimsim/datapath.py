@@ -17,9 +17,9 @@ packed product rows, MACs in order, are reduced straight from their uint64
 words (packed_mac_sums): the per-word popcounts of the planes are first
 folded by the planes' weights 2**p, the shift-add, and one prefix of that
 weighted count is then differenced at the MAC boundary columns. That is the
-arithmetic the tree and accumulators perform, summed in the other order;
-mac_plane_sums over unpacked planes, build_adder_tree, tree_reduce
-and accumulate_bitplane are the references it is tested against. The row
+arithmetic the tree and accumulators perform, summed in the other order; it
+is tested against build_adder_tree, tree_reduce and, in tests/reference.py,
+the shift-add accumulator and mac_plane_sums over unpacked planes. The row
 reads the TREE_WIDTH-input tree would need are counted by
 tree_loads_per_pass, the same arithmetic and the same width the timing model
 uses, from the mapper's physical layout.
@@ -55,10 +55,6 @@ class TreeConfigError(ValueError):
 
 class ShapeError(ValueError):
     """Bit-plane length does not match the tree width."""
-
-
-class SequencingError(RuntimeError):
-    """Bit-planes presented to an accumulator out of order."""
 
 
 def pow2ceil(x: int) -> int:
@@ -172,25 +168,6 @@ def tree_reduce(config: AdderTreeConfig, bitplane) -> np.ndarray:
     )
 
 
-@dataclass
-class AccumulatorState:
-    value: int = 0
-    bit_counter: int = 0
-
-
-def accumulate_bitplane(
-    acc: AccumulatorState, group_sum: int, bit_idx: int
-) -> AccumulatorState:
-    """Shift-add one plane sum: value += sum << bit_idx, planes in order."""
-    if bit_idx != acc.bit_counter:
-        raise SequencingError(
-            f"plane {bit_idx} arrived while expecting {acc.bit_counter}"
-        )
-    acc.value += int(group_sum) << bit_idx
-    acc.bit_counter += 1
-    return acc
-
-
 # --------------------------------------------------------------------------
 # Special function units
 # --------------------------------------------------------------------------
@@ -295,20 +272,10 @@ class BankAccounting:
     plane_reads: int = 0
 
 
-def mac_plane_sums(planes: np.ndarray) -> np.ndarray:
-    """Dot products from product bit-planes grouped (2n, macs, mac_size).
-
-    Each plane is summed per MAC (the tree's popcount per group), then the
-    2n plane sums are shift-added (the accumulator).
-    """
-    sums = planes.sum(axis=2, dtype=np.int64)
-    shifts = np.arange(planes.shape[0], dtype=np.int64)[:, None]
-    return (sums << shifts).sum(axis=0)
-
-
 def packed_mac_sums(rows: np.ndarray, macs: int, mac_size: int) -> np.ndarray:
-    """mac_plane_sums on packed product rows, (2n, words) uint64, whose
-    first macs * mac_size columns hold the MACs in order.
+    """Dot products from packed product rows, (2n, words) uint64, whose
+    first macs * mac_size columns hold the MACs in order; the reference on
+    unpacked planes is mac_plane_sums in tests/reference.py.
 
     The planes are folded by their weights 2**p before any prefix is taken:
     the uint8 popcounts of every word, weighted and summed over the planes,

@@ -4,10 +4,10 @@ A subarray is a rows x cols grid of single-bit cells. Nine reserved compute
 rows (row0, A, A-1, B, B-1, Cin, Cin-1, Cout, Cout-1) plus, for n > 2, a
 block of intermediate rows implement bitwise AND, bit-serial ADD and n x n
 multiplication as AAPs (ACTIVATE-ACTIVATE-PRECHARGE): RowClone copies and
-multi-row activations. and_op and add_bitserial log one AapTrace entry
-per AAP into the state's trace; the multiply's command stream is recorded
-once per (n, pair) in its cached schedule, and a state logs none of it.
-So command counts can be audited exactly:
+multi-row activations. and_op and add_bitserial append one AapEvent per
+AAP to an AapTrace, from row indices alone: they execute nothing. The
+multiply's command stream is emitted the same way once per (n, pair), into
+its cached schedule. So command counts can be audited exactly:
 
     and_count(n)     = n*n                AND operations per multiply
     add_count(n)     = (n-2)(n-1)+n       intermediate ADDs (0 when n == 1)
@@ -17,27 +17,18 @@ So command counts can be audited exactly:
 Operands live in transposed layout: one multiplication per column, LSB in the
 lowest-indexed data row. Cells are stored bit-packed, 64 columns per uint64
 word (column c is bit c % 64 of word c // 64), so every AAP is a handful of
-bitwise operations on whole rows. Each event is self-describing (its kind and
-every row it touches), and apply_event gives each kind its meaning: the
-primitives execute through it while they record, and it is the reference any
-other executor must match. The multiply command sequence depends only on n
-and the stacked pair, never on operand values: it is recorded once per
-(n, pair) and compiled once into a program over row slots, in which copies
-are renames and each AND and each full adder (a TRIPLE and the QUINTUPLE
-that senses the parity of the same three values) is one step. The symbolic
-run of the events folds each QUINTUPLE into its TRIPLE's full adder. Row 0
-is the reserved all-zero row, which multiply checks, so the multiply's
-program starts it as the zero value and constants fold through the ops:
-its running-sum ADDs zero-extend from row 0, so most of its full adders
-are half adders of 2 ops in place of 5. One backward pass then drops the
-ops nothing needs and one forward scan places every value in a row, so the
-multiply uses no scratch rows. Every later call runs that program, and one
-run drives every column at once (SIMD across bitlines). A state at most
-INT_ROW_WORDS words wide runs it on one Python int per row, a wider one on
-numpy rows: a numpy op costs about a microsecond of call overhead at any
-width, which an int op avoids, while per word the int op and its
-conversion cost more. Both executors leave every cell, padding bits
-included, as apply_event does.
+bitwise operations on whole rows. Each event is self-describing: its kind
+(see AapEvent) and every row it touches. The multiply command sequence
+depends only on n and the stacked pair, never on operand values: it is
+emitted once per (n, pair) and compiled once (_compile) into a program over
+row slots, in which copies are renames, each AND and each full adder (a
+TRIPLE and the QUINTUPLE that senses the parity of the same three values)
+is one step, and the constants of the reserved all-zero row 0, which
+multiply checks, fold away. Every call runs that program, the one executor
+of events here, on Python ints or numpy rows by width (_run_program). One
+run drives every column at once (SIMD across bitlines) and leaves every
+cell, padding bits included, as running the events one by one would; the
+tests keep that per-event reference executor (tests/reference.py).
 A state may also stand for a packed bank: the MAC columns of several
 subarrays side by side, sharing one row layout and one command stream.
 Which subarray and column a MAC sits in never changes a bit, so such a
@@ -80,18 +71,28 @@ class OperandRangeError(ValueError):
 
 @dataclass(frozen=True)
 class AapEvent:
+    """One AAP, every column at once. COPY (src, *dst): the destinations
+    take the source row. WRITE_ROW0 (rows): the rows take zeros.
+    AND_STAGE (p0, p1, *dst): every row takes p0 AND p1. TRIPLE
+    (r1, r2, r3, *dst): every row takes the majority of the first three.
+    QUINTUPLE (r1, r2, r3, neg, *dst): neg is read through its negated
+    port, so the sensed value is maj(r1, r2, r3, ~neg, ~neg); neg takes its
+    complement and every other row the value itself."""
+
     kind: str
     rows: tuple[int, ...]
 
 
 @dataclass
 class AapTrace:
-    """Ordered log of DRAM commands, one entry per AAP.
+    """Ordered log of DRAM commands, one entry per AAP, over a subarray of
+    `rows` rows.
 
     The spans record which event slice each AND or ADD operation occupies, so
     per-operation AAP costs can be audited; and_ops / add_ops count them.
     """
 
+    rows: int
     events: list[AapEvent] = field(default_factory=list)
     and_spans: list[tuple[int, int]] = field(default_factory=list)
     add_spans: list[tuple[int, int]] = field(default_factory=list)
@@ -113,14 +114,11 @@ class AapTrace:
         self.events.append(event)
         return event
 
-    def to_text(self) -> str:
-        """Line-oriented dump: one event per line, then a summary record."""
-        lines = [f"{e.kind} {','.join(map(str, e.rows))}" for e in self.events]
-        lines.append(
-            f"summary total_aap={self.total_aap} and_ops={self.and_ops} "
-            f"add_ops={self.add_ops}"
-        )
-        return "\n".join(lines) + "\n"
+    def check(self, rows: Iterable[int]) -> None:
+        """Raise RowBoundsError for a row outside 0..rows-1."""
+        for r in rows:
+            if not 0 <= r < self.rows:
+                raise RowBoundsError(f"row {r} outside 0..{self.rows - 1}")
 
 
 # The nine compute rows sit at the same indices in every subarray.
@@ -138,9 +136,8 @@ def word_count(cols: int) -> int:
 @dataclass
 class SubarrayState:
     """One subarray, or a packed bank of equal-width subarrays side by side:
-    bit-packed cell rows and the trace of the and_op and add_bitserial calls
-    made on it. A multiply logs nothing here: its command stream lives once
-    per (n, pair) in the cached schedule (_schedule).
+    its bit-packed cell rows. The multiply's command stream lives once per
+    (n, pair) in the cached schedule (_schedule), not in the state.
 
     Row layout (fixed, derived from n alone): the compute rows ROW0..COUT1 at
     0..8, then n-1 intermediate rows, then 2n product rows, then operand data
@@ -156,7 +153,6 @@ class SubarrayState:
     cols: int
     n: int
     cells: np.ndarray
-    trace: AapTrace = field(default_factory=AapTrace)
     subarrays: range = range(1)
 
     @property
@@ -210,65 +206,12 @@ def new_subarray(rows: int, cols: int, n: int) -> SubarrayState:
                          np.zeros((rows, word_count(cols)), dtype=WORD))
 
 
-def _check_rows(state: SubarrayState, rows: Iterable[int]) -> None:
-    for r in rows:
-        if not 0 <= r < state.rows:
-            raise RowBoundsError(f"row {r} outside 0..{state.rows - 1}")
-
-
-def apply_event(cells: np.ndarray, event: AapEvent) -> None:
-    """Execute one AAP on packed cell rows, every column at once.
-
-    COPY (src, *dst): the destinations take the source row.
-    WRITE_ROW0 (rows): the per-multiply zero write into row0 and the carry
-    pair.
-    AND_STAGE (p0, p1, *dst): the AND wordline senses p0 AND p1; both pair
-    cells and every destination restore to it.
-    TRIPLE (r1, r2, r3, *dst): three-input majority, restored into all
-    activated rows and the destinations.
-    QUINTUPLE (r1, r2, r3, neg, *dst): maj(r1, r2, r3, ~neg, ~neg). neg is a
-    dual-contact cell read through its negated port, contributing its
-    complement twice; restore through that port leaves the complement of the
-    sensed value in it, every other row gets the value itself.
-    """
-    kind, rows = event.kind, event.rows
-    if kind == COPY:
-        src = cells[rows[0]]
-        for d in rows[1:]:
-            cells[d] = src
-    elif kind == TRIPLE:
-        a, b, c = cells[rows[0]], cells[rows[1]], cells[rows[2]]
-        value = (a & b) | (b & c) | (a & c)
-        for d in rows:
-            cells[d] = value
-    elif kind == QUINTUPLE:
-        a, b, c, neg = (cells[r] for r in rows[:4])
-        value = (~neg & (a | b | c)) | (a & b & c)
-        for d in rows:
-            cells[d] = value
-        cells[rows[3]] = ~value
-    elif kind == AND_STAGE:
-        value = cells[rows[0]] & cells[rows[1]]
-        for d in rows:
-            cells[d] = value
-    elif kind == WRITE_ROW0:
-        for d in rows:
-            cells[d] = 0
-    else:
-        raise ValueError(f"unknown AAP event kind {kind!r}")
-
-
-def _run(state: SubarrayState, kind: str, rows: Sequence[int]) -> None:
-    """Log one AAP of the given kind (see apply_event) and execute it."""
-    apply_event(state.cells, state.trace.log(kind, rows))
-
-
 # --------------------------------------------------------------------------
-# Public primitives
+# Public primitives: each appends its AAPs to a trace and executes nothing
 # --------------------------------------------------------------------------
 
 def and_op(
-    state: SubarrayState,
+    trace: AapTrace,
     src_a_row: int,
     src_b_row: int,
     dst_rows: Sequence[int],
@@ -276,28 +219,30 @@ def and_op(
 ) -> list[AapEvent]:
     """dst = src_a AND src_b per column. Exactly 3 AAPs.
 
-    Stage 1 copies the first operand onto the selector cell of the AND pair,
-    stage 2 copies the second onto its partner, stage 3 activates the AND
-    wordline and stores the sensed result in the destination rows (one or
-    two). The pair cells also end up holding the result.
+    Stage 1 copies the first operand onto the selector cell of the AND pair
+    ("a": A/A-1, "b": B/B-1), stage 2 copies the second onto its partner,
+    stage 3 activates the AND wordline and stores the sensed result in the
+    destination rows (one or two). The pair cells also end up holding the
+    result.
     """
     dsts = tuple(int(d) for d in dst_rows)
     if not 1 <= len(dsts) <= 2:
         raise AliasingError("AND takes one or two destination rows")
-    _check_rows(state, (src_a_row, src_b_row, *dsts))
+    trace.check((src_a_row, src_b_row, *dsts))
     if src_a_row in dsts or src_b_row in dsts:
         raise AliasingError("AND destination overlaps a source row")
+    if pair not in ("a", "b"):
+        raise AliasingError(f"AND pair must be 'a' or 'b', got {pair!r}")
     p = (A, A1) if pair == "a" else (B, B1)
-    trace = state.trace
     start = len(trace.events)
-    _run(state, COPY, (src_a_row, p[0]))
-    _run(state, COPY, (src_b_row, p[1]))
-    _run(state, AND_STAGE, (*p, *dsts))
+    trace.log(COPY, (src_a_row, p[0]))
+    trace.log(COPY, (src_b_row, p[1]))
+    trace.log(AND_STAGE, (*p, *dsts))
     trace.and_spans.append((start, len(trace.events)))
     return trace.events[start:]
 
 
-def _add_bit(state: SubarrayState, k: int, b_row: int, sum_row: int,
+def _add_bit(trace: AapTrace, k: int, b_row: int, sum_row: int,
              carry_row: int | None) -> None:
     """Bit k of a ripple-carry ADD whose operand-1 bit already sits in
     A/A-1: copy b_row into B/B-1, then the TRIPLE writes the carry into Cout
@@ -305,15 +250,15 @@ def _add_bit(state: SubarrayState, k: int, b_row: int, sum_row: int,
     writes the sum bit into sum_row. Cout-1 and Cin-1 take turns as the free
     copy and the cold one the QUINTUPLE reads, by the parity of k. 3 AAPs.
     """
-    _run(state, COPY, (b_row, B, B1))
+    trace.log(COPY, (b_row, B, B1))
     free, cold = (COUT1, CIN1) if k % 2 == 0 else (CIN1, COUT1)
     carry = () if carry_row is None else (carry_row,)
-    _run(state, TRIPLE, (A, B, CIN, COUT, free, *carry))
-    _run(state, QUINTUPLE, (A1, B1, cold, COUT, sum_row))
+    trace.log(TRIPLE, (A, B, CIN, COUT, free, *carry))
+    trace.log(QUINTUPLE, (A1, B1, cold, COUT, sum_row))
 
 
 def add_bitserial(
-    state: SubarrayState,
+    trace: AapTrace,
     a_rows: Sequence[int],
     b_rows: Sequence[int],
     out_rows: Sequence[int],
@@ -330,18 +275,17 @@ def add_bitserial(
     if n < 1 or len(b_rows) != n or len(out_rows) != n + 1:
         raise AliasingError("need n a-rows, n b-rows and n+1 out-rows")
     groups = (*a_rows, *b_rows, *out_rows)
-    _check_rows(state, groups)
+    trace.check(groups)
     if len(set(groups)) != len(groups):
         raise AliasingError("a, b and out row groups must be disjoint")
     if min(groups) < COMPUTE_ROW_COUNT:
         raise AliasingError("operand rows may not alias the compute rows")
 
-    trace = state.trace
     start = len(trace.events)
-    _run(state, COPY, (ROW0, CIN, CIN1))
+    trace.log(COPY, (ROW0, CIN, CIN1))
     for k in range(n):
-        _run(state, COPY, (a_rows[k], A, A1))
-        _add_bit(state, k, b_rows[k], out_rows[k],
+        trace.log(COPY, (a_rows[k], A, A1))
+        _add_bit(trace, k, b_rows[k], out_rows[k],
                  out_rows[n] if k == n - 1 else None)
     trace.add_spans.append((start, len(trace.events)))
     return trace.events[start:]
@@ -381,13 +325,13 @@ def mul_aap_count(n: int) -> int:
 
 
 def _fused_add(
-    state: SubarrayState,
+    trace: AapTrace,
     op2_rows: Sequence[int] | None,
     dest: Sequence[int],
     carry_dst: int | None,
     seeded: bool,
 ) -> None:
-    """(n-1)-bit running-sum ADD inside a multiply. Exactly 4(n-1) AAPs.
+    """len(dest)-bit running-sum ADD inside a multiply: 4 AAPs per bit.
 
     Operand 1 is the AND result already sitting in A/A-1, zero-extended from
     row0 above bit 0. Operand 2 is the intermediate value (row0 zeros when
@@ -396,57 +340,57 @@ def _fused_add(
     sum bit j to its row; carry_dst, when given, receives the final carry via
     the last triple activation.
     """
-    m = state.n - 1
-    trace = state.trace
+    m = len(dest)
     start = len(trace.events)
     for j in range(m):
         if j == 0:
-            _run(state, COPY, (CIN, CIN1) if seeded else (ROW0, CIN, CIN1))
+            trace.log(COPY, (CIN, CIN1) if seeded else (ROW0, CIN, CIN1))
         else:
-            _run(state, COPY, (ROW0, A, A1))
-        _add_bit(state, j, ROW0 if op2_rows is None else op2_rows[j], dest[j],
+            trace.log(COPY, (ROW0, A, A1))
+        _add_bit(trace, j, ROW0 if op2_rows is None else op2_rows[j], dest[j],
                  carry_dst if j == m - 1 else None)
     trace.add_spans.append((start, len(trace.events)))
 
 
-def _multiply_small(state: SubarrayState, pair: int) -> None:
-    """n <= 2 schedule, following the worked two-bit command sequence."""
+def _multiply_small(state: SubarrayState, pair: int) -> AapTrace:
+    """n <= 2 schedule on state's rows, per the worked two-bit sequence."""
     n = state.n
     P = state.product_rows
     a = state.activation_rows()
     b = state.weight_rows(pair)
-    trace = state.trace
+    trace = AapTrace(state.rows)
 
-    _run(state, WRITE_ROW0, (ROW0, CIN, CIN1))
+    trace.log(WRITE_ROW0, (ROW0, CIN, CIN1))
     if n == 1:
         # Degenerate path: a single AND plus the fixed zero-fill preamble.
-        _run(state, COPY, (ROW0, B, B1))
-        _run(state, COPY, (ROW0, COUT, COUT1))
-        and_op(state, a[0], b[0], (P[0],), pair="a")
-        _run(state, COPY, (ROW0, P[1]))
-        return
+        trace.log(COPY, (ROW0, B, B1))
+        trace.log(COPY, (ROW0, COUT, COUT1))
+        and_op(trace, a[0], b[0], (P[0],), pair="a")
+        trace.log(COPY, (ROW0, P[1]))
+        return trace
 
-    and_op(state, a[0], b[0], (P[0],), pair="a")
-    and_op(state, a[1], b[0], (A, A1), pair="a")
-    and_op(state, a[0], b[1], (B, B1), pair="b")
+    and_op(trace, a[0], b[0], (P[0],), pair="a")
+    and_op(trace, a[1], b[0], (A, A1), pair="a")
+    and_op(trace, a[0], b[1], (B, B1), pair="b")
     # Middle column: carry to Cout, sum to P1, then re-duplicate the carry.
     start = len(trace.events)
-    _run(state, TRIPLE, (A, B, CIN, COUT))
-    _run(state, QUINTUPLE, (A1, B1, CIN1, COUT, P[1]))
-    _run(state, COPY, (CIN, CIN1))
+    trace.log(TRIPLE, (A, B, CIN, COUT))
+    trace.log(QUINTUPLE, (A1, B1, CIN1, COUT, P[1]))
+    trace.log(COPY, (CIN, CIN1))
     trace.add_spans.append((start, len(trace.events)))
-    and_op(state, a[1], b[1], (A, A1), pair="a")
+    and_op(trace, a[1], b[1], (A, A1), pair="a")
     # Final column adds the carry to the last partial product against zeros.
     start = len(trace.events)
-    _run(state, COPY, (ROW0, B, B1))
-    _run(state, TRIPLE, (A, B, CIN, P[3], COUT))
-    _run(state, QUINTUPLE, (A1, B1, CIN1, COUT, P[2]))
+    trace.log(COPY, (ROW0, B, B1))
+    trace.log(TRIPLE, (A, B, CIN, P[3], COUT))
+    trace.log(QUINTUPLE, (A1, B1, CIN1, COUT, P[2]))
     trace.add_spans.append((start, len(trace.events)))
+    return trace
 
 
-def _multiply_wide(state: SubarrayState, pair: int) -> None:
-    """n > 2 schedule: per product column, AND the partial products and fold
-    them into the intermediate rows with (n-1)-bit running-sum ADDs.
+def _multiply_wide(state: SubarrayState, pair: int) -> AapTrace:
+    """n > 2 schedule on state's rows: per product column, AND the partial
+    products and fold them into the intermediate rows with running-sum ADDs.
 
     The first two AND terms of a column share one ADD (the second term enters
     as the bit-0 carry seed), so a column with c terms costs c-1 ADDs; the
@@ -460,8 +404,9 @@ def _multiply_wide(state: SubarrayState, pair: int) -> None:
     P = state.product_rows
     a = state.activation_rows()
     b = state.weight_rows(pair)
+    trace = AapTrace(state.rows)
 
-    and_op(state, a[0], b[0], (P[0],), pair="a")
+    and_op(trace, a[0], b[0], (P[0],), pair="a")
     for t in range(1, 2 * n - 1):
         hi = min(t, n - 1)
         lo = max(0, t - n + 1)
@@ -479,18 +424,19 @@ def _multiply_wide(state: SubarrayState, pair: int) -> None:
 
         if c == 1:
             i, j = terms[0]
-            and_op(state, a[i], b[j], (A, A1), pair="a")
+            and_op(trace, a[i], b[j], (A, A1), pair="a")
             dest, carry = dest_for(final=True)
-            _fused_add(state, op2, dest, carry, seeded=False)
+            _fused_add(trace, op2, dest, carry, seeded=False)
             continue
-        and_op(state, a[terms[0][0]], b[terms[0][1]], (A, A1), pair="a")
-        and_op(state, a[terms[1][0]], b[terms[1][1]], (CIN,), pair="b")
+        and_op(trace, a[terms[0][0]], b[terms[0][1]], (A, A1), pair="a")
+        and_op(trace, a[terms[1][0]], b[terms[1][1]], (CIN,), pair="b")
         dest, carry = dest_for(final=c == 2)
-        _fused_add(state, op2, dest, carry, seeded=True)
+        _fused_add(trace, op2, dest, carry, seeded=True)
         for idx, (i, j) in enumerate(terms[2:], start=2):
-            and_op(state, a[i], b[j], (A, A1), pair="a")
+            and_op(trace, a[i], b[j], (A, A1), pair="a")
             dest, carry = dest_for(final=idx == c - 1)
-            _fused_add(state, I, dest, carry, seeded=False)
+            _fused_add(trace, I, dest, carry, seeded=False)
+    return trace
 
 
 @dataclass(frozen=True)
@@ -556,7 +502,7 @@ def _values(events: Sequence[AapEvent], start: Sequence[int]):
     carry of a full adder over the same three values, so it senses their
     parity (Ambit's sum bit): its rows take that adder's sum and the
     negated row the complement. Any other QUINTUPLE raises ValueError: it
-    has no step here, and apply_event stays its meaning.
+    has no step here.
     """
     row_val = list(start)
     adders: dict[int, tuple[list[int], tuple[int, ...]]] = {}   # by carry
@@ -822,16 +768,13 @@ def _schedule(n: int, pair: int) -> Schedule:
     """The multiply command sequence for precision n and stacked pair, with
     its AND and ADD spans and its compiled program.
 
-    The sequence depends on nothing else, so it is recorded once on a
-    one-column scratch state and compiled once.
+    The sequence depends on nothing else, so it is emitted once from the
+    row layout of a one-column state, whose cells nothing reads or writes,
+    and compiled once.
     """
     touched = rows_needed(n, pair + 1)
-    state = new_subarray(touched, 1, n)
-    if n <= 2:
-        _multiply_small(state, pair)
-    else:
-        _multiply_wide(state, pair)
-    tr = state.trace
+    layout = new_subarray(touched, 1, n)
+    tr = (_multiply_small if n <= 2 else _multiply_wide)(layout, pair)
     return Schedule(tuple(tr.events), tuple(tr.and_spans),
                     tuple(tr.add_spans), _compile(tr.events, touched, (ROW0,)))
 
@@ -843,7 +786,7 @@ def multiply(state: SubarrayState, pair: int = 0) -> tuple[AapEvent, ...]:
     multiplied with. Runs the compiled program of the sequence recorded once
     for (n, pair) and returns that sequence's events, the cached schedule's
     own tuple: mul_aap_count(n) AAPs regardless of operand values or column
-    count. The state's trace is left alone. Row 0 must hold all zeros, the
+    count. Row 0 must hold all zeros, the
     reserved zero row the program is compiled for: otherwise
     ConfigurationError is raised and no cell changes.
     """

@@ -10,17 +10,13 @@ from hypothesis import strategies as st
 from cells import pack_columns, unpack_columns
 from pimsim.datapath import (
     TREE_WIDTH,
-    AccumulatorState,
     BatchNormParams,
-    SequencingError,
     SfuParams,
     ShapeError,
     TreeConfigError,
-    accumulate_bitplane,
     bank_execute,
     batchnorm,
     build_adder_tree,
-    mac_plane_sums,
     maxpool,
     packed_mac_sums,
     quantize,
@@ -30,6 +26,12 @@ from pimsim.datapath import (
     tree_reduce,
 )
 from pimsim import engine, oracle
+from reference import (
+    AccumulatorState,
+    SequencingError,
+    accumulate_bitplane,
+    mac_plane_sums,
+)
 from pimsim.mapper import conv_layer, linear_layer, map_network, NetworkDescription
 from pimsim.engine import (
     build_bank,

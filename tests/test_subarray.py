@@ -16,6 +16,7 @@ from cells import (
     write_operands,
     write_values,
 )
+from reference import apply_event, run_events, to_text
 from pimsim import engine, subarray
 from pimsim.subarray import (
     A,
@@ -35,11 +36,11 @@ from pimsim.subarray import (
     AliasingError,
     ConfigurationError,
     OperandRangeError,
+    RowBoundsError,
     add_bitserial,
     add_count,
     and_count,
     and_op,
-    apply_event,
     mul_aap_count,
     multiply,
     new_subarray,
@@ -58,8 +59,16 @@ def multiply_trace(st_, pair=0):
     ADD spans that the cached schedule recorded."""
     events = multiply(st_, pair=pair)
     schedule = subarray._schedule(st_.n, pair)
-    return AapTrace(list(events), list(schedule.and_spans),
+    return AapTrace(st_.rows, list(events), list(schedule.and_spans),
                     list(schedule.add_spans))
+
+
+def emit(st_, primitive, *args, **kwargs):
+    """Emit one primitive's events into a new trace over st_'s rows, run
+    them on st_'s cells and return the trace."""
+    trace = AapTrace(st_.rows)
+    run_events(st_.cells, primitive(trace, *args, **kwargs))
+    return trace
 
 
 # --------------------------------------------------------------------------
@@ -158,24 +167,34 @@ class TestAndOp:
         write_values(st_, [base], [0, 0, 1, 1])
         write_values(st_, [base + 1], [0, 1, 0, 1])
         dst = st_.product_rows[0]
-        and_op(st_, base, base + 1, (dst,))
+        trace = emit(st_, and_op, base, base + 1, (dst,))
         assert read_values(st_, [dst]).tolist() == [0, 0, 0, 1]
-        assert st_.trace.total_aap == 3
-        assert st_.trace.and_ops == 1
+        assert trace.total_aap == 3
+        assert trace.and_ops == 1
 
     def test_two_destinations_hold_result(self):
         st_ = make_state(2, cols=2)
         base = st_.data_base
         write_values(st_, [base], [1, 1])
         write_values(st_, [base + 1], [1, 1])
-        and_op(st_, base, base + 1, (B, B1), pair="b")
+        emit(st_, and_op, base, base + 1, (B, B1), pair="b")
         assert read_values(st_, [B]).all() and read_values(st_, [B1]).all()
 
     def test_dst_alias_rejected(self):
         st_ = make_state(2)
         base = st_.data_base
         with pytest.raises(AliasingError):
-            and_op(st_, base, base + 1, (base,))
+            and_op(AapTrace(st_.rows), base, base + 1, (base,))
+
+    @pytest.mark.parametrize("pair", ["c", "B", "", None])
+    def test_unknown_pair_rejected(self, pair):
+        # only "a" (A/A-1) and "b" (B/B-1) name an AND pair
+        st_ = make_state(2)
+        base = st_.data_base
+        trace = AapTrace(st_.rows)
+        with pytest.raises(AliasingError, match="pair"):
+            and_op(trace, base, base + 1, (base + 2,), pair=pair)
+        assert trace == AapTrace(st_.rows)
 
 
 # --------------------------------------------------------------------------
@@ -198,8 +217,8 @@ class TestAddBitserial:
         pairs = list(itertools.product(range(1 << n), repeat=2))
         st_ = new_subarray(9 + (n - 1) + 4 * n + 3 * n + 2, len(pairs), n)
         a_rows, b_rows, out_rows = _place_add_operands(st_, n, pairs)
-        add_bitserial(st_, a_rows, b_rows, out_rows)
-        assert st_.trace.total_aap == 4 * n + 1
+        trace = emit(st_, add_bitserial, a_rows, b_rows, out_rows)
+        assert trace.total_aap == 4 * n + 1
         assert read_values(st_, out_rows).tolist() == [a + b for a, b in pairs]
 
     def test_specific_sums(self):
@@ -208,7 +227,8 @@ class TestAddBitserial:
         a_rows, b_rows, out_rows = _place_add_operands(
             st_, 4, [(0b1111, 0b0001), (0, 11), (3, 3)]
         )
-        delta = add_bitserial(st_, a_rows, b_rows, out_rows)
+        delta = add_bitserial(AapTrace(st_.rows), a_rows, b_rows, out_rows)
+        run_events(st_.cells, delta)
         assert len(delta) == 17
         assert read_values(st_, out_rows)[:3].tolist() == [0b10000, 11, 6]
 
@@ -216,8 +236,8 @@ class TestAddBitserial:
         st_ = make_state(2, extra_rows=16)
         base = st_.data_base
         with pytest.raises(AliasingError):
-            add_bitserial(st_, [base, base + 1], [base + 1, base + 2],
-                          [base + 3, base + 4, base + 5])
+            add_bitserial(AapTrace(st_.rows), [base, base + 1],
+                          [base + 1, base + 2], [base + 3, base + 4, base + 5])
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 6), data=st.data())
@@ -226,9 +246,29 @@ class TestAddBitserial:
         b = data.draw(st.integers(0, (1 << n) - 1))
         st_ = new_subarray(9 + (n - 1) + 4 * n + 3 * n + 2, 2, n)
         a_rows, b_rows, out_rows = _place_add_operands(st_, n, [(a, b)])
-        add_bitserial(st_, a_rows, b_rows, out_rows)
+        trace = emit(st_, add_bitserial, a_rows, b_rows, out_rows)
         assert read_values(st_, out_rows)[0] == a + b
-        assert st_.trace.total_aap == 4 * n + 1
+        assert trace.total_aap == 4 * n + 1
+
+
+@pytest.mark.parametrize("group", range(3))
+@pytest.mark.parametrize("bad", [-1, "rows"])
+@pytest.mark.parametrize("primitive", [and_op, add_bitserial])
+def test_row_outside_the_trace_rejected(primitive, bad, group):
+    # a row below 0 or at trace.rows in each operand group in turn (AND:
+    # source a, source b, destination; ADD: a, b, out) is refused before
+    # any event is logged
+    trace = AapTrace(40)
+    bad = trace.rows if bad == "rows" else bad
+    if primitive is and_op:
+        args = [20, 21, (22,)]
+        args[group] = bad if group < 2 else (bad,)
+    else:
+        args = [[20, 21], [22, 23], [24, 25, 26]]
+        args[group][-1] = bad
+    with pytest.raises(RowBoundsError, match=f"row {bad} outside 0..39"):
+        primitive(trace, *args)
+    assert trace == AapTrace(40)
 
 
 # --------------------------------------------------------------------------
@@ -347,16 +387,8 @@ class TestMultiply:
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("pair", range(3))
     def test_multiply_logs_nothing_and_returns_the_schedule(self, n, pair):
-        base = subarray.rows_needed(n, 3)
-        st_ = new_subarray(base + 3 * n + 1, 2, n)
-        # an AND and an ADD log first, so neither span list is empty
-        and_op(st_, st_.data_base, st_.data_base + n, (st_.product_rows[0],))
-        add_bitserial(st_, range(base - 2 * n, base - n),
-                      range(base - n, base), range(base, base + n + 1))
-        before = AapTrace(list(st_.trace.events), list(st_.trace.and_spans),
-                          list(st_.trace.add_spans))
+        st_ = new_subarray(subarray.rows_needed(n, 3), 2, n)
         events = multiply(st_, pair=pair)
-        assert st_.trace == before
         assert events is subarray._schedule(n, pair).events
         assert len(events) == mul_aap_count(n)
 
@@ -404,15 +436,16 @@ class TestTrace:
     def test_total_equals_event_count_and_monotone(self):
         st_ = make_state(2, cols=2)
         write_operands(st_, [1], [1])
-        counts = [st_.trace.total_aap]
+        trace = AapTrace(st_.rows)
+        counts = [trace.total_aap]
         base = st_.data_base
-        and_op(st_, base, base + 2, (base + 5,))
-        counts.append(st_.trace.total_aap)
-        add_bitserial(st_, (base, base + 1), (base + 2, base + 3),
+        and_op(trace, base, base + 2, (base + 5,))
+        counts.append(trace.total_aap)
+        add_bitserial(trace, (base, base + 1), (base + 2, base + 3),
                       (base + 4, base + 5, base + 6))
-        counts.append(st_.trace.total_aap)
+        counts.append(trace.total_aap)
         assert counts == sorted(counts) == [0, 3, 3 + 9]
-        assert st_.trace.total_aap == len(st_.trace.events)
+        assert trace.total_aap == len(trace.events)
         recorded = multiply_trace(st_)
         assert recorded.total_aap == len(recorded.events) == mul_aap_count(2)
 
@@ -450,10 +483,10 @@ class TestTrace:
         )
         st_ = new_subarray(32, 1, 2)
         write_operands(st_, [3], [3])
-        assert multiply_trace(st_).to_text() == golden
+        assert to_text(multiply_trace(st_)) == golden
 
 
-# sha256 of AapTrace.to_text() per precision n: the recorded multiply at
+# sha256 of reference.to_text(trace) per precision n: the recorded multiply at
 # pairs 0, 1 and 2, then add_bitserial. Frozen, so any change to the order
 # or the rows of an AAP above n=2 shows here, not only in the products and
 # the counts.
@@ -518,13 +551,13 @@ def test_command_streams_are_frozen(n):
     *mul, add = STREAM_SHA256[n]
     for pair, digest in enumerate(mul):
         st_ = new_subarray(subarray.rows_needed(n, 3), 1, n)
-        text = multiply_trace(st_, pair).to_text()
+        text = to_text(multiply_trace(st_, pair))
         assert _sha256(text) == digest, (n, pair)
     base = subarray.rows_needed(n, 1)
-    st_ = new_subarray(base + 3 * n + 1, 1, n)
-    add_bitserial(st_, range(base, base + n), range(base + n, base + 2 * n),
+    trace = AapTrace(base + 3 * n + 1)
+    add_bitserial(trace, range(base, base + n), range(base + n, base + 2 * n),
                   range(base + 2 * n, base + 3 * n + 1))
-    assert _sha256(st_.trace.to_text()) == add, n
+    assert _sha256(to_text(trace)) == add, n
 
 
 # --------------------------------------------------------------------------
@@ -580,14 +613,15 @@ class TestPackedCells:
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("pair", [0, 1])
     def test_cached_replay_equals_fresh_schedule(self, n, pair):
-        fresh = new_subarray(64, 3, n)
+        layout = new_subarray(64, 3, n)
         if n <= 2:
-            subarray._multiply_small(fresh, pair)
+            fresh = subarray._multiply_small(layout, pair)
         else:
-            subarray._multiply_wide(fresh, pair)
+            fresh = subarray._multiply_wide(layout, pair)
+        assert not layout.cells.any()
         st_ = new_subarray(64, 3, n)
         first = multiply_trace(st_, pair)
-        assert first == fresh.trace
+        assert first == fresh
         assert multiply_trace(st_, pair) == first
 
     @pytest.mark.parametrize("n", [2, 5])
@@ -598,8 +632,7 @@ class TestPackedCells:
         st_ = _ragged_state(n, pairs)
         events = multiply(st_)
         again = _ragged_state(n, pairs)
-        for event in events:
-            subarray.apply_event(again.cells, event)
+        run_events(again.cells, events)
         assert np.array_equal(again.cells, st_.cells)
         products = read_products(again).tolist()
         assert products[-len(pairs):] == [a * b for a, b in pairs]
@@ -636,9 +669,7 @@ class TestCompiledMultiply:
         st_.cells[ROW0] = 0
         start = st_.cells.copy()
         want = st_.cells.copy()
-        events = multiply(st_, pair=pair)
-        for event in events:
-            subarray.apply_event(want, event)
+        run_events(want, multiply(st_, pair=pair))
         assert np.array_equal(st_.cells, want)
         program = subarray._schedule(n, pair).program
         for run in EXECUTORS:
@@ -700,8 +731,7 @@ class TestCompiledMultiply:
             start = random.copy()
             start[known] = 0
             want = start.copy()
-            for event in events:
-                subarray.apply_event(want, event)
+            run_events(want, events)
             program = subarray._compile(events, touched, known)
             for run in EXECUTORS:
                 cells = start.copy()
@@ -747,8 +777,7 @@ class TestCompiledMultiply:
             start = rng.integers(0, 1 << 64, size=(touched + 1, words),
                                  dtype=np.uint64)
             want = start.copy()
-            for event in events:
-                subarray.apply_event(want, event)
+            run_events(want, events)
             for run in EXECUTORS:
                 cells = start.copy()
                 run(program, cells)
