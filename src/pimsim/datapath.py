@@ -331,6 +331,9 @@ def bank_execute(
             mac_sums[base + held.start : base + held.stop] = packed_mac_sums(
                 state.cells[product.start : product.stop], len(held),
                 place.mac_size)
+        # drop this state before the next is built, so that one state's
+        # cells are live at a time
+        del state
     acct.plane_reads = (
         2 * n * place.passes * tree_loads_per_pass(place, TREE_WIDTH)
     )

@@ -6,16 +6,18 @@ and all weights, in the smallest unsigned type that holds n bits. Each layer
 runs on one packed bank state (see subarray): the rows the layer touches, and
 mac_size columns per MAC of its subarrays in MAC order, bit-packed. The
 subarray and column a MAC occupies only matter for cost, which the mapper and
-the accounting compute. Operands are gathered im2col-style once per layer;
-each operand bit-plane is then shifted out and packed straight into its cell
-row (the transposed layout), activations once, weights once per stacked
-pair. bank_execute runs one multiply per pass, reduces the packed product
-rows by popcount, accumulates and runs the SFU chain. A
-layer wider than BANK_CHUNK_COLUMNS runs in chunks of whole subarrays, built
-one at a time. Each layer's output tensor is compared with the oracle's as it
-is and feeds the next layer unchanged. The layer and every geometry
-parameter (rows, column size, precision, passes) are read from the layer's
-placement; the mapper owns their checks.
+the accounting compute. Each cell row of the transposed layout is built
+from packed uint64 words: the activations are gathered im2col-style and
+packed into n bit-planes once per layer, and a chunk's activation rows are
+a cyclic window of them; its weight rows, one block per stacked pair, tile
+and join the bit patterns of the filters it touches (place_operands).
+bank_execute runs one multiply per pass, reduces the packed product
+rows by popcount, accumulates and runs the SFU chain. A layer wider than
+BANK_CHUNK_COLUMNS runs in chunks of whole subarrays, built one at a time,
+each freed before the next is built. Each layer's output tensor is
+compared with the oracle's as it is and feeds the next layer unchanged.
+The layer and every geometry parameter (rows, column size, precision,
+passes) are read from the layer's placement; the mapper owns their checks.
 """
 
 from __future__ import annotations
@@ -34,11 +36,14 @@ from .mapper import (
     mac_size,
 )
 from .subarray import (
+    WORD,
+    WORD_BITS,
     ConfigurationError,
     OperandRangeError,
     SubarrayState,
     new_subarray,
     rows_needed,
+    word_count,
 )
 
 # Subarray columns one packed bank state may cover. A layer with more runs in
@@ -131,28 +136,115 @@ def _im2col(layer: LayerSpec, x: np.ndarray) -> np.ndarray:
     return cols.reshape(oh * ow, -1)
 
 
+def _pack_planes(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the bit-planes of n-bit values along their last axis into out,
+    (n, ..., words), LSB plane first, and return it; the bytes past the
+    values' own are left as they were. Each plane is masked out into one
+    reused buffer and packed, a nonzero value packing as a set bit."""
+    raw = out.view(np.uint8)[..., : -(-values.shape[-1] // 8)]
+    buf = np.empty_like(values)
+    for bit in range(len(out)):
+        np.bitwise_and(values, 1 << bit, out=buf)
+        raw[bit] = np.packbits(buf, axis=-1, bitorder="little")
+    return out
+
+
+def _mask(words: np.ndarray, bits: int) -> None:
+    """Clear every bit of each row from bit `bits` on."""
+    q, r = divmod(bits, WORD_BITS)
+    if r:
+        words[..., q] &= np.uint64((1 << r) - 1)
+        q += 1
+    words[..., q:] = 0
+
+
+def _funnel(src: np.ndarray, s: int, out: np.ndarray) -> None:
+    """out = each row of src from bit s (below 64) on, a word at a time:
+    (w[i] >> s) | (w[i + 1] << (64 - s)), w[i + 1] taken as 0 past the end
+    of src."""
+    w = out.shape[-1]
+    if not s:
+        out[...] = src[..., :w]
+        return
+    np.right_shift(src[..., :w], s, out=out)
+    high = src[..., 1 : w + 1]
+    out[..., : high.shape[-1]] |= high << (WORD_BITS - s)
+
+
+def _or_at(dst: np.ndarray, src: np.ndarray, bit: int) -> None:
+    """OR each row of src into dst from bit offset `bit`, clipped to dst's
+    words."""
+    q, r = divmod(bit, WORD_BITS)
+    m = min(src.shape[-1], dst.shape[-1] - q)
+    if not r:
+        dst[..., q : q + m] |= src[..., :m]
+        return
+    dst[..., q : q + m] |= src[..., :m] << r
+    m = min(src.shape[-1], dst.shape[-1] - q - 1)
+    dst[..., q + 1 : q + 1 + m] |= src[..., :m] >> (WORD_BITS - r)
+
+
+def _cyclic_window(pattern: np.ndarray, period: int, start: int,
+                   out: np.ndarray, bits: int) -> None:
+    """out = bits [start, start + bits) of each row's `period`-bit pattern
+    repeated without end, the rest of out cleared (start < period; the
+    pattern's bits past period are zero).
+
+    The window's first period is the pattern turned by start bits: one
+    funnel shift from bit start, and the pattern ORed on where it wraps.
+    The window then doubles in place: what is built is ORed on at its end
+    by a funnel shift until that end falls on a word boundary, and copied
+    on word for word from then on. No temporary is larger than the
+    pattern or half the window.
+    """
+    head = word_count(min(period - start, bits))
+    _funnel(pattern[..., start // WORD_BITS :], start % WORD_BITS,
+            out[..., :head])
+    out[..., head:] = 0
+    if start and period - start < bits:
+        _or_at(out, pattern, period - start)
+    built = period
+    while built < bits:
+        src = out[..., : word_count(min(built, bits - built))]
+        if built % WORD_BITS:
+            _or_at(out, src, built)
+        else:
+            q = built // WORD_BITS
+            out[..., q : q + src.shape[-1]] = src
+        built *= 2
+    _mask(out, bits)
+
+
+def _join(dst: np.ndarray, blocks: np.ndarray, first: int,
+          period: int) -> None:
+    """OR block i of blocks, (..., count, words) of `period` bits each,
+    into dst from bit first + i * period; every block must end inside dst.
+    Blocks of whole words lie back to back and are joined as one run (numpy
+    would copy a 3-D strided view that it writes in place); others one at a
+    time."""
+    if not period % WORD_BITS:
+        _or_at(dst, blocks.reshape(*blocks.shape[:-2], -1), first)
+        return
+    for i in range(blocks.shape[-2]):
+        _or_at(dst, blocks[..., i, :], first + i * period)
+
+
 def prepare_operands(place: LayerPlacement, x: np.ndarray,
                      w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A layer's operands as place_operands takes them, in the smallest
-    unsigned type of n bits: the im2col activations, (channel_positions,
-    mac_size), and the weights, (output channels, mac_size)."""
+    """A layer's operands as place_operands takes them: the n bit-planes of
+    its im2col activations, (n, word_count(channel_positions * mac_size))
+    words holding every output position's MAC operands in MAC column order,
+    and the weights in the smallest unsigned type of n bits, (output
+    channels, mac_size)."""
     n = place.precision
-    return (_im2col(place.layer, _operand_bytes(x, n)),
+    acts = _im2col(place.layer, _operand_bytes(x, n)).reshape(-1)
+    planes = np.zeros((n, word_count(acts.size)), dtype=WORD)
+    return (_pack_planes(acts, planes),
             _operand_bytes(w, n).reshape(-1, place.mac_size))
 
 
-def _write_operands(state: SubarrayState, rows: tuple[int, ...],
-                    values: np.ndarray) -> None:
-    """Write the (macs, mac_size) operands of the state's MACs, one n-bit
-    value per column in MAC order, LSB in rows[0]: each bit-plane is shifted
-    out into one reused buffer and packed straight into its cell row."""
-    flat = values.reshape(-1)
-    plane = np.empty_like(flat)
-    cells = state.cells.view(np.uint8)[:, : -(-flat.size // 8)]
-    for bit, row in enumerate(rows):
-        np.right_shift(flat, bit, out=plane)
-        np.bitwise_and(plane, 1, out=plane)
-        cells[row] = np.packbits(plane, bitorder="little")
+def _cell_rows(state: SubarrayState, rows: tuple[int, ...]) -> np.ndarray:
+    return state.cells[rows[0] : rows[-1] + 1]
 
 
 def place_operands(
@@ -161,21 +253,59 @@ def place_operands(
     acts: np.ndarray,
     weights: np.ndarray,
 ) -> None:
-    """Write every operand of the MACs the given bank states hold.
+    """Write every operand of the MACs the given bank states hold, n-bit
+    values one per column in MAC order, LSB in the first row of each block.
 
     acts and weights are the layer's operands from prepare_operands. Every
     pass has the same layout (LayerPlacement.pass_macs) and, since passes
-    split the output channels, the same activations.
+    split the output channels, the same activations: in channel-major MAC
+    order a state's activation rows are a cyclic window of the packed
+    im2col planes, whose period is channel_positions * mac_size bits. A
+    weight row runs through filters, each filter's mac_size-bit pattern
+    repeated channel_positions times: the filters a state touches are
+    packed and tiled, those whose whole stretch the row holds joined end to
+    end, and one cut by the row's start or end tiled to its part alone; a
+    linear layer's filters hold one pattern each. The packing buffers are
+    allocated once per state and reused by every pass.
     """
-    positions = place.channel_positions
+    n, size, positions = place.precision, place.mac_size, place.channel_positions
+    period = positions * size
     for state in bank:
         held = place.pass_macs(state.subarrays)
-        macs = np.arange(held.start, held.stop)
-        _write_operands(state, state.activation_rows(), acts[macs % positions])
+        bits = len(held) * size
+        _cyclic_window(acts, period, held.start % positions * size,
+                       _cell_rows(state, state.activation_rows()), bits)
+        # passes split the output channels, so every pass's row opens at the
+        # same phase of a filter and runs through as many filters; filter
+        # f0's stretch opens `start` bits into it, at phase 0 of its pattern
+        # since the row starts on a MAC boundary; the filters in `full` have
+        # their whole stretch in the row, and the last one, if the row cuts
+        # it, is tiled into `tail` and ORed on from bit `at`
+        f0, phase = divmod(held.start, positions)
+        count = -(-(held.start + len(held)) // positions) - f0
+        start = phase * size
+        full = range(1 if phase else 0, (start + bits) // period)
+        last = count - 1
+        at = last * period - start if last and last not in full else bits
+        patterns = np.zeros((n, count, word_count(size)), dtype=WORD)
+        blocks = np.empty((n, len(full), word_count(period)), dtype=WORD)
+        tail = np.empty((n, word_count(bits - at)), dtype=WORD)
         for p in range(place.passes):
-            ids = p * place.macs_per_pass + macs
-            _write_operands(state, state.weight_rows(p),
-                            weights[ids // positions])
+            f = (p * place.macs_per_pass + held.start) // positions
+            rows = _cell_rows(state, state.weight_rows(p))
+            _pack_planes(weights[f : f + count], patterns)
+            if 0 in full:
+                rows[...] = 0
+            else:
+                _cyclic_window(patterns[:, 0], size, 0, rows,
+                               min(period - start, bits))
+            if full:
+                _cyclic_window(patterns[:, full.start : full.stop], size, 0,
+                               blocks, period)
+                _join(rows, blocks, full.start * period - start, period)
+            if at < bits:
+                _cyclic_window(patterns[:, last], size, 0, tail, bits - at)
+                _or_at(rows, tail, at)
 
 
 def run_layer(place: LayerPlacement, x: np.ndarray, w: np.ndarray,
@@ -188,7 +318,9 @@ def run_layer(place: LayerPlacement, x: np.ndarray, w: np.ndarray,
             bank = build_bank(place, range(
                 first, min(first + step, place.subarrays_used)))
             place_operands(bank, place, acts, weights)
-            yield from bank
+            # handed over, not kept: the consumer frees each state before
+            # the next chunk is built
+            yield bank.pop()
 
     return bank_execute(banks(), place, sfu)
 

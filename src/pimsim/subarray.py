@@ -223,7 +223,9 @@ def and_op(
     ("a": A/A-1, "b": B/B-1), stage 2 copies the second onto its partner,
     stage 3 activates the AND wordline and stores the sensed result in the
     destination rows (one or two). The pair cells also end up holding the
-    result.
+    result. No source may be a row of the chosen pair, which the staging
+    copies overwrite: stage 1 would clobber a second operand held in the
+    selector cell.
     """
     dsts = tuple(int(d) for d in dst_rows)
     if not 1 <= len(dsts) <= 2:
@@ -234,6 +236,8 @@ def and_op(
     if pair not in ("a", "b"):
         raise AliasingError(f"AND pair must be 'a' or 'b', got {pair!r}")
     p = (A, A1) if pair == "a" else (B, B1)
+    if src_a_row in p or src_b_row in p:
+        raise AliasingError("AND source overlaps its AND pair")
     start = len(trace.events)
     trace.log(COPY, (src_a_row, p[0]))
     trace.log(COPY, (src_b_row, p[1]))

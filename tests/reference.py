@@ -6,13 +6,16 @@ compiled program, and any other event sequence _compile accepts, must leave
 the cells as running the events through it one by one does. to_text dumps a
 trace for the frozen command-stream digests. The shift-add accumulator and
 mac_plane_sums over unpacked bit-planes are the references the datapath's
-packed reduction (packed_mac_sums) is tested against.
+packed reduction (packed_mac_sums) is tested against. place_operands is
+the byte-level operand writer that engine.place_operands, which builds each
+cell row from packed words, must equal bit for bit.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from pimsim.engine import _im2col, _operand_bytes
 from pimsim.subarray import AND_STAGE, COPY, QUINTUPLE, TRIPLE, WRITE_ROW0
 
 
@@ -96,3 +99,34 @@ def mac_plane_sums(planes):
     sums = planes.sum(axis=2, dtype=np.int64)
     shifts = np.arange(planes.shape[0], dtype=np.int64)[:, None]
     return (sums << shifts).sum(axis=0)
+
+
+def write_operands(state, rows, values):
+    """Write the (macs, mac_size) operands of the state's MACs, one n-bit
+    value per column in MAC order, LSB in rows[0]: each bit-plane is shifted
+    out into one reused buffer and packed straight into its cell row."""
+    flat = values.reshape(-1)
+    plane = np.empty_like(flat)
+    cells = state.cells.view(np.uint8)[:, : -(-flat.size // 8)]
+    for bit, row in enumerate(rows):
+        np.right_shift(flat, bit, out=plane)
+        np.bitwise_and(plane, 1, out=plane)
+        cells[row] = np.packbits(plane, bitorder="little")
+
+
+def place_operands(bank, place, x, w):
+    """Write every operand of the MACs the given bank states hold from the
+    layer's input x and weights w: gather each MAC's im2col activations and
+    its filter's weights, (macs, mac_size) bytes, and write them with
+    write_operands."""
+    n, positions = place.precision, place.channel_positions
+    acts = _im2col(place.layer, _operand_bytes(x, n))
+    weights = _operand_bytes(w, n).reshape(-1, place.mac_size)
+    for state in bank:
+        held = place.pass_macs(state.subarrays)
+        macs = np.arange(held.start, held.stop)
+        write_operands(state, state.activation_rows(), acts[macs % positions])
+        for p in range(place.passes):
+            ids = p * place.macs_per_pass + macs
+            write_operands(state, state.weight_rows(p),
+                           weights[ids // positions])

@@ -1,6 +1,7 @@
 """Adder tree, accumulator, SFU and whole-bank execution tests."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -26,13 +27,20 @@ from pimsim.datapath import (
     tree_reduce,
 )
 from pimsim import engine, oracle
+import reference
 from reference import (
     AccumulatorState,
     SequencingError,
     accumulate_bitplane,
     mac_plane_sums,
 )
-from pimsim.mapper import conv_layer, linear_layer, map_network, NetworkDescription
+from pimsim.mapper import (
+    NetworkDescription,
+    conv_layer,
+    linear_layer,
+    mac_size,
+    map_network,
+)
 from pimsim.engine import (
     build_bank,
     place_operands,
@@ -496,6 +504,50 @@ class TestBankChunks:
         # operands are prepared once per layer, not once per chunk
         assert len(calls) == len(net.layers)
 
+    def test_chunks_of_an_odd_period_equal_one_bank(self, monkeypatch):
+        # 9 positions of 27-column MACs: a 243-bit period, so chunks of 2
+        # subarrays (2 MACs each) start mid-filter and mid-word; k = 2
+        net = NetworkDescription("odd", 3, [
+            conv_layer(H=5, W=5, I=3, O=4, K=3),
+            linear_layer(w1=36, w2=5),
+        ], parallelism=[2, 1])
+        plan = map_network(net, column_size=60)
+        place = plan.layers[0]
+        assert place.channel_positions * place.mac_size == 243
+        assert place.subarrays_used == 9
+        whole = run_functional(net, plan, seed=5)
+        monkeypatch.setattr(engine, "BANK_CHUNK_COLUMNS", 2 * 60)
+        calls = []
+        im2col = engine._im2col
+        monkeypatch.setattr(engine, "_im2col",
+                            lambda *a: calls.append(a) or im2col(*a))
+        chunked = run_functional(net, plan, seed=5)
+        assert whole.passed and chunked.passed
+        assert whole.accounting == chunked.accounting
+        assert len(calls) == len(net.layers)
+
+    def test_one_chunk_state_is_live_at_a_time(self, monkeypatch):
+        # each chunk's state is freed before the next one is built, so a
+        # chunked layer holds one state's cells at a time, not two
+        net = NetworkDescription("live", 3, [
+            conv_layer(H=6, W=6, I=2, O=4, K=3, p=1),
+        ], parallelism=[2])
+        plan = map_network(net, column_size=40)
+        monkeypatch.setattr(engine, "BANK_CHUNK_COLUMNS", 5 * 40)
+        built, live = [], []
+        build = engine.build_bank
+
+        def tracked(*args):
+            live.append(sum(ref() is not None for ref in built))
+            bank = build(*args)
+            built.extend(weakref.ref(state) for state in bank)
+            return bank
+
+        monkeypatch.setattr(engine, "build_bank", tracked)
+        assert run_functional(net, plan, seed=3).passed
+        assert len(built) == 8
+        assert live == [0] * 8
+
     def test_state_holds_only_the_mac_columns(self):
         # 7 MACs of 5 columns, 2 per 12-column subarray: each subarray
         # leaves 2 padding columns and the last one a whole MAC slot
@@ -582,6 +634,8 @@ class TestPackedReduction:
 class TestOperandPlacement:
     @pytest.mark.parametrize("n", range(1, 17))
     def test_rows_equal_packed_shift_grid(self, n):
+        # the byte-level reference writer that place_operands is checked
+        # against
         rng = np.random.default_rng(n)
         dtype = np.min_scalar_type((1 << n) - 1)
         assert dtype == (np.uint8 if n <= 8 else np.uint16)
@@ -590,7 +644,7 @@ class TestOperandPlacement:
                                   dtype=dtype)
             state = new_subarray(rows_needed(n, 1), macs * mac_size, n)
             rows = state.weight_rows(0)
-            engine._write_operands(state, rows, values)
+            reference.write_operands(state, rows, values)
             shifts = np.arange(n, dtype=dtype)[:, None]
             grid = (values.reshape(1, -1) >> shifts) & 1
             want = pack_columns(grid, state.cells.shape[1])
@@ -598,3 +652,82 @@ class TestOperandPlacement:
             others = np.ones(state.rows, dtype=bool)
             others[list(rows)] = False
             assert not state.cells[others].any()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 16),
+        conv=st.booleans(),
+        channels=st.integers(1, 200),
+        kernel=st.sampled_from([(1, 1), (1, 2), (2, 2), (3, 1), (3, 3)]),
+        side=st.integers(1, 7),
+        per_pass=st.integers(1, 4),
+        k=st.integers(1, 3),
+        spare_cols=st.integers(0, 150),
+        chunk=st.tuples(st.integers(0, 2**16), st.integers(1, 2**16)),
+        seed=st.integers(0, 2**16),
+    )
+    # whole-word periods, several MACs to a word, 1-bit MACs, and 16-bit
+    # operands at an odd period
+    @example(n=4, conv=True, channels=64, kernel=(1, 1), side=4, per_pass=2,
+             k=2, spare_cols=0, chunk=(1, 3), seed=1)
+    @example(n=8, conv=True, channels=32, kernel=(2, 2), side=3, per_pass=3,
+             k=1, spare_cols=10, chunk=(2, 5), seed=2)
+    @example(n=3, conv=False, channels=7, kernel=(1, 1), side=1, per_pass=4,
+             k=3, spare_cols=20, chunk=(1, 2), seed=3)
+    @example(n=1, conv=True, channels=1, kernel=(1, 1), side=1, per_pass=4,
+             k=2, spare_cols=0, chunk=(1, 2), seed=4)
+    @example(n=16, conv=True, channels=13, kernel=(3, 3), side=7, per_pass=1,
+             k=1, spare_cols=3, chunk=(5, 17), seed=5)
+    def test_rows_equal_reference_writer(self, n, conv, channels, kernel,
+                                         side, per_pass, k, spare_cols,
+                                         chunk, seed):
+        # every row of a chunk's state, padding bits included; mac_size is
+        # channels * K * L for conv (up to 198), channels for linear, and the
+        # chunk's subarrays may start mid-filter and mid-period
+        K, L = kernel
+        if conv:
+            layer = conv_layer(H=side + K - 1, W=side + L - 1, I=channels,
+                               O=per_pass * k, K=K, L=L, p=side % 2)
+            x_shape = (layer.I, layer.H, layer.W)
+        else:
+            layer = linear_layer(w1=channels, w2=per_pass * k)
+            x_shape = (layer.w1,)
+        net = NetworkDescription("place", n, [layer], parallelism=[k])
+        plan = map_network(net, column_size=mac_size(layer) + spare_cols)
+        place = plan.layers[0]
+        first = chunk[0] % place.subarrays_used
+        stop = min(first + chunk[1], place.subarrays_used)
+        rng = np.random.default_rng(seed)
+        x = engine._draw(rng, n, x_shape)
+        w = engine.synth_weights(rng, layer, n)
+        (got,) = build_bank(place, range(first, stop))
+        place_operands([got], place, *prepare_operands(place, x, w))
+        (want,) = build_bank(place, range(first, stop))
+        reference.place_operands([want], place, x, w)
+        assert np.array_equal(got.cells, want.cells)
+
+    @pytest.mark.parametrize("layer", [
+        # 784 positions of 72 columns: whole-word periods
+        conv_layer(H=30, W=30, I=8, O=16, K=3),
+        # AlexNet conv1's kernel and stride: a 61,347-bit period
+        conv_layer(H=59, W=59, I=3, O=8, K=11, s=4),
+    ])
+    def test_chunk_placement_in_bounded_memory(self, layer):
+        # a mid-layer chunk of 55 subarrays, placed from packed words; the
+        # byte-level writer peaked at 2.2-2.4 bytes per column here, its
+        # (macs, mac_size) uint8 gathers alone taking one each
+        net = NetworkDescription("mem", 4, [layer])
+        place = map_network(net, column_size=4096).layers[0]
+        rng = np.random.default_rng(6)
+        x = engine.synth_input(rng, layer, 4)
+        operands = prepare_operands(place, x,
+                                    engine.synth_weights(rng, layer, 4))
+        bank = build_bank(place, range(5, 60))
+        place_operands(bank, place, *operands)
+        tracemalloc.start()
+        try:
+            place_operands(bank, place, *operands)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * bank[0].cols

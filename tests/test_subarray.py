@@ -196,6 +196,19 @@ class TestAndOp:
             and_op(trace, base, base + 1, (base + 2,), pair=pair)
         assert trace == AapTrace(st_.rows)
 
+    @pytest.mark.parametrize("pair, src_a, src_b", [
+        ("a", 20, A),  # ANDed row 20 with itself: copy 20,1 then copy 1,2
+        ("a", A, 20), ("a", A1, 20), ("a", 20, A1),
+        ("b", B, 20), ("b", 20, B), ("b", B1, 20), ("b", 20, B1),
+    ])
+    def test_source_in_the_and_pair_rejected(self, pair, src_a, src_b):
+        # the staging copies write the pair rows, so a source there can be
+        # overwritten before it is read
+        trace = AapTrace(32)
+        with pytest.raises(AliasingError, match="pair"):
+            and_op(trace, src_a, src_b, (22,), pair=pair)
+        assert trace == AapTrace(32)
+
 
 # --------------------------------------------------------------------------
 # Bit-serial ADD
