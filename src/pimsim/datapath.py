@@ -228,11 +228,16 @@ def quantize(x, n: int, shift: int = 0):
 
 def maxpool(x: np.ndarray, window: int) -> np.ndarray:
     """Max over non-overlapping window x window tiles of a (C, H, W) array,
-    stride window; trailing rows and columns that do not fill a tile drop."""
-    c, h, w = x.shape
-    oh, ow = h // window, w // window
-    tiles = x[:, : oh * window, : ow * window].reshape(c, oh, window, ow, window)
-    return tiles.max(axis=(2, 4))
+    stride window; trailing rows and columns that do not fill a tile drop.
+    Taken as the running maximum of the window**2 strided slices, one per
+    offset within a tile."""
+    _, h, w = x.shape
+    h, w = h // window * window, w // window * window
+    out = x[:, :h:window, :w:window].copy()
+    for dy in range(window):
+        for dx in range(window):
+            np.maximum(out, x[:, dy:h:window, dx:w:window], out=out)
+    return out
 
 
 @dataclass

@@ -243,8 +243,8 @@ class LayerPlacement:
 
     It holds the layer, its k (passes), the column size and the precision,
     and derives every count from them once; a MAC wider than column_size,
-    or a k that does not split the MACs into equal passes, raises
-    MappingError. MAC ids are global and consecutive: conv MAC
+    or a k that does not split the MACs into equal passes of whole filters,
+    raises MappingError. MAC ids are global and consecutive: conv MAC
     f*num_macs+q is output position q of filter f; linear MAC j is neuron
     j. Pass p holds MACs [p*macs_per_pass, (p+1)*macs_per_pass), laid out
     identically, stacked at pair depth p.
@@ -278,12 +278,18 @@ class LayerPlacement:
                 f"its {total} MACs into equal passes"
             )
         per_pass, per_sub = total // self.passes, self.column_size // ms
+        positions = num_macs(layer) if layer.kind == "conv" else 1
+        if per_pass % positions:
+            raise MappingError(
+                f"layer {self.layer_index}: k={self.passes} does not divide "
+                f"O={layer.O}; a pass must hold whole filters"
+            )
         # frozen: the derived fields are set past the blocked __setattr__
         self.__dict__.update(
             kind=layer.kind, mac_size=ms, macs_total=total,
             macs_per_pass=per_pass, macs_per_subarray=per_sub,
             subarrays_used=-(-per_pass // per_sub),
-            channel_positions=num_macs(layer) if layer.kind == "conv" else 1,
+            channel_positions=positions,
         )
 
     @property

@@ -232,6 +232,29 @@ class TestSfu:
         x = np.array([[[2, 8, 5, 1], [2, 8, 5, 1]]])
         assert maxpool(x, 2).tolist() == [[[8, 5]]]
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        c=st.integers(1, 3), h=st.integers(1, 9), w=st.integers(1, 9),
+        window=st.integers(1, 4),
+        dtype=st.sampled_from([np.uint8, np.int64]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(c=2, h=7, w=9, window=3, dtype=np.int64, seed=0)
+    @example(c=1, h=3, w=2, window=4, dtype=np.uint8, seed=0)
+    def test_maxpool_matches_loops(self, c, h, w, window, dtype, seed):
+        # windows that leave trailing rows and columns, or fill no tile
+        x = np.random.default_rng(seed).integers(0, 200, size=(c, h, w),
+                                                 dtype=dtype)
+        got = maxpool(x, window)
+        want = [[[max(x[f, y * window + dy, xx * window + dx]
+                      for dy in range(window) for dx in range(window))
+                  for xx in range(w // window)]
+                 for y in range(h // window)]
+                for f in range(c)]
+        assert got.dtype == dtype
+        assert got.shape == (c, h // window, w // window)
+        assert got.tolist() == want
+
     def test_passthrough_pooling(self):
         stream = [3, 1, 4, 1, 5]
         assert sfu_stage(np.array(stream), SfuParams()).tolist() == stream

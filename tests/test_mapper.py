@@ -349,6 +349,16 @@ class TestValidatePlanClosedForm:
                 "layer 0: k=4 does not split its 6 MACs into equal passes")):
             LayerPlacement(0, linear_layer(w1=4, w2=6), 4, 32, 4)
 
+    def test_conv_placement_whose_passes_split_a_filter(self):
+        # 3 filters of 4 positions in 2 passes of 6 MACs: pass 1 would start
+        # inside filter 1, where the engine takes every pass to start on a
+        # filter boundary
+        layer = conv_layer(H=2, W=2, I=1, O=3, K=1)
+        with pytest.raises(MappingError, match=re.escape(
+                "layer 0: k=2 does not divide O=3; a pass must hold whole "
+                "filters")):
+            LayerPlacement(0, layer, 2, 32, 4)
+
     def test_placement_at_k_zero(self):
         with pytest.raises(MappingError, match=re.escape(
                 "layer 0: k=0 does not split its 6 MACs into equal passes")):
@@ -378,10 +388,12 @@ class TestValidatePlanClosedForm:
             plan.layers[0] = replace(place, **changes)
         except MappingError:
             # a MAC wider than its columns, or a k that does not split the
-            # MACs into equal passes, has no placement at all
+            # MACs into equal passes of whole filters, has no placement at all
             drawn = changes.get("layer", layer)
+            passes = changes.get("passes", k)
             assert (mac_size(drawn) > changes.get("column_size", column_size)
-                    or total_macs(drawn) % changes.get("passes", k))
+                    or total_macs(drawn) % passes
+                    or drawn.kind == "conv" and drawn.O % passes)
             return
         if _reference_faults(plan, net):
             assert validate_plan(plan, net) != []

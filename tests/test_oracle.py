@@ -73,14 +73,102 @@ class TestConvRef:
     @pytest.mark.parametrize("block", [1, 300, 1 << 20])
     def test_blocks_of_output_rows_match_loops(self, monkeypatch, block):
         # one output row per block, two per block with a short last block,
-        # and all nine in one; uint8 operands are promoted block by block
+        # and all nine in one; uint8 operands are promoted block by block,
+        # to float64
         rng = np.random.default_rng(block)
         x = rng.integers(0, 256, size=(2, 9, 7), dtype=np.uint8)
         w = rng.integers(0, 256, size=(3, 2, 3, 3), dtype=np.uint8)
+        assert oracle._product_dtype(x, w, 18) is np.float64
         monkeypatch.setattr(oracle, "_BLOCK_ELEMENTS", block)
         got = oracle.conv_ref(x, w, 1, 1)
         assert got.dtype == np.int64
         assert np.array_equal(got, conv_loops(x, w, 1, 1))
+
+    @pytest.mark.parametrize("block", [1, 300, 1 << 20])
+    def test_blocks_of_output_rows_match_loops_in_int64(self, monkeypatch,
+                                                        block):
+        # operands near 2**27: max|x| * max|w| * 18 is past 2**53, so the
+        # blocks are promoted to int64, not float64
+        rng = np.random.default_rng(block)
+        x = rng.integers(1 << 26, 1 << 27, size=(2, 9, 7))
+        w = rng.integers(1 << 26, 1 << 27, size=(3, 2, 3, 3))
+        assert oracle._product_dtype(x, w, 18) is np.int64
+        monkeypatch.setattr(oracle, "_BLOCK_ELEMENTS", block)
+        got = oracle.conv_ref(x, w, 1, 1)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, conv_loops(x, w, 1, 1))
+
+
+def _operands(rng, bits, signed, size):
+    """Integers of at most `bits` bits, negative too when signed."""
+    high = 1 << bits
+    return rng.integers(-high + 1 if signed else 0, high, size=size)
+
+
+class TestExactProducts:
+    """conv_ref and linear_ref sum in float64 only when every partial sum
+    is an integer below 2**53; otherwise they stay in int64."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        I=st.integers(1, 3), O=st.integers(1, 3), K=st.integers(1, 4),
+        bits=st.integers(1, 28), signed=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_conv_on_both_sides_of_the_bound(self, I, O, K, bits, signed,
+                                             seed):
+        rng = np.random.default_rng(seed)
+        x = _operands(rng, bits, signed, (I, K + 2, K + 1))
+        w = _operands(rng, bits, signed, (O, I, K, K))
+        got = oracle.conv_ref(x, w, 1, 1)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, conv_loops(x, w, 1, 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        w1=st.integers(1, 300), w2=st.integers(1, 4),
+        bits=st.integers(1, 28), signed=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_linear_on_both_sides_of_the_bound(self, w1, w2, bits, signed,
+                                               seed):
+        rng = np.random.default_rng(seed)
+        x = _operands(rng, bits, signed, w1)
+        w = _operands(rng, bits, signed, (w2, w1))
+        got = oracle.linear_ref(x, w)
+        assert got.dtype == np.int64
+        want = [sum(int(a) * int(b) for a, b in zip(row, x)) for row in w]
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("bits, terms, dtype", [
+        (8, 25088, np.float64),    # VGG16's widest MAC at n = 8
+        (16, 1 << 20, np.float64),
+        (26, 2, np.float64),       # (2**26 - 1)**2 * 2 < 2**53
+        (26, 3, np.int64),
+        (27, 1, np.int64),
+    ])
+    def test_the_bound_picks_the_type(self, bits, terms, dtype):
+        top = np.array([(1 << bits) - 1])
+        assert oracle._product_dtype(top, top, terms) is dtype
+        assert oracle._product_dtype(-top, top, terms) is dtype
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_sums_that_float64_would_round_are_exact(self, sign):
+        # odd operands just below 2**27 in magnitude: each sum of an odd
+        # number of odd products is odd and near 2**57, where float64 holds
+        # only even integers, so no float64 product could return it; with
+        # sign -1 the activations' magnitude comes from their minimum
+        rng = np.random.default_rng(3)
+        x = sign * (rng.integers((1 << 27) - 99, 1 << 27, size=(1, 5, 5)) | 1)
+        w = rng.integers((1 << 27) - 99, 1 << 27, size=(2, 1, 3, 3)) | 1
+        conv = oracle.conv_ref(x, w, 0, 1)
+        assert np.array_equal(conv, conv_loops(x, w, 0, 1))
+        flat, rows = x.reshape(-1), w.reshape(2, -1).repeat(3, axis=1)[:, :25]
+        linear = oracle.linear_ref(flat, rows)
+        assert linear.tolist() == [
+            sum(int(a) * int(b) for a, b in zip(row, flat)) for row in rows]
+        for got in (conv.ravel().tolist(), linear.tolist()):
+            assert all(int(float(v)) != v for v in got)
 
 
 class TestMaxpoolRef:
