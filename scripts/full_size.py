@@ -33,9 +33,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+from pimsim.cli import REPORT_NAMES
 from pimsim.presets import PARALLELISM
 
-REPORTS = ("report.json", "report.txt", "plan.txt")
 ARGS = ("--mode", "functional", "--rows", "4096", "--cols", "32768")
 
 # sha256 of report.json, report.txt and plan.txt per precision and
@@ -152,7 +152,7 @@ def run_one(name: str, vector: str, n: int, outdir: Path) -> dict:
     passed = code == 0 and "functional: PASS" in log.read_text()
     digests = tuple(
         hashlib.sha256((outdir / report).read_bytes()).hexdigest()
-        if (outdir / report).is_file() else None for report in REPORTS)
+        if (outdir / report).is_file() else None for report in REPORT_NAMES)
     return {"wall_s": round(wall, 2),
             "maxrss_mb": round(usage.ru_maxrss / 1024, 1),
             "minflt": usage.ru_minflt,

@@ -30,7 +30,6 @@ from .mapper import (
     footprint_bits,
     map_network,
     network_from_json,
-    network_to_json,
     plan_residual,
     plan_to_text,
     validate_plan,
@@ -95,26 +94,22 @@ def load_network(path: str | Path) -> NetworkDescription:
         raise MappingError(f"network file {p} nests too deeply") from None
 
 
-def _write(file, blocks: Iterable[bytes]) -> None:
-    """Make a file hold exactly the concatenated byte blocks.
+def _write(file: BinaryIO, blocks: Iterable[bytes]) -> None:
+    """Make a binary file open for writing at its start (see _open_reports)
+    hold exactly the concatenated byte blocks.
 
-    file is a path or a binary file open for writing (see _open_reports).
     An existing file is overwritten in place and then cut at the end of the
     new bytes, not truncated to zero first: ext4 (auto_da_alloc) flushes a
     file truncated to zero and rewritten when it closes, which costs several
-    times the write itself. A new file gets the mode Path.write_bytes would
-    give it.
+    times the write itself.
     """
-    if isinstance(file, (str, os.PathLike)):
-        with open(os.open(file, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
-            _write(f, blocks)
-        return
     file.writelines(blocks)
     file.truncate()
 
 
 def _open_reports(paths: list[Path]) -> list[BinaryIO]:
-    """Open every path for writing before any of them is written.
+    """Open every path for writing before any of them is written. A new
+    file gets the mode Path.write_bytes would give it.
 
     When one cannot be opened (it is a directory, say), the files already
     open are closed, the ones this call created are removed, and the error
@@ -137,10 +132,6 @@ def _open_reports(paths: list[Path]) -> list[BinaryIO]:
             os.unlink(path)
         raise
     return files
-
-
-def save_network(net: NetworkDescription, path: str | Path) -> None:
-    _write(path, [network_to_json(net).encode()])
 
 
 # --------------------------------------------------------------------------
@@ -298,21 +289,16 @@ def _indented_json(value, depth: int = 0) -> str:
     return f"{brackets[0]}{pad}  {f',{pad}  '.join(parts)}{pad}{brackets[1]}"
 
 
-def emit_report(report: dict, fmt: str,
-                path: str | Path | BinaryIO) -> Path | BinaryIO:
-    """Write the report as a table or JSON document to path, or to a binary
-    file open for writing; JSON re-parses losslessly."""
+def emit_report(report: dict, fmt: str, file: BinaryIO) -> None:
+    """Write the report as a table or JSON document to a binary file open
+    for writing (see _write); JSON re-parses losslessly."""
     if fmt == "table":
         text = _format_table(report)
     elif fmt == "json":
         text = _indented_json(report) + "\n"
     else:
         raise RunConfigError(f"unknown report format {fmt!r}")
-    if isinstance(path, (str, os.PathLike)):
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-    _write(path, [text.encode()])
-    return path
+    _write(file, [text.encode()])
 
 
 # --------------------------------------------------------------------------

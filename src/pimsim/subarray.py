@@ -448,24 +448,25 @@ class Program:
     """A multiply schedule compiled to logic over slot rows.
 
     Slots 0..touched-1 are the state's own cell rows, slots from touched on
-    are rows of a scratch buffer of `extra` rows; the multiply needs none,
-    since its temporaries fit in rows the copies rename. Each step is one
+    are rows of a scratch buffer of `extra` rows. The multiply's temporaries
+    fit in rows the copies rename; up to n = 30 it needs one scratch row,
+    to save a cycle of moves, only at n = 20, 22 and 24-30. Each step is one
     AND or one full adder, as (ufunc, x, y, out) slot operations. A full
     adder is a TRIPLE together with the QUINTUPLE that senses the parity of
     the same three values: 5 ops write its carry and sum bit, and one more
     the sum's complement when something reads it. Ops whose value
     constants fix are folded away (_compile), so a full adder with an input
-    from a known-zero row, such as the multiply's row 0, is a half adder of
-    2 ops, and a step may hold none. Copies and zero writes are row renames
-    and cost nothing. pins sets every bit of a slot to 0 or 1 before the
-    steps, as (slot, bit). loads lists the touched rows whose starting
-    value the program uses; a known-zero row is never loaded, and is never
-    stored when it ends zero. stores gives each slot whose value some rows
-    end with in place of their own, and those rows, as (slot, rows). moves
-    gives the same stores as one copy per row whose value sits in another
-    slot, (row, slot), ordered so that every slot is read before a copy
-    overwrites it; where stored rows exchange values, the cycle first saves
-    one of them to a scratch row of its own.
+    from the all-zero row 0 is a half adder of 2 ops, and a step may hold
+    none. Copies and zero writes are row renames and cost nothing. pins
+    sets every bit of a slot to 0 or 1 before the steps, as (slot, bit).
+    loads lists the touched rows whose starting value the program uses;
+    row 0 is never loaded, and is never stored when it ends zero. stores
+    gives each slot whose value some rows end with in place of their own,
+    and those rows, as (slot, rows). moves gives the same stores as one
+    copy per row whose value sits in another slot, (row, slot), ordered so
+    that every slot is read before a copy overwrites it, which the
+    multiply's moves need from n = 8 on; where stored rows exchange values,
+    the cycle first saves one of them to a scratch row of its own.
 
     _run_program runs it on Python ints when the state is at most
     INT_ROW_WORDS words wide and on numpy rows when it is wider; either
@@ -486,10 +487,12 @@ _BAND, _BOR, _BXOR = np.bitwise_and, np.bitwise_or, np.bitwise_xor
 # A state at most this many words wide runs its program on Python ints, a
 # wider one on numpy rows. A numpy op pays about a microsecond of call
 # overhead at any width; an int op pays little overhead but more per word,
-# and each row it loads or stores costs a conversion. Measured, the two
-# cost the same near 80 words at n = 2, 190 at n = 4 and 700 at n = 8
-# (table in CHANGES.md); below 256 words ints lose at most about 20 us per
-# multiply at n <= 4 and save 200 us or more at n = 8.
+# and each row it loads or stores costs a conversion. Measured on a
+# shared 2-core VM (table in CHANGES.md), numpy rows are faster at every
+# width at n = 2, even at 2 words; the two cross between 48 and 128 words
+# at n = 4 and between 512 and 1,024 at n = 8. At 256 words ints lose
+# about 25 us per multiply at n = 2 and 30 us at n = 4, and save about
+# 150 us at n = 8.
 INT_ROW_WORDS = 256
 
 
@@ -563,11 +566,10 @@ def _fold(f: np.ufunc, x: int, y: int) -> int | None:
     return None
 
 
-def _compile(events: Sequence[AapEvent], touched: int,
-             zero_rows: Iterable[int] = ()) -> Program:
-    """Compile the steps of _values to a slot program. zero_rows are rows
-    known to hold all zeros before the events: each starts as _ZERO, and
-    the caller must make that hold (multiply checks it).
+def _compile(events: Sequence[AapEvent], touched: int) -> Program:
+    """Compile the steps of _values to a slot program. Row 0 starts as
+    _ZERO, the reserved all-zero row: the caller must make that hold
+    (multiply checks it).
 
     1. Lower each step to (ufunc, x, y, out) ops over value ids: an AND to
        one op, a full adder to t=a^b, o=a&b, sum=t^c, t2=t&c, carry=o|t2
@@ -579,19 +581,14 @@ def _compile(events: Sequence[AapEvent], touched: int,
     3. Give each value a slot in one forward scan. A row's own value starts
        in that row, and _ZERO and _ONES are pinned before the first op. A
        value's slot is freed after its last read unless some row ends with
-       it, so an op may overwrite an input it reads last. A known-zero row
-       that ends zero is never read or written. A value takes the home row
-       of a row that ends with it when that row is free, so most rows get
-       their value in place. Otherwise it takes a free row that no value
-       still to come ends in, or failing that one whose value ends in other
-       rows too, before a row that is the only home of a later value: so no
-       two stored rows of the multiply exchange values.
+       it, so an op may overwrite an input it reads last. Row 0, when it
+       ends zero, is never read or written. A value takes the home row of
+       a row that ends with it when that row is free, so most rows get
+       their value in place, and otherwise the lowest free row.
     4. Order the copies of the rows whose value ends in another slot
        (_order_moves).
     """
-    start = list(range(touched))
-    for r in zero_rows:
-        start[r] = _ZERO
+    start = [_ZERO, *range(1, touched)]
     steps, final = _values(events, start)
     # t, o and t2 take ids past every id of _values
     fresh = itertools.count(touched + sum(len(outs) for _, outs in steps))
@@ -617,7 +614,7 @@ def _compile(events: Sequence[AapEvent], touched: int,
         lowered.append(step)
     final = [same.get(v, v) for v in final]
 
-    # a known-zero row that ends zero holds no value of the program
+    # row 0 holds no value of the program when it ends zero
     kept = {v for v, s in zip(final, start) if not v == s == _ZERO}
     needed = set(kept)
     for step in reversed(lowered):
@@ -638,24 +635,15 @@ def _compile(events: Sequence[AapEvent], touched: int,
     slot_of = {r: r for r in range(touched) if r in live}
     # a row is free when it ends with another value and its own is dead
     free = {r for r in range(touched) if final[r] != start[r]} - live
-    awaited = {r for rows in ends.values() for r in rows}
     extra = 0
-
-    def cost(r: int) -> int:
-        # 0 when no value still to come ends in row r, 1 when the one that
-        # does ends in other rows too, 2 when r is its only home
-        if r not in awaited:
-            return 0
-        return 1 if len(ends[final[r]]) > 1 else 2
 
     def alloc(value: int) -> int:
         nonlocal extra
         homes = [r for r in ends.get(value, ()) if r in free]
-        awaited.difference_update(ends.get(value, ()))
         if not homes and not free:
             free.add(touched + extra)
             extra += 1
-        slot = homes[0] if homes else min(free, key=lambda r: (cost(r), r))
+        slot = homes[0] if homes else min(free)
         free.remove(slot)
         slot_of[value] = slot
         return slot
@@ -780,7 +768,7 @@ def _schedule(n: int, pair: int) -> Schedule:
     layout = new_subarray(touched, 1, n)
     tr = (_multiply_small if n <= 2 else _multiply_wide)(layout, pair)
     return Schedule(tuple(tr.events), tuple(tr.and_spans),
-                    tuple(tr.add_spans), _compile(tr.events, touched, (ROW0,)))
+                    tuple(tr.add_spans), _compile(tr.events, touched))
 
 
 def multiply(state: SubarrayState, pair: int = 0) -> tuple[AapEvent, ...]:

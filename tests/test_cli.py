@@ -18,12 +18,12 @@ from pimsim.cli import (
     RunConfig,
     RunConfigError,
     _indented_json,
+    _open_reports,
     _write,
     emit_report,
     load_network,
     main,
     run,
-    save_network,
 )
 from pimsim.engine import run_functional
 from pimsim.mapper import (
@@ -113,7 +113,7 @@ class TestNetworkIO:
     def test_save_load_byte_identical(self, tmp_path):
         net = preset("alexnet", "P3")
         path = tmp_path / "alexnet.json"
-        save_network(net, path)
+        path.write_text(network_to_json(net))
         again = load_network(path)
         assert network_to_json(again) == path.read_text()
 
@@ -226,13 +226,17 @@ class TestRunDriver:
 class TestReports:
     def test_json_round_trip(self, tmp_path):
         _, report = run(toy_net(), RunConfig(mode="timing"), None)
-        path = emit_report(report, "json", tmp_path / "r.json")
+        path = tmp_path / "r.json"
+        with open(path, "wb") as f:
+            emit_report(report, "json", f)
         again = json.loads(path.read_text())
         assert again == json.loads(json.dumps(report))
 
     def test_table_contains_area_and_pipeline(self, tmp_path):
         _, report = run(toy_net(), RunConfig(mode="timing"), None)
-        path = emit_report(report, "table", tmp_path / "r.txt")
+        path = tmp_path / "r.txt"
+        with open(path, "wb") as f:
+            emit_report(report, "table", f)
         text = path.read_text()
         assert "514877" in text
         assert "pipeline" in text
@@ -243,24 +247,31 @@ class TestReports:
             e["aap_count"] for e in report["per_layer"]
         )
 
-    def test_unknown_format_rejected(self, tmp_path):
+    def test_unknown_format_rejected(self):
         with pytest.raises(RunConfigError):
-            emit_report({}, "xml", tmp_path / "r.xml")
+            emit_report({}, "xml", io.BytesIO())
+
+    @staticmethod
+    def _write_path(path, blocks):
+        # open the file as run does, then write it
+        [f] = _open_reports([path])
+        with f:
+            _write(f, blocks)
 
     def test_writer_leaves_exactly_the_new_bytes(self, tmp_path):
         path = tmp_path / "r.txt"
-        _write(path, [b"a longer first version\n" * 100])
-        _write(path, [b"short\n"])
+        self._write_path(path, [b"a longer first version\n" * 100])
+        self._write_path(path, [b"short\n"])
         assert path.read_bytes() == b"short\n"
         # blocks from a generator, over a longer file and then over a
         # shorter one
         blocks = [b"%d\n" % i * 3000 for i in range(5)]
-        _write(path, [b"x" * 100_000])
-        _write(path, (block for block in blocks))
+        self._write_path(path, [b"x" * 100_000])
+        self._write_path(path, (block for block in blocks))
         assert path.read_bytes() == b"".join(blocks)
-        _write(path, (block for block in blocks * 3))
+        self._write_path(path, (block for block in blocks * 3))
         assert path.read_bytes() == b"".join(blocks * 3)
-        _write(path, [])
+        self._write_path(path, [])
         assert path.read_bytes() == b""
 
     @settings(deadline=None)
@@ -282,7 +293,7 @@ class TestReports:
     def test_writer_creates_the_mode_write_bytes_does(self, tmp_path, umask):
         old = os.umask(umask)
         try:
-            _write(tmp_path / "a", [b"x"])
+            self._write_path(tmp_path / "a", [b"x"])
             (tmp_path / "b").write_bytes(b"x")
         finally:
             os.umask(old)
@@ -343,7 +354,7 @@ class TestMainEntry:
 
     def test_model_file_run(self, tmp_path, capsys):
         netfile = tmp_path / "toy.json"
-        save_network(toy_net(), netfile)
+        netfile.write_text(network_to_json(toy_net()))
         status = main([
             "--model", str(netfile), "--mode", "both",
             "--output", str(tmp_path / "out"),
@@ -471,7 +482,7 @@ class TestMainEntry:
     def test_zero_dimension_exit_code(self, tmp_path, capsys, flag, mode):
         # 0 is rejected, not replaced by the default size
         netfile = tmp_path / "toy.json"
-        save_network(toy_net(), netfile)
+        netfile.write_text(network_to_json(toy_net()))
         status = main([
             "--model", str(netfile), "--mode", mode, flag, "0",
             "--output", str(tmp_path / "out"),
@@ -563,7 +574,7 @@ class TestMainEntry:
                                                   monkeypatch):
         # a model one AAP off per multiply fails the run, not only in both
         netfile = tmp_path / "toy.json"
-        save_network(toy_net(), netfile)
+        netfile.write_text(network_to_json(toy_net()))
         count = timing.mul_aap_count
         monkeypatch.setattr(timing, "mul_aap_count", lambda n: count(n) + 1)
         status = main([
@@ -597,7 +608,7 @@ class TestMainEntry:
 
         self._patch_bank_execute(monkeypatch, flip)
         netfile = tmp_path / "toy.json"
-        save_network(toy_net(4), netfile)
+        netfile.write_text(network_to_json(toy_net(4)))
         out = tmp_path / "out"
         status = main(["--model", str(netfile), "--mode", "functional",
                        "--output", str(out)])
@@ -619,7 +630,7 @@ class TestMainEntry:
             lambda idx, outputs: outputs.reshape(-1)[:-1] if idx == 0
             else outputs)
         netfile = tmp_path / "toy.json"
-        save_network(toy_net(4), netfile)
+        netfile.write_text(network_to_json(toy_net(4)))
         status = main(["--model", str(netfile), "--mode", "functional",
                        "--output", str(tmp_path / "out")])
         assert status == 1
@@ -628,7 +639,7 @@ class TestMainEntry:
 
     def test_comma_list_parallelism_runs(self, tmp_path, capsys):
         netfile = tmp_path / "toy.json"
-        save_network(toy_net(), netfile)
+        netfile.write_text(network_to_json(toy_net()))
         status = main(["--model", str(netfile), "--parallelism", "2,2",
                        "--output", str(tmp_path / "out")])
         assert status == 0
@@ -657,7 +668,7 @@ class TestMainEntry:
     def test_bad_parallelism_flag_exit_code(self, tmp_path, capsys, vector,
                                             message):
         netfile = tmp_path / "toy.json"
-        save_network(toy_net(), netfile)
+        netfile.write_text(network_to_json(toy_net()))
         status = main(["--model", str(netfile), "--parallelism", vector,
                        "--output", str(tmp_path / "out")])
         assert status == 2
@@ -704,7 +715,7 @@ class TestMainEntry:
             run(net, RunConfig(mode=mode), tmp_path / "run")
         assert not (tmp_path / "run").exists()
         netfile = tmp_path / "big.json"
-        save_network(net, netfile)
+        netfile.write_text(network_to_json(net))
         status = main(["--model", str(netfile), "--mode", mode,
                        "--output", str(tmp_path / "out")])
         assert status == 2
@@ -725,7 +736,7 @@ class TestMainEntry:
     def test_precision_flag_with_a_network_file_exit_code(self, tmp_path,
                                                           capsys):
         netfile = tmp_path / "toy.json"
-        save_network(toy_net(), netfile)
+        netfile.write_text(network_to_json(toy_net()))
         status = main([
             "--model", str(netfile), "--precision", "9",
             "--output", str(tmp_path / "out"),
@@ -813,7 +824,7 @@ class TestMainEntry:
         cfg = tmp_path / "timing.txt"
         cfg.write_text(line + "\n")
         netfile = tmp_path / "toy.json"
-        save_network(toy_net(), netfile)
+        netfile.write_text(network_to_json(toy_net()))
         status = main([
             "--model", str(netfile), "--mode", "timing",
             "--timing-config", str(cfg), "--output", str(tmp_path / "out"),
@@ -838,7 +849,7 @@ class TestMainEntry:
         bad = tmp_path / "bad.in"
         bad.write_bytes(content)
         netfile = tmp_path / "toy.json"
-        save_network(toy_net(), netfile)
+        netfile.write_text(network_to_json(toy_net()))
         model = bad if flag == "--model" else netfile
         argv = ["--model", str(model), "--mode", "both",
                 "--output", str(tmp_path / "out")]
@@ -855,7 +866,7 @@ class TestMainEntry:
         cfg = tmp_path / "timing.txt"
         cfg.write_text("t_aap = 97.5\nsfu_cycles.pool = 3\n")
         netfile = tmp_path / "toy.json"
-        save_network(toy_net(), netfile)
+        netfile.write_text(network_to_json(toy_net()))
         status = main([
             "--model", str(netfile), "--mode", "timing",
             "--timing-config", str(cfg), "--output", str(tmp_path / "o"),

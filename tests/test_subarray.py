@@ -671,10 +671,25 @@ class TestCompiledMultiply:
     @example(cols=64 * CUTOFF + 5, above=1, seed=2)
     def test_program_leaves_the_cells_the_events_do(self, n, pair, cols,
                                                     above, seed):
+        self._leaves_the_cells_the_events_do(n, pair, cols, above, seed)
+
+    @pytest.mark.parametrize("n", [10, 16, 20])
+    @pytest.mark.parametrize("pair", [0, 1])
+    def test_wide_program_leaves_the_cells_the_events_do(self, n, pair):
+        # precisions whose moves need an order, n = 20 also a scratch row
+        # to save a cycle (two intermediate rows that end zero for any
+        # operands, so the save itself is checked by the hand-written
+        # cycles below): a state as wide as the cutoff and one a word
+        # wider, both ragged
+        for cols in (64 * CUTOFF - 3, 64 * CUTOFF + 5):
+            self._leaves_the_cells_the_events_do(n, pair, cols, 1, cols)
+
+    @staticmethod
+    def _leaves_the_cells_the_events_do(n, pair, cols, above, seed):
         # random cells everywhere but the reserved zero row 0, padding bits
         # and rows past the schedule included: multiply and each executor
         # run directly must match the per-event interpreter
-        rows = 9 + (n - 1) + 2 * n + (pair + 2) * n + above
+        rows = subarray.rows_needed(n, pair + 1) + above
         st_ = new_subarray(rows, cols, n)
         rng = np.random.default_rng(seed)
         st_.cells[:] = rng.integers(0, 1 << 64, size=st_.cells.shape,
@@ -712,8 +727,8 @@ class TestCompiledMultiply:
     def test_any_event_sequence_compiles_exactly(self, data):
         # arbitrary events over a few rows: repeated rows, values never read,
         # and full adders' sum bits: a quintuple whose negated row holds the
-        # majority of copies of its three inputs. Compiled with no known-zero
-        # rows, then with a drawn set of them zeroed in the start cells.
+        # majority of copies of its three inputs. Row 0 starts zero, as
+        # _compile assumes; the events may read and write it like any row.
         touched = data.draw(st.integers(1, 8))
         row = st.integers(0, touched - 1)
         least = {subarray.COPY: 1, subarray.WRITE_ROW0: 1,
@@ -735,21 +750,18 @@ class TestCompiledMultiply:
                                                 (*copies, neg)))
                 events.append(subarray.AapEvent(
                     subarray.QUINTUPLE, (*rows[:3], neg, *rows[4:])))
-        zeros = sorted(data.draw(st.sets(row)))
         words = data.draw(st.sampled_from([1, 3, CUTOFF, CUTOFF + 1]))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        random = rng.integers(0, 1 << 64, size=(touched + 1, words),
-                              dtype=np.uint64)
-        for known in ([], zeros):
-            start = random.copy()
-            start[known] = 0
-            want = start.copy()
-            run_events(want, events)
-            program = subarray._compile(events, touched, known)
-            for run in EXECUTORS:
-                cells = start.copy()
-                run(program, cells)
-                assert np.array_equal(cells, want), (run.__name__, known)
+        start = rng.integers(0, 1 << 64, size=(touched + 1, words),
+                             dtype=np.uint64)
+        start[ROW0] = 0
+        want = start.copy()
+        run_events(want, events)
+        program = subarray._compile(events, touched)
+        for run in EXECUTORS:
+            cells = start.copy()
+            run(program, cells)
+            assert np.array_equal(cells, want), run.__name__
 
     # per n, for every pair: ops, steps, loaded rows, store slots, stored
     # rows, stored rows whose value sits in another slot, scratch rows
@@ -757,7 +769,7 @@ class TestCompiledMultiply:
               3: (32, 19, 6, 9, 16, 7, 0), 4: (75, 46, 8, 12, 19, 7, 0),
               5: (152, 93, 10, 15, 22, 7, 0), 6: (273, 166, 12, 18, 25, 7, 0),
               7: (452, 271, 14, 21, 28, 7, 0),
-              8: (701, 414, 16, 24, 31, 7, 0)}
+              8: (701, 414, 16, 24, 31, 8, 0)}
 
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("pair", range(3))
@@ -772,23 +784,25 @@ class TestCompiledMultiply:
         assert len(set(stored)) == len(stored)
         # row 0 is known zero and ends zero: never loaded, never stored
         assert ROW0 not in program.loads and ROW0 not in stored
-        # no moved row is read by another move, so no two stored rows
-        # exchange values and the copies need no order
         assert sorted(program.moves) == sorted(
             (r, slot) for slot, rows in program.stores for r in rows
             if r != slot)
-        assert not {r for r, _ in program.moves} & {
-            slot for _, slot in program.moves}
+        # up to n = 7 no moved row is read by another move, so no two
+        # stored rows exchange values and the copies need no order
+        assert (n > 7) == bool({r for r, _ in program.moves} & {
+            slot for _, slot in program.moves})
 
     @staticmethod
     def _compiles_exactly(events, touched):
         # every executor, on one, three and CUTOFF + 1 words of random
-        # cells and one row past the touched ones, leaves what the events do
+        # cells but the zero row 0 and one row past the touched ones,
+        # leaves what the events do
         program = subarray._compile(events, touched)
         rng = np.random.default_rng(touched)
         for words in (1, 3, CUTOFF + 1):
             start = rng.integers(0, 1 << 64, size=(touched + 1, words),
                                  dtype=np.uint64)
+            start[ROW0] = 0
             want = start.copy()
             run_events(want, events)
             for run in EXECUTORS:
@@ -802,28 +816,28 @@ class TestCompiledMultiply:
         return [AapEvent(COPY, pair) for pair in pairs]
 
     def test_two_triples_over_the_same_values(self):
-        # rows 0-2 hold a, b, c; rows 6 and 7 each take the carry of its
-        # own TRIPLE, which rows 10 and 11 keep, and a QUINTUPLE against
+        # rows 1-3 hold a, b, c; rows 7 and 8 each take the carry of its
+        # own TRIPLE, which rows 11 and 12 keep, and a QUINTUPLE against
         # each gives the sum twice
-        inputs = self._copies((0, 3), (1, 4), (2, 5))
-        events = [*inputs, AapEvent(TRIPLE, (3, 4, 5, 6, 10)),
-                  *inputs, AapEvent(TRIPLE, (3, 4, 5, 7, 11)),
-                  *inputs, AapEvent(QUINTUPLE, (3, 4, 5, 6, 8)),
-                  AapEvent(QUINTUPLE, (0, 1, 2, 7, 9))]
-        program = self._compiles_exactly(events, 12)
+        inputs = self._copies((1, 4), (2, 5), (3, 6))
+        events = [*inputs, AapEvent(TRIPLE, (4, 5, 6, 7, 11)),
+                  *inputs, AapEvent(TRIPLE, (4, 5, 6, 8, 12)),
+                  *inputs, AapEvent(QUINTUPLE, (4, 5, 6, 7, 9)),
+                  AapEvent(QUINTUPLE, (1, 2, 3, 8, 10))]
+        program = self._compiles_exactly(events, 13)
         # each QUINTUPLE completes its own TRIPLE's full adder: carry, sum
         # and complement
         assert [len(step) for step in program.steps] == [6, 6]
 
     def test_repeated_quintuple_reuses_the_sum(self):
-        # rows 6 and 7 both hold the carry; the second QUINTUPLE senses the
+        # rows 7 and 8 both hold the carry; the second QUINTUPLE senses the
         # same sum, and its complement, as the first
-        events = [*self._copies((0, 3), (1, 4), (2, 5)),
-                  AapEvent(TRIPLE, (3, 4, 5, 6, 7)),
-                  *self._copies((0, 3), (1, 4), (2, 5)),
-                  AapEvent(QUINTUPLE, (0, 1, 2, 6, 8)),
-                  AapEvent(QUINTUPLE, (3, 4, 5, 7, 9))]
-        program = self._compiles_exactly(events, 10)
+        events = [*self._copies((1, 4), (2, 5), (3, 6)),
+                  AapEvent(TRIPLE, (4, 5, 6, 7, 8)),
+                  *self._copies((1, 4), (2, 5), (3, 6)),
+                  AapEvent(QUINTUPLE, (1, 2, 3, 7, 9)),
+                  AapEvent(QUINTUPLE, (4, 5, 6, 8, 10))]
+        program = self._compiles_exactly(events, 11)
         # one full adder whose carry no row keeps: t, the sum and its
         # complement, each held in one slot
         assert [len(step) for step in program.steps] == [3]
@@ -842,21 +856,21 @@ class TestCompiledMultiply:
         assert program.pins == ((2, 0),)
 
     def test_rows_that_exchange_values_go_through_a_scratch_row(self):
-        # rows 0 and 1 swap through row 2, and row 3 takes row 1's old
-        # value: rows 3 and 2 are copied first, then row 0 is saved to the
+        # rows 1 and 2 swap through row 3, and row 4 takes row 2's old
+        # value: rows 4 and 3 are copied first, then row 1 is saved to the
         # one scratch row that the cycle needs
-        events = self._copies((0, 2), (1, 0), (2, 1), (0, 3))
-        program = self._compiles_exactly(events, 4)
+        events = self._copies((1, 3), (2, 1), (3, 2), (1, 4))
+        program = self._compiles_exactly(events, 5)
         assert program.steps == ()
         assert program.extra == 1
-        assert program.moves == ((3, 1), (2, 0), (4, 0), (0, 1), (1, 4))
+        assert program.moves == ((4, 2), (3, 1), (5, 1), (1, 2), (2, 5))
 
     def test_three_row_cycle_needs_one_scratch_row(self):
-        # rows 0, 1 and 2 rotate their values through row 3
-        events = self._copies((0, 3), (1, 0), (2, 1), (3, 2))
-        program = self._compiles_exactly(events, 4)
+        # rows 1, 2 and 3 rotate their values through row 4
+        events = self._copies((1, 4), (2, 1), (3, 2), (4, 3))
+        program = self._compiles_exactly(events, 5)
         assert program.extra == 1
-        assert [row for row, _ in program.moves].count(4) == 1
+        assert [row for row, _ in program.moves].count(5) == 1
 
     def test_quintuple_off_the_sum_bit_is_rejected(self):
         # the negated row holds no majority of the inputs, so the activation

@@ -178,12 +178,13 @@ def test_sweep_plan_writes_in_bounded_memory(tmp_path):
 
     mapper._decimals()
     for key, plan in _sweep_plans():
-        tracemalloc.start()
-        try:
-            _write(tmp_path / "plan.txt", mapper.plan_to_text(plan))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        with open(tmp_path / "plan.txt", "wb") as f:
+            tracemalloc.start()
+            try:
+                _write(f, mapper.plan_to_text(plan))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         assert peak <= 192_000, key
 
 
@@ -221,7 +222,7 @@ def test_full_size_digests_cover_every_preset_vector():
             "alexnet-P1", "alexnet-P2", "alexnet-P3", "resnet18-P1"}
     for table in script.DIGESTS.values():
         for digests in table.values():
-            assert len(digests) == len(script.REPORTS)
+            assert len(digests) == len(script.REPORT_NAMES)
             assert all(re.fullmatch("[0-9a-f]{64}", d) for d in digests)
 
 
