@@ -10,7 +10,7 @@ Each combination runs `python -m pimsim --preset NAME --parallelism P
 process of its own that imports pimsim from this checkout. --precisions
 names the precisions N to run, 4 by default; at each, every combination
 that DIGESTS pins at N runs: all nine at n = 4, AlexNet P1-P3 and ResNet18
-P1 at n = 1, 2 and 8. The wall time, the child's peak RSS (ru_maxrss) and
+P1 at n = 1, 2 and 8, and VGG16 P1 at n = 8. The wall time, the child's peak RSS (ru_maxrss) and
 its minor page faults (ru_minflt) go to the JSON file named on the command
 line, keyed NAME-P-nN. A combination passes when the child exits 0 with an
 oracle PASS and the sha256 of its report.json, report.txt and plan.txt
@@ -41,7 +41,9 @@ ARGS = ("--mode", "functional", "--rows", "4096", "--cols", "32768")
 # sha256 of report.json, report.txt and plan.txt per precision and
 # combination, pinned from the first run that passed. The n = 1, 2 and 8
 # digests come from the last tree whose compiled multiply folded no
-# constants, so they check that folding changed no report byte.
+# constants, so they check that folding changed no report byte; VGG16 P1's
+# at n = 8 come from the last tree that built a fresh state for every
+# chunk, so they check that reusing one state per layer changed none.
 DIGESTS = {4: {
     "alexnet-P1": (
         "e1634ba1164642afdb144c73b8aec8349b844a4a6968d838de5bd18b780dc607",
@@ -126,6 +128,10 @@ DIGESTS = {4: {
         "9fad81727bf14f84a2501634a3372eb74434a79e54aa52f03376463841648377",
         "4baf52aa9af221792176ef8ec69081d284c4c154c1e4bb74d97164888b72ab20",
         "7c4f18195076958dd55a10d5091cde24b399231a5859b53b837a426dfea9673e"),
+    "vgg16-P1": (
+        "819f1e7ca56ef761f88d56ef02e774d572e2499632bd19381906e44c6b535814",
+        "8ee884bb092dd6d174b48f80cfdc00990231fcad11c65b0a253eb2e10252bfe5",
+        "ecf6e24feb60f6dddea50376760e68d70d72085cbc57cae845879c967f21e57f"),
     "resnet18-P1": (
         "40ab1875b4429b00e05cf8f289a1ec06e28d16362220468f12a35c82b5709df1",
         "4364f4d578cb5b754252c52ea681fca4ad47541a1f85a577a5de82383dcce926",

@@ -11,10 +11,11 @@ mapped MAC columns be presented as power-of-two aligned groups; slots outside
 any group read zero. Bit widths grow by one per level (tracked implicitly,
 Python integers never overflow).
 
-bank_execute runs a layer on packed bank states (see subarray): one multiply
-per stacked pass drives every MAC column of the state at once, and the 2n
-packed product rows, MACs in order, are reduced straight from their uint64
-words (packed_mac_sums): the per-word popcounts of the planes are first
+bank_execute runs a layer on packed bank states (see subarray), one chunk
+of whole subarrays after another: one multiply per stacked pass drives
+every MAC column of the chunk's state at once, and the 2n packed product
+rows, MACs in order, are reduced straight from their uint64 words
+(packed_mac_sums): the per-word popcounts of the planes are first
 folded by the planes' weights 2**p, the shift-add, and one prefix of that
 weighted count is then differenced at the MAC boundary columns. That is the
 arithmetic the tree and accumulators perform, summed in the other order; it
@@ -38,7 +39,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .subarray import SubarrayState, multiply
+from .subarray import BankState, multiply
 
 # Inputs of the shared adder tree behind the sense amplifiers (the paper's
 # 4096-input adder); the functional run and the timing model both reduce on it.
@@ -306,42 +307,44 @@ def packed_mac_sums(rows: np.ndarray, macs: int, mac_size: int) -> np.ndarray:
     return np.diff(prefix)
 
 
-def bank_execute(
-    subarrays: Iterable[SubarrayState],
-    place,
-    sfu_params: SfuParams,
-) -> tuple[np.ndarray, BankAccounting]:
-    """Run place's layer on its bank: multiply, reduce, accumulate, SFU chain.
-
-    subarrays are packed bank states (see subarray.SubarrayState) covering
-    consecutive whole subarrays of the layer in order, with operands already
-    placed in MAC order as the LayerPlacement lays them out; an iterable lets
-    the caller build them one at a time. Stacked operand pairs execute as
-    sequential passes, one multiply per pass and state, charged to every
-    subarray it covers. Returns the post-SFU output tensor, (O, oh', ow')
-    for conv and (w2,) for linear, plus the phase accounting; plane reads
-    are those of the TREE_WIDTH-input tree.
-    """
-    acct = BankAccounting()
-    n = place.precision
+def _layer_sums(chunks: Iterable[tuple[BankState, range]], place,
+                acct: BankAccounting) -> np.ndarray:
+    """The layer's MAC sums, pass-major; no state outlives the call."""
     mac_sums = np.zeros(place.macs_total, dtype=np.int64)
-    for state in subarrays:
-        subs = len(state.subarrays)
-        held = place.pass_macs(state.subarrays)
+    for state, subarrays in chunks:
+        held = place.pass_macs(subarrays)
         for p in range(place.passes):
             events = multiply(state, pair=p)
-            acct.aap_total += len(events) * subs
+            acct.aap_total += len(events) * len(subarrays)
             product = state.product_rows
             base = p * place.macs_per_pass
             mac_sums[base + held.start : base + held.stop] = packed_mac_sums(
                 state.cells[product.start : product.stop], len(held),
                 place.mac_size)
-        # drop this state before the next is built, so that one state's
-        # cells are live at a time
-        del state
-    acct.plane_reads = (
-        2 * n * place.passes * tree_loads_per_pass(place, TREE_WIDTH)
-    )
+    return mac_sums
+
+
+def bank_execute(
+    chunks: Iterable[tuple[BankState, range]],
+    place,
+    sfu_params: SfuParams,
+) -> tuple[np.ndarray, BankAccounting]:
+    """Run place's layer on its bank: multiply, reduce, accumulate, SFU chain.
+
+    chunks are (state, subarrays) pairs covering consecutive whole
+    subarrays of the layer in order, each state (see subarray.BankState)
+    holding the operands of those subarrays' MACs from column 0, placed in
+    MAC order as the LayerPlacement lays them out; an iterable lets the
+    caller place each chunk into one reused state after the last has run.
+    Stacked operand pairs execute as sequential passes, one multiply per
+    pass and chunk, charged to every subarray of the chunk. Returns the
+    post-SFU output tensor, (O, oh', ow') for conv and (w2,) for linear,
+    plus the phase accounting; plane reads are those of the
+    TREE_WIDTH-input tree.
+    """
+    acct = BankAccounting(plane_reads=2 * place.precision * place.passes
+                          * tree_loads_per_pass(place, TREE_WIDTH))
+    mac_sums = _layer_sums(chunks, place, acct)
     layer = place.layer
     if layer.kind == "conv":
         mac_sums = mac_sums.reshape(layer.O, *layer.output_hw())

@@ -1,23 +1,24 @@
 """End-to-end functional execution: place operands, run every bank, compare
 against the reference oracle.
 
-Synthetic workloads draw seeded uniform n-bit integers for the input image
-and all weights, in the smallest unsigned type that holds n bits. Each layer
-runs on one packed bank state (see subarray): the rows the layer touches, and
+Synthetic workloads draw seeded uniform n-bit integers for the input image and
+all weights, in the smallest unsigned type that holds n bits. Each layer runs
+on one packed bank state (see subarray): the rows the layer touches, and
 mac_size columns per MAC of its subarrays in MAC order, bit-packed. The
 subarray and column a MAC occupies only matter for cost, which the mapper and
-the accounting compute. Each cell row of the transposed layout is built
-from packed uint64 words: the activations are gathered im2col-style and
-packed into n bit-planes once per layer, and a chunk's activation rows are
-a cyclic window of them; its weight rows, one block per stacked pair, tile
-and join the bit patterns of the filters it touches (place_operands).
-bank_execute runs one multiply per pass, reduces the packed product
-rows by popcount, accumulates and runs the SFU chain. A layer wider than
-BANK_CHUNK_COLUMNS runs in chunks of whole subarrays, built one at a time,
-each freed before the next is built. Each layer's output tensor is
-compared with the oracle's as it is and feeds the next layer unchanged.
-The layer and every geometry parameter (rows, column size, precision,
-passes) are read from the layer's placement; the mapper owns their checks.
+the accounting compute. Each cell row of the transposed layout is built from
+packed uint64 words: the activations are gathered im2col-style and packed into
+n bit-planes once per layer, and a chunk's activation rows are a cyclic window
+of them; its weight rows, one block per stacked pair, tile and join the bit
+patterns of the filters it touches (place_operands). bank_execute runs one
+multiply per pass, reduces the packed product rows by popcount, accumulates
+and runs the SFU chain. A layer wider than BANK_CHUNK_COLUMNS runs in chunks
+of whole subarrays, placed in turn into the layer's one state, sized for the
+first and widest chunk: the multiply reads only the operand rows that
+placement rewrites. Each layer's output tensor is compared with the oracle's
+as it is and feeds the next layer unchanged. The layer and every geometry
+parameter (rows, column size, precision, passes) are read from the layer's
+placement; the mapper owns their checks.
 """
 
 from __future__ import annotations
@@ -38,10 +39,10 @@ from .mapper import (
 from .subarray import (
     WORD,
     WORD_BITS,
+    BankState,
     ConfigurationError,
     OperandRangeError,
-    SubarrayState,
-    new_subarray,
+    new_bank,
     rows_needed,
     word_count,
 )
@@ -94,10 +95,10 @@ def synth_input(rng: np.random.Generator, layer: LayerSpec, n: int) -> np.ndarra
 
 
 def build_bank(place: LayerPlacement,
-               subarrays: range | None = None) -> list[SubarrayState]:
-    """One packed state for the given subarrays of the layer (default: all),
-    holding only the rows the layer touches and mac_size columns for each
-    MAC those subarrays hold, in MAC order; returned as a one-element list
+               subarrays: range | None = None) -> list[BankState]:
+    """An all-zero packed state for the given subarrays of the layer
+    (default: all), or any chunk of no more MACs: only the rows the layer
+    touches and mac_size columns per MAC; returned as a one-element list
     because the benchmark's traced run (`_count_alloc` in bench/tracing.py)
     iterates over what this returns. Rows, width and precision come from
     the placement, whose row budget the mapper has checked.
@@ -105,10 +106,8 @@ def build_bank(place: LayerPlacement,
     if subarrays is None:
         subarrays = range(place.subarrays_used)
     held = place.pass_macs(subarrays)
-    state = new_subarray(rows_needed(place.precision, place.passes),
-                         len(held) * place.mac_size, place.precision)
-    state.subarrays = subarrays
-    return [state]
+    return [new_bank(rows_needed(place.precision, place.passes),
+                     len(held) * place.mac_size, place.precision)]
 
 
 def _operand_bytes(values, n: int) -> np.ndarray:
@@ -243,69 +242,71 @@ def prepare_operands(place: LayerPlacement, x: np.ndarray,
             _operand_bytes(w, n).reshape(-1, place.mac_size))
 
 
-def _cell_rows(state: SubarrayState, rows: tuple[int, ...]) -> np.ndarray:
+def _cell_rows(state: BankState, rows: tuple[int, ...]) -> np.ndarray:
     return state.cells[rows[0] : rows[-1] + 1]
 
 
 def place_operands(
-    bank: list[SubarrayState],
+    state: BankState,
     place: LayerPlacement,
+    subarrays: range,
     acts: np.ndarray,
     weights: np.ndarray,
 ) -> None:
-    """Write every operand of the MACs the given bank states hold, n-bit
-    values one per column in MAC order, LSB in the first row of each block.
+    """Write every operand of the MACs the given subarrays hold into state,
+    n-bit values one per column in MAC order, LSB in the first row of each
+    block; the rest of every operand row is cleared, so a state that held
+    another chunk takes this one as a fresh state would.
 
     acts and weights are the layer's operands from prepare_operands. Every
     pass has the same layout (LayerPlacement.pass_macs) and, since passes
     split the output channels, the same activations: in channel-major MAC
-    order a state's activation rows are a cyclic window of the packed
+    order a chunk's activation rows are a cyclic window of the packed
     im2col planes, whose period is channel_positions * mac_size bits. A
     weight row runs through filters, each filter's mac_size-bit pattern
-    repeated channel_positions times: the filters a state touches are
+    repeated channel_positions times: the filters a chunk touches are
     packed and tiled, those whose whole stretch the row holds joined end to
     end, and one cut by the row's start or end tiled to its part alone; a
     linear layer's filters hold one pattern each. The packing buffers are
-    allocated once per state and reused by every pass.
+    allocated once per chunk and reused by every pass.
     """
     n, size, positions = place.precision, place.mac_size, place.channel_positions
     period = positions * size
-    for state in bank:
-        held = place.pass_macs(state.subarrays)
-        bits = len(held) * size
-        _cyclic_window(acts, period, held.start % positions * size,
-                       _cell_rows(state, state.activation_rows()), bits)
-        # passes split the output channels, so every pass's row opens at the
-        # same phase of a filter and runs through as many filters; filter
-        # f0's stretch opens `start` bits into it, at phase 0 of its pattern
-        # since the row starts on a MAC boundary; the filters in `full` have
-        # their whole stretch in the row, and the last one, if the row cuts
-        # it, is tiled into `tail` and ORed on from bit `at`
-        f0, phase = divmod(held.start, positions)
-        count = -(-(held.start + len(held)) // positions) - f0
-        start = phase * size
-        full = range(1 if phase else 0, (start + bits) // period)
-        last = count - 1
-        at = last * period - start if last and last not in full else bits
-        patterns = np.zeros((n, count, word_count(size)), dtype=WORD)
-        blocks = np.empty((n, len(full), word_count(period)), dtype=WORD)
-        tail = np.empty((n, word_count(bits - at)), dtype=WORD)
-        for p in range(place.passes):
-            f = (p * place.macs_per_pass + held.start) // positions
-            rows = _cell_rows(state, state.weight_rows(p))
-            _pack_planes(weights[f : f + count], patterns)
-            if 0 in full:
-                rows[...] = 0
-            else:
-                _cyclic_window(patterns[:, 0], size, 0, rows,
-                               min(period - start, bits))
-            if full:
-                _cyclic_window(patterns[:, full.start : full.stop], size, 0,
-                               blocks, period)
-                _join(rows, blocks, full.start * period - start, period)
-            if at < bits:
-                _cyclic_window(patterns[:, last], size, 0, tail, bits - at)
-                _or_at(rows, tail, at)
+    held = place.pass_macs(subarrays)
+    bits = len(held) * size
+    _cyclic_window(acts, period, held.start % positions * size,
+                   _cell_rows(state, state.activation_rows()), bits)
+    # passes split the output channels, so every pass's row opens at the
+    # same phase of a filter and runs through as many filters; filter f0's
+    # stretch opens `start` bits into it, at phase 0 of its pattern since
+    # the row starts on a MAC boundary; the filters in `full` have their
+    # whole stretch in the row, and the last one, if the row cuts it, is
+    # tiled into `tail` and ORed on from bit `at`
+    f0, phase = divmod(held.start, positions)
+    count = -(-(held.start + len(held)) // positions) - f0
+    start = phase * size
+    full = range(1 if phase else 0, (start + bits) // period)
+    last = count - 1
+    at = last * period - start if last and last not in full else bits
+    patterns = np.zeros((n, count, word_count(size)), dtype=WORD)
+    blocks = np.empty((n, len(full), word_count(period)), dtype=WORD)
+    tail = np.empty((n, word_count(bits - at)), dtype=WORD)
+    for p in range(place.passes):
+        f = (p * place.macs_per_pass + held.start) // positions
+        rows = _cell_rows(state, state.weight_rows(p))
+        _pack_planes(weights[f : f + count], patterns)
+        if 0 in full:
+            rows[...] = 0
+        else:
+            _cyclic_window(patterns[:, 0], size, 0, rows,
+                           min(period - start, bits))
+        if full:
+            _cyclic_window(patterns[:, full.start : full.stop], size, 0,
+                           blocks, period)
+            _join(rows, blocks, full.start * period - start, period)
+        if at < bits:
+            _cyclic_window(patterns[:, last], size, 0, tail, bits - at)
+            _or_at(rows, tail, at)
 
 
 def run_layer(place: LayerPlacement, x: np.ndarray, w: np.ndarray,
@@ -313,16 +314,14 @@ def run_layer(place: LayerPlacement, x: np.ndarray, w: np.ndarray,
     step = max(1, BANK_CHUNK_COLUMNS // place.column_size)
     acts, weights = prepare_operands(place, x, w)
 
-    def banks():
+    def placed():
+        (state,) = build_bank(place, range(min(step, place.subarrays_used)))
         for first in range(0, place.subarrays_used, step):
-            bank = build_bank(place, range(
-                first, min(first + step, place.subarrays_used)))
-            place_operands(bank, place, acts, weights)
-            # handed over, not kept: the consumer frees each state before
-            # the next chunk is built
-            yield bank.pop()
+            subarrays = range(first, min(first + step, place.subarrays_used))
+            place_operands(state, place, subarrays, acts, weights)
+            yield state, subarrays
 
-    return bank_execute(banks(), place, sfu)
+    return bank_execute(placed(), place, sfu)
 
 
 def run_functional(

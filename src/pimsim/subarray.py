@@ -32,8 +32,8 @@ tests keep that per-event reference executor (tests/reference.py).
 A state may also stand for a packed bank: the MAC columns of several
 subarrays side by side, sharing one row layout and one command stream.
 Which subarray and column a MAC sits in never changes a bit, so such a
-state keeps only the columns its MACs use, in MAC order; `subarrays` names
-the subarrays it covers, each of which is charged the command stream.
+state holds cells only, the columns its MACs use in MAC order; the caller
+tracks which subarrays they belong to and charges each the command stream.
 """
 
 from __future__ import annotations
@@ -134,26 +134,23 @@ def word_count(cols: int) -> int:
 
 
 @dataclass
-class SubarrayState:
+class BankState:
     """One subarray, or a packed bank of equal-width subarrays side by side:
-    its bit-packed cell rows. The multiply's command stream lives once per
-    (n, pair) in the cached schedule (_schedule), not in the state.
+    its bit-packed cell rows only. The multiply's command stream lives once
+    per (n, pair) in the cached schedule (_schedule), not in the state.
 
     Row layout (fixed, derived from n alone): the compute rows ROW0..COUT1 at
     0..8, then n-1 intermediate rows, then 2n product rows, then operand data
     rows from `data_base`.
     A data column holds one n-bit activation followed by one n-bit weight per
     stacked pair, all LSB first. cells is (rows, word_count(cols)) uint64;
-    bits past the last column are don't-care. A packed bank holds the MACs
-    of the subarrays of its layer numbered in `subarrays`, mac_size columns
-    each, in MAC order and without straddle padding.
+    bits past the last column are don't-care.
     """
 
     rows: int
     cols: int
     n: int
     cells: np.ndarray
-    subarrays: range = range(1)
 
     @property
     def intermediate_rows(self) -> range:
@@ -190,8 +187,8 @@ def rows_needed(n: int, pairs: int) -> int:
     return COMPUTE_ROW_COUNT + (n - 1) + 2 * n + (pairs + 1) * n
 
 
-def new_subarray(rows: int, cols: int, n: int) -> SubarrayState:
-    """Allocate an all-zero subarray with reserved rows for precision n."""
+def new_bank(rows: int, cols: int, n: int) -> BankState:
+    """Allocate an all-zero bank state with reserved rows for precision n."""
     if n < 1:
         raise ConfigurationError("precision must be at least 1 bit")
     if cols < 1:
@@ -202,8 +199,8 @@ def new_subarray(rows: int, cols: int, n: int) -> SubarrayState:
             f"{rows} rows cannot hold precision {n}: need {needed} "
             f"(9 compute + {n - 1} intermediate + {2 * n} product + {2 * n} operand)"
         )
-    return SubarrayState(rows, cols, n,
-                         np.zeros((rows, word_count(cols)), dtype=WORD))
+    return BankState(rows, cols, n,
+                     np.zeros((rows, word_count(cols)), dtype=WORD))
 
 
 # --------------------------------------------------------------------------
@@ -356,7 +353,7 @@ def _fused_add(
     trace.add_spans.append((start, len(trace.events)))
 
 
-def _multiply_small(state: SubarrayState, pair: int) -> AapTrace:
+def _multiply_small(state: BankState, pair: int) -> AapTrace:
     """n <= 2 schedule on state's rows, per the worked two-bit sequence."""
     n = state.n
     P = state.product_rows
@@ -392,7 +389,7 @@ def _multiply_small(state: SubarrayState, pair: int) -> AapTrace:
     return trace
 
 
-def _multiply_wide(state: SubarrayState, pair: int) -> AapTrace:
+def _multiply_wide(state: BankState, pair: int) -> AapTrace:
     """n > 2 schedule on state's rows: per product column, AND the partial
     products and fold them into the intermediate rows with running-sum ADDs.
 
@@ -765,13 +762,13 @@ def _schedule(n: int, pair: int) -> Schedule:
     and compiled once.
     """
     touched = rows_needed(n, pair + 1)
-    layout = new_subarray(touched, 1, n)
+    layout = new_bank(touched, 1, n)
     tr = (_multiply_small if n <= 2 else _multiply_wide)(layout, pair)
     return Schedule(tuple(tr.events), tuple(tr.and_spans),
                     tuple(tr.add_spans), _compile(tr.events, touched))
 
 
-def multiply(state: SubarrayState, pair: int = 0) -> tuple[AapEvent, ...]:
+def multiply(state: BankState, pair: int = 0) -> tuple[AapEvent, ...]:
     """Multiply the operands of every column, product into P0..P(2n-1).
 
     pair selects the stacked weight block the shared activation bits are

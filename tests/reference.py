@@ -114,19 +114,17 @@ def write_operands(state, rows, values):
         cells[row] = np.packbits(plane, bitorder="little")
 
 
-def place_operands(bank, place, x, w):
-    """Write every operand of the MACs the given bank states hold from the
-    layer's input x and weights w: gather each MAC's im2col activations and
-    its filter's weights, (macs, mac_size) bytes, and write them with
-    write_operands."""
+def place_operands(state, place, subarrays, x, w):
+    """Write every operand of the MACs the given subarrays hold into state
+    from the layer's input x and weights w: gather each MAC's im2col
+    activations and its filter's weights, (macs, mac_size) bytes, and write
+    them with write_operands."""
     n, positions = place.precision, place.channel_positions
     acts = _im2col(place.layer, _operand_bytes(x, n))
     weights = _operand_bytes(w, n).reshape(-1, place.mac_size)
-    for state in bank:
-        held = place.pass_macs(state.subarrays)
-        macs = np.arange(held.start, held.stop)
-        write_operands(state, state.activation_rows(), acts[macs % positions])
-        for p in range(place.passes):
-            ids = p * place.macs_per_pass + macs
-            write_operands(state, state.weight_rows(p),
-                           weights[ids // positions])
+    held = place.pass_macs(subarrays)
+    macs = np.arange(held.start, held.stop)
+    write_operands(state, state.activation_rows(), acts[macs % positions])
+    for p in range(place.passes):
+        ids = p * place.macs_per_pass + macs
+        write_operands(state, state.weight_rows(p), weights[ids // positions])

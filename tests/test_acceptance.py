@@ -34,7 +34,7 @@ from pimsim.subarray import (
     and_count,
     mul_aap_count,
     multiply,
-    new_subarray,
+    new_bank,
 )
 from pimsim.timing import (
     LayerLatency,
@@ -56,7 +56,7 @@ def test_criterion_1_multiplication_correctness():
     checked = 0
     for n in range(1, 7):
         pairs = list(itertools.product(range(1 << n), repeat=2))
-        st = new_subarray(9 + (n - 1) + 4 * n + 4, len(pairs), n)
+        st = new_bank(9 + (n - 1) + 4 * n + 4, len(pairs), n)
         write_operands(st, *zip(*pairs))
         multiply(st)
         assert read_products(st).tolist() == [a * b for a, b in pairs], n
@@ -65,7 +65,7 @@ def test_criterion_1_multiplication_correctness():
     rng = np.random.default_rng(1234)
     n = 8
     acts, weights = rng.integers(0, 256, 10000), rng.integers(0, 256, 10000)
-    st = new_subarray(64, len(acts), n)
+    st = new_bank(64, len(acts), n)
     write_operands(st, acts, weights)
     multiply(st)
     assert np.array_equal(read_products(st), acts * weights)
@@ -81,7 +81,7 @@ def test_criterion_1_multiplication_correctness():
 
 def test_criterion_2_aap_cost_exactness():
     for n in range(1, 9):
-        st = new_subarray(9 + (n - 1) + 4 * n + 4, 2, n)
+        st = new_bank(9 + (n - 1) + 4 * n + 4, 2, n)
         write_operands(st, [(1 << n) - 1], [1])
         events = multiply(st)
         schedule = subarray._schedule(n, 0)
@@ -93,7 +93,7 @@ def test_criterion_2_aap_cost_exactness():
         if n > 2:
             assert all(hi - lo == 4 * (n - 1) for lo, hi in tr.add_spans), n
 
-        st2 = new_subarray(9 + (n - 1) + 4 * n + 3 * n + 2, 1, n)
+        st2 = new_bank(9 + (n - 1) + 4 * n + 3 * n + 2, 1, n)
         base = st2.data_base
         a_rows = list(range(base, base + n))
         b_rows = list(range(base + n, base + 2 * n))
@@ -118,7 +118,7 @@ def test_criterion_3_mac_pipeline_identity():
         size = int(rng.integers(1, 65))
         a = rng.integers(0, 1 << n, size)
         b = rng.integers(0, 1 << n, size)
-        st = new_subarray(9 + (n - 1) + 4 * n + 4, 64, n)
+        st = new_bank(9 + (n - 1) + 4 * n + 4, 64, n)
         write_operands(st, a, b)
         multiply(st)
         cfg = build_adder_tree(64, [size])

@@ -26,7 +26,7 @@ from pimsim.datapath import (
     tree_loads_per_pass,
     tree_reduce,
 )
-from pimsim import engine, oracle
+from pimsim import datapath, engine, oracle
 import reference
 from reference import (
     AccumulatorState,
@@ -49,7 +49,7 @@ from pimsim.engine import (
 )
 from pimsim.subarray import (
     mul_aap_count,
-    new_subarray,
+    new_bank,
     rows_needed,
     word_count,
 )
@@ -320,13 +320,18 @@ class TestSfuStageMatchesOracle:
 # Whole-bank execution
 # --------------------------------------------------------------------------
 
+def _one_bank(place, x, w, sfu):
+    """Run a layer as one chunk, on one state that holds all its MACs."""
+    (state,) = build_bank(place)
+    whole = range(place.subarrays_used)
+    place_operands(state, place, whole, *prepare_operands(place, x, w))
+    return bank_execute([(state, whole)], place, sfu)
+
+
 def _run_single_layer(layer, x, w, n, sfu, cols=64):
     net = NetworkDescription("t", n, [layer])
     plan = map_network(net, column_size=cols)
-    place = plan.layers[0]
-    subarrays = build_bank(place)
-    place_operands(subarrays, place, *prepare_operands(place, x, w))
-    return bank_execute(subarrays, place, sfu)
+    return _one_bank(plan.layers[0], x, w, sfu)
 
 
 class TestBankExecute:
@@ -391,9 +396,7 @@ class TestBankExecute:
         plan = map_network(net, column_size=8)
         place = plan.layers[0]
         assert place.passes == 2
-        subarrays = build_bank(place)
-        place_operands(subarrays, place, *prepare_operands(place, x, w))
-        outputs, acct = bank_execute(subarrays, place, SfuParams())
+        outputs, acct = _one_bank(place, x, w, SfuParams())
         assert outputs.tolist() == [5, 6]
         assert acct.aap_total == 2 * mul_aap_count(3)   # one per pass
 
@@ -489,9 +492,7 @@ class TestVectorizedReduction:
         x = rng.integers(0, 1 << n, size=size)
         w = rng.integers(0, 1 << n, size=(macs * k, size))
         width = 1 << width_log2
-        bank = build_bank(place)
-        place_operands(bank, place, *prepare_operands(place, x, w))
-        outputs, acct = bank_execute(bank, place, SfuParams())
+        outputs, acct = _one_bank(place, x, w, SfuParams())
         sums, reads = _seed_tree_reduction(
             place, n, width, lambda mac, j: int(x[j]) * int(w[mac, j]))
         assert outputs.tolist() == [sums[i] for i in range(place.macs_total)]
@@ -502,6 +503,23 @@ class TestVectorizedReduction:
         assert reads == loads * tree_loads_per_pass(place, width)
         assert acct.plane_reads == loads * tree_loads_per_pass(place,
                                                                TREE_WIDTH)
+
+
+# chunked networks: (network, column size, subarrays per chunk, seed);
+# every layer's last chunk is narrower than the others
+CHUNKED = [
+    # 36 and 6 subarrays in chunks of 5
+    (NetworkDescription("chunks", 3, [
+        conv_layer(H=6, W=6, I=2, O=4, K=3, p=1, pool=2),
+        linear_layer(w1=36, w2=6),
+    ], parallelism=[2, 1]), 40, 5, 3),
+    # 9 positions of 27-column MACs, a 243-bit period: 9 subarrays in
+    # chunks of 2 MACs that start mid-filter and mid-word, then 5 in 2s
+    (NetworkDescription("odd", 3, [
+        conv_layer(H=5, W=5, I=3, O=4, K=3),
+        linear_layer(w1=36, w2=5),
+    ], parallelism=[2, 1]), 60, 2, 5),
+]
 
 
 class TestBankChunks:
@@ -550,26 +568,74 @@ class TestBankChunks:
         assert len(calls) == len(net.layers)
 
     def test_one_chunk_state_is_live_at_a_time(self, monkeypatch):
-        # each chunk's state is freed before the next one is built, so a
-        # chunked layer holds one state's cells at a time, not two
+        # build_bank runs once per layer, every chunk is multiplied in the
+        # layer's one state, and that state is gone before the SFU chain
+        # runs, so none outlives run_layer
         net = NetworkDescription("live", 3, [
-            conv_layer(H=6, W=6, I=2, O=4, K=3, p=1),
-        ], parallelism=[2])
+            conv_layer(H=6, W=6, I=2, O=4, K=3, p=1, pool=2),
+            linear_layer(w1=36, w2=6),
+        ], parallelism=[2, 1])
         plan = map_network(net, column_size=40)
         monkeypatch.setattr(engine, "BANK_CHUNK_COLUMNS", 5 * 40)
-        built, live = [], []
+        built, in_built, live = [], [], []
         build = engine.build_bank
+        run = datapath.multiply
+        stage = datapath.sfu_stage
 
-        def tracked(*args):
-            live.append(sum(ref() is not None for ref in built))
+        def tracked_build(*args):
             bank = build(*args)
             built.extend(weakref.ref(state) for state in bank)
             return bank
 
-        monkeypatch.setattr(engine, "build_bank", tracked)
+        def tracked_multiply(state, pair=0):
+            in_built.append(state is built[-1]())
+            return run(state, pair=pair)
+
+        def tracked_stage(*args):
+            live.append(sum(ref() is not None for ref in built))
+            return stage(*args)
+
+        monkeypatch.setattr(engine, "build_bank", tracked_build)
+        monkeypatch.setattr(datapath, "multiply", tracked_multiply)
+        monkeypatch.setattr(datapath, "sfu_stage", tracked_stage)
         assert run_functional(net, plan, seed=3).passed
-        assert len(built) == 8
-        assert live == [0] * 8
+        # 36 subarrays in 8 chunks of 2 passes, then 6 in 2 chunks of 1
+        assert [place.subarrays_used for place in plan.layers] == [36, 6]
+        assert len(built) == 2
+        assert in_built == [True] * (8 * 2 + 2)
+        assert live == [0, 0]
+
+    @pytest.mark.parametrize("net, cols, chunk, seed", CHUNKED,
+                             ids=[net.name for net, *_ in CHUNKED])
+    def test_chunked_mac_sums_equal_one_bank(self, monkeypatch, net, cols,
+                                             chunk, seed):
+        # quantization drops a MAC sum's low bits, so a PASS alone can hide
+        # an error there: every layer's sums as the SFU chain receives
+        # them, chunked with a narrower last chunk, equal the one-bank
+        # run's, and the first layer's equal the oracle's
+        plan = map_network(net, column_size=cols)
+        assert all(place.subarrays_used % chunk for place in plan.layers)
+        sums = []
+        stage = datapath.sfu_stage
+        monkeypatch.setattr(datapath, "sfu_stage",
+                            lambda v, sfu: sums.append(v.copy())
+                            or stage(v, sfu))
+        whole = run_functional(net, plan, seed)
+        whole_sums = sums[:]
+        sums.clear()
+        monkeypatch.setattr(engine, "BANK_CHUNK_COLUMNS", chunk * cols)
+        chunked = run_functional(net, plan, seed)
+        assert whole.passed and chunked.passed
+        assert whole.accounting == chunked.accounting
+        assert len(sums) == len(whole_sums) == len(net.layers)
+        for got, want in zip(sums, whole_sums):
+            assert np.array_equal(got, want)
+        rng = np.random.default_rng(seed)
+        layer = net.layers[0]
+        x = engine.synth_input(rng, layer, net.precision)
+        w = engine.synth_weights(rng, layer, net.precision)
+        assert np.array_equal(sums[0], oracle.conv_ref(x, w, layer.p,
+                                                       layer.s))
 
     def test_state_holds_only_the_mac_columns(self):
         # 7 MACs of 5 columns, 2 per 12-column subarray: each subarray
@@ -665,7 +731,7 @@ class TestOperandPlacement:
         for macs, mac_size in [(1, 1), (3, 21), (2, 64), (7, 45), (5, 130)]:
             values = rng.integers(0, 1 << n, size=(macs, mac_size),
                                   dtype=dtype)
-            state = new_subarray(rows_needed(n, 1), macs * mac_size, n)
+            state = new_bank(rows_needed(n, 1), macs * mac_size, n)
             rows = state.weight_rows(0)
             reference.write_operands(state, rows, values)
             shifts = np.arange(n, dtype=dtype)[:, None]
@@ -723,11 +789,49 @@ class TestOperandPlacement:
         rng = np.random.default_rng(seed)
         x = engine._draw(rng, n, x_shape)
         w = engine.synth_weights(rng, layer, n)
-        (got,) = build_bank(place, range(first, stop))
-        place_operands([got], place, *prepare_operands(place, x, w))
-        (want,) = build_bank(place, range(first, stop))
-        reference.place_operands([want], place, x, w)
+        chunk = range(first, stop)
+        (got,) = build_bank(place, chunk)
+        place_operands(got, place, chunk, *prepare_operands(place, x, w))
+        (want,) = build_bank(place, chunk)
+        reference.place_operands(want, place, chunk, x, w)
         assert np.array_equal(got.cells, want.cells)
+
+    @pytest.mark.parametrize("net, cols, chunk", [
+        (net, cols, chunk) for net, cols, chunk, _ in CHUNKED] + [
+        # 2 MACs of 5 bits to a subarray, the last subarray holding one
+        (NetworkDescription("lin", 5, [linear_layer(w1=5, w2=7)]), 12, 3),
+        # 16-bit operands, 25 subarrays of 3 MACs, at a 700-bit period
+        (NetworkDescription("wide", 16, [
+            conv_layer(H=4, W=4, I=7, O=6, K=2, p=1)], parallelism=[2]),
+         86, 4),
+    ], ids=[net.name for net, *_ in CHUNKED] + ["lin", "wide"])
+    def test_reused_state_takes_each_chunk_as_a_fresh_one(self, net, cols,
+                                                          chunk):
+        # one state, sized for the first chunk and filled with random bits,
+        # takes every chunk of the layer in turn, the narrower last one
+        # included: its operand rows then equal a fresh state's for that
+        # chunk, every word past the chunk's MACs cleared
+        place = map_network(net, column_size=cols).layers[0]
+        used = place.subarrays_used
+        chunks = [range(first, min(first + chunk, used))
+                  for first in range(0, used, chunk)]
+        assert len(chunks[-1]) < chunk
+        rng = np.random.default_rng(used)
+        n, layer = net.precision, net.layers[0]
+        operands = prepare_operands(place, engine.synth_input(rng, layer, n),
+                                    engine.synth_weights(rng, layer, n))
+        (state,) = build_bank(place, chunks[0])
+        state.cells[:] = rng.integers(0, 2**64, size=state.cells.shape,
+                                      dtype=np.uint64)
+        rows = [*state.activation_rows(),
+                *(r for p in range(place.passes) for r in state.weight_rows(p))]
+        for subarrays in chunks:
+            place_operands(state, place, subarrays, *operands)
+            (fresh,) = build_bank(place, subarrays)
+            place_operands(fresh, place, subarrays, *operands)
+            want = np.zeros_like(state.cells[rows])
+            want[:, : fresh.cells.shape[1]] = fresh.cells[rows]
+            assert np.array_equal(state.cells[rows], want)
 
     @pytest.mark.parametrize("layer", [
         # 784 positions of 72 columns: whole-word periods
@@ -745,12 +849,13 @@ class TestOperandPlacement:
         x = engine.synth_input(rng, layer, 4)
         operands = prepare_operands(place, x,
                                     engine.synth_weights(rng, layer, 4))
-        bank = build_bank(place, range(5, 60))
-        place_operands(bank, place, *operands)
+        chunk = range(5, 60)
+        (state,) = build_bank(place, chunk)
+        place_operands(state, place, chunk, *operands)
         tracemalloc.start()
         try:
-            place_operands(bank, place, *operands)
+            place_operands(state, place, chunk, *operands)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * bank[0].cols
+        assert peak <= 1.5 * state.cols

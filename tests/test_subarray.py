@@ -43,7 +43,7 @@ from pimsim.subarray import (
     and_op,
     mul_aap_count,
     multiply,
-    new_subarray,
+    new_bank,
 )
 
 COMPUTE = (ROW0, A, A1, B, B1, CIN, CIN1, COUT, COUT1)
@@ -51,7 +51,7 @@ COMPUTE = (ROW0, A, A1, B, B1, CIN, CIN1, COUT, COUT1)
 
 def make_state(n, cols=8, extra_rows=16):
     rows = 9 + (n - 1) + 4 * n + extra_rows
-    return new_subarray(rows, cols, n)
+    return new_bank(rows, cols, n)
 
 
 def multiply_trace(st_, pair=0):
@@ -77,7 +77,7 @@ def emit(st_, primitive, *args, **kwargs):
 
 class TestNewSubarray:
     def test_default_geometry_reserves_rows(self):
-        st_ = new_subarray(4096, 4096, 4)
+        st_ = new_bank(4096, 4096, 4)
         assert st_.intermediate_rows.start == len(set(COMPUTE)) == 9
         assert len(st_.intermediate_rows) == 3
         assert len(st_.product_rows) == 8
@@ -85,13 +85,13 @@ class TestNewSubarray:
 
     def test_minimal_state(self):
         # 9 compute + 1 intermediate + 4 product + 4 operand rows = 18
-        st_ = new_subarray(32, 8, 2)
+        st_ = new_bank(32, 8, 2)
         assert st_.data_base == 14
         assert st_.pair_capacity >= 1
 
     def test_insufficient_rows_rejected(self):
         with pytest.raises(ConfigurationError, match="need 28"):
-            new_subarray(16, 8, 4)
+            new_bank(16, 8, 4)
 
     def test_reserved_rows_disjoint(self):
         st_ = make_state(4)
@@ -228,7 +228,7 @@ class TestAddBitserial:
     @pytest.mark.parametrize("n", [2, 4])
     def test_exhaustive_against_integer_sum(self, n):
         pairs = list(itertools.product(range(1 << n), repeat=2))
-        st_ = new_subarray(9 + (n - 1) + 4 * n + 3 * n + 2, len(pairs), n)
+        st_ = new_bank(9 + (n - 1) + 4 * n + 3 * n + 2, len(pairs), n)
         a_rows, b_rows, out_rows = _place_add_operands(st_, n, pairs)
         trace = emit(st_, add_bitserial, a_rows, b_rows, out_rows)
         assert trace.total_aap == 4 * n + 1
@@ -257,7 +257,7 @@ class TestAddBitserial:
     def test_random_sums(self, n, data):
         a = data.draw(st.integers(0, (1 << n) - 1))
         b = data.draw(st.integers(0, (1 << n) - 1))
-        st_ = new_subarray(9 + (n - 1) + 4 * n + 3 * n + 2, 2, n)
+        st_ = new_bank(9 + (n - 1) + 4 * n + 3 * n + 2, 2, n)
         a_rows, b_rows, out_rows = _place_add_operands(st_, n, [(a, b)])
         trace = emit(st_, add_bitserial, a_rows, b_rows, out_rows)
         assert read_values(st_, out_rows)[0] == a + b
@@ -317,7 +317,7 @@ class TestMultiply:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_exhaustive_products(self, n):
         pairs = list(itertools.product(range(1 << n), repeat=2))
-        st_ = new_subarray(9 + (n - 1) + 4 * n + 4, len(pairs), n)
+        st_ = new_bank(9 + (n - 1) + 4 * n + 4, len(pairs), n)
         write_operands(st_, *zip(*pairs))
         multiply(st_)
         assert read_products(st_).tolist() == [a * b for a, b in pairs], n
@@ -374,7 +374,7 @@ class TestMultiply:
         assert np.array_equal(st_.cells[st_.data_base:], before)
 
     def test_stacked_pair_multiplies(self):
-        st_ = new_subarray(64, 4, 3)
+        st_ = new_bank(64, 4, 3)
         write_operands(st_, [5], [3], pair=0)
         write_operands(st_, [5], [7], pair=1)
         multiply(st_, pair=0)
@@ -383,7 +383,7 @@ class TestMultiply:
         assert read_products(st_)[0] == 35
 
     def test_pair_beyond_capacity_rejected(self):
-        st_ = new_subarray(32, 4, 2)   # capacity: (32-14)//2 - 1 = 8 pairs
+        st_ = new_bank(32, 4, 2)   # capacity: (32-14)//2 - 1 = 8 pairs
         with pytest.raises(ConfigurationError):
             multiply(st_, pair=20)
 
@@ -392,7 +392,7 @@ class TestMultiply:
     def test_random_products(self, n, data):
         a = data.draw(st.integers(0, (1 << n) - 1))
         b = data.draw(st.integers(0, (1 << n) - 1))
-        st_ = new_subarray(9 + (n - 1) + 4 * n + 4, 2, n)
+        st_ = new_bank(9 + (n - 1) + 4 * n + 4, 2, n)
         write_operands(st_, [a], [b])
         assert len(multiply(st_)) == mul_aap_count(n)
         assert read_products(st_)[0] == a * b
@@ -400,7 +400,7 @@ class TestMultiply:
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("pair", range(3))
     def test_multiply_logs_nothing_and_returns_the_schedule(self, n, pair):
-        st_ = new_subarray(subarray.rows_needed(n, 3), 2, n)
+        st_ = new_bank(subarray.rows_needed(n, 3), 2, n)
         events = multiply(st_, pair=pair)
         assert events is subarray._schedule(n, pair).events
         assert len(events) == mul_aap_count(n)
@@ -435,7 +435,7 @@ class TestOperandColumns:
         # every (a, b) pair once, read back the full grid of products
         n = 6
         pairs = [(a, b) for a in range(0, 64, 5) for b in range(0, 64, 3)]
-        st_ = new_subarray(64, len(pairs), n)
+        st_ = new_bank(64, len(pairs), n)
         write_operands(st_, *zip(*pairs))
         multiply(st_)
         assert read_products(st_).tolist() == [a * b for a, b in pairs]
@@ -494,7 +494,7 @@ class TestTrace:
             "quintuple_activate 2,4,6,7,12\n"
             "summary total_aap=19 and_ops=4 add_ops=2\n"
         )
-        st_ = new_subarray(32, 1, 2)
+        st_ = new_bank(32, 1, 2)
         write_operands(st_, [3], [3])
         assert to_text(multiply_trace(st_)) == golden
 
@@ -563,7 +563,7 @@ def _sha256(text):
 def test_command_streams_are_frozen(n):
     *mul, add = STREAM_SHA256[n]
     for pair, digest in enumerate(mul):
-        st_ = new_subarray(subarray.rows_needed(n, 3), 1, n)
+        st_ = new_bank(subarray.rows_needed(n, 3), 1, n)
         text = to_text(multiply_trace(st_, pair))
         assert _sha256(text) == digest, (n, pair)
     base = subarray.rows_needed(n, 1)
@@ -582,7 +582,7 @@ def _ragged_state(n, pairs):
     with the operands in its last len(pairs) columns: the leading columns
     hold zeros and the ragged word holds the last five pairs."""
     cols = 64 * -(-len(pairs) // 64) + 5
-    st_ = new_subarray(9 + (n - 1) + 4 * n + 4, cols, n)
+    st_ = new_bank(9 + (n - 1) + 4 * n + 4, cols, n)
     lead = [0] * (cols - len(pairs))
     write_operands(st_, *(lead + list(values) for values in zip(*pairs)))
     return st_
@@ -597,7 +597,7 @@ class TestPackedCells:
         assert np.array_equal(unpack_columns(packed, 3 * 64 + 5), bits)
 
     def test_column_to_bit_mapping(self):
-        st_ = new_subarray(32, 130, 2)
+        st_ = new_bank(32, 130, 2)
         ones = np.zeros(130, dtype=np.int64)
         ones[[64, 129]] = 1
         write_values(st_, [20], ones)
@@ -626,13 +626,13 @@ class TestPackedCells:
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("pair", [0, 1])
     def test_cached_replay_equals_fresh_schedule(self, n, pair):
-        layout = new_subarray(64, 3, n)
+        layout = new_bank(64, 3, n)
         if n <= 2:
             fresh = subarray._multiply_small(layout, pair)
         else:
             fresh = subarray._multiply_wide(layout, pair)
         assert not layout.cells.any()
-        st_ = new_subarray(64, 3, n)
+        st_ = new_bank(64, 3, n)
         first = multiply_trace(st_, pair)
         assert first == fresh
         assert multiply_trace(st_, pair) == first
@@ -690,7 +690,7 @@ class TestCompiledMultiply:
         # and rows past the schedule included: multiply and each executor
         # run directly must match the per-event interpreter
         rows = subarray.rows_needed(n, pair + 1) + above
-        st_ = new_subarray(rows, cols, n)
+        st_ = new_bank(rows, cols, n)
         rng = np.random.default_rng(seed)
         st_.cells[:] = rng.integers(0, 1 << 64, size=st_.cells.shape,
                                     dtype=np.uint64)
@@ -704,6 +704,36 @@ class TestCompiledMultiply:
             cells = start.copy()
             run(program, cells)
             assert np.array_equal(cells, want), run.__name__
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    @pytest.mark.parametrize("cols", [100, 64 * CUTOFF + 5])
+    def test_multiply_reads_only_its_operand_rows(self, n, cols):
+        # what lets one bank state take chunk after chunk: the program
+        # loads the activation rows and the pair's weight rows alone and
+        # never stores row 0, so random bits in every other row (another
+        # chunk's products and intermediates, other pairs' weights) leave
+        # the product rows a zeroed state ends with
+        rng = np.random.default_rng(n)
+        clean = new_bank(subarray.rows_needed(n, 3), cols, n)
+        for pair in range(clean.pair_capacity):
+            program = subarray._schedule(n, pair).program
+            operands = [*clean.activation_rows(), *clean.weight_rows(pair)]
+            assert sorted(program.loads) == operands
+            assert ROW0 not in {r for _, rows in program.stores for r in rows}
+            clean.cells[:] = 0
+            clean.cells[operands] = rng.integers(
+                0, 2**64, size=(len(operands), clean.cells.shape[1]),
+                dtype=np.uint64)
+            dirty = new_bank(clean.rows, cols, n)
+            dirty.cells[:] = rng.integers(0, 2**64, size=dirty.cells.shape,
+                                          dtype=np.uint64)
+            dirty.cells[ROW0] = 0
+            dirty.cells[operands] = clean.cells[operands]
+            multiply(clean, pair)
+            multiply(dirty, pair)
+            product = clean.product_rows
+            assert np.array_equal(dirty.cells[product.start : product.stop],
+                                  clean.cells[product.start : product.stop])
 
     # a set bit in a column, and one in the padding past the last column
     @pytest.mark.parametrize("n", [1, 4, 8])

@@ -204,8 +204,9 @@ def test_script_runs(argv):
 
 def test_full_size_digests_cover_every_preset_vector():
     # scripts/full_size.py runs at full size, outside the suite; its pinned
-    # digests must name every preset's parallelism vectors at n = 4, and
-    # AlexNet's and ResNet18 P1 at the other precisions
+    # digests must name every preset's parallelism vectors at n = 4,
+    # AlexNet's and ResNet18 P1 at the other precisions, and VGG16 P1 at
+    # n = 8
     from pimsim.presets import PARALLELISM
 
     spec = importlib.util.spec_from_file_location(
@@ -217,9 +218,9 @@ def test_full_size_digests_cover_every_preset_vector():
     assert len(want) == 9
     assert sorted(script.DIGESTS) == [1, 2, 4, 8]
     assert set(script.DIGESTS[4]) == want
-    for n in (1, 2, 8):
-        assert set(script.DIGESTS[n]) == {
-            "alexnet-P1", "alexnet-P2", "alexnet-P3", "resnet18-P1"}
+    small = {"alexnet-P1", "alexnet-P2", "alexnet-P3", "resnet18-P1"}
+    assert set(script.DIGESTS[1]) == set(script.DIGESTS[2]) == small
+    assert set(script.DIGESTS[8]) == small | {"vgg16-P1"}
     for table in script.DIGESTS.values():
         for digests in table.values():
             assert len(digests) == len(script.REPORT_NAMES)
