@@ -4,6 +4,7 @@
 Example:
     python3 scripts/full_size.py full_size.json
     python3 scripts/full_size.py other_precisions.json --precisions 1 2 8
+    python3 scripts/full_size.py one.json --precisions 8 --only alexnet-P1
 
 Each combination runs `python -m pimsim --preset NAME --parallelism P
 --mode functional --rows 4096 --cols 32768 --precision N`, in a child
@@ -14,7 +15,9 @@ P1 at n = 1, 2 and 8, and VGG16 P1 at n = 8. The wall time, the child's peak RSS
 its minor page faults (ru_minflt) go to the JSON file named on the command
 line, keyed NAME-P-nN. A combination passes when the child exits 0 with an
 oracle PASS and the sha256 of its report.json, report.txt and plan.txt
-equal DIGESTS. The exit status is 1 when any combination fails.
+equal DIGESTS. --only NAME-P, repeatable, runs only those combinations;
+each must be pinned at every precision asked for, or the script exits 2
+before it runs any. The exit status is 1 when any combination fails.
 
 The whole sweep takes minutes (VGG16 is most of it), so it is not part of
 the test suite; a test checks only that DIGESTS covers every preset's
@@ -168,17 +171,25 @@ def run_one(name: str, vector: str, n: int, outdir: Path) -> dict:
             "digests_match": digests == DIGESTS[n].get(f"{name}-{vector}")}
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("result", help="JSON file to write the results to")
     parser.add_argument("--precisions", type=int, nargs="+", default=[4],
                         choices=sorted(DIGESTS), metavar="N",
                         help="precisions to run, of %(choices)s "
                              "(default: 4)")
-    args = parser.parse_args()
+    parser.add_argument("--only", action="append", metavar="NAME-P",
+                        help="run only this pinned combination; repeatable")
+    args = parser.parse_args(argv)
+    for combo in args.only or ():
+        unpinned = [n for n in args.precisions if combo not in DIGESTS[n]]
+        if unpinned:
+            parser.exit(2, f"full_size.py: error: {combo} is not pinned at "
+                           f"n = {', '.join(map(str, unpinned))}\n")
     keys = [(name, vector, n) for n in args.precisions
             for name, vectors in PARALLELISM.items() for vector in vectors
-            if f"{name}-{vector}" in DIGESTS[n]]
+            if f"{name}-{vector}" in DIGESTS[n]
+            and (args.only is None or f"{name}-{vector}" in args.only)]
     results = {}
     with tempfile.TemporaryDirectory() as scratch:
         for name, vector, n in keys:

@@ -24,11 +24,18 @@ emitted once per (n, pair) and compiled once (_compile) into a program over
 row slots, in which copies are renames, each AND and each full adder (a
 TRIPLE and the QUINTUPLE that senses the parity of the same three values)
 is one step, and the constants of the reserved all-zero row 0, which
-multiply checks, fold away. Every call runs that program, the one executor
-of events here, on Python ints or numpy rows by width (_run_program). One
-run drives every column at once (SIMD across bitlines) and leaves every
-cell, padding bits included, as running the events one by one would; the
-tests keep that per-event reference executor (tests/reference.py).
+multiply checks, fold away. Up to n = 9 (PROOF_ROWS) the compiler then
+runs the ops once over every value of the operand rows, one column each,
+and folds every op that ends all zeros or all ones in every column: a
+proof, not a sample. At n = 8 that leaves 396 of 701 ops. The events and
+their AAP counts never change; only the program the simulator runs does.
+Every call runs that program, the one executor of events here, on Python
+ints or numpy rows by width (_run_program); each op carries its
+operator.and_, or_ or xor, so the int executor calls it with no branch.
+One run drives every column at once (SIMD across bitlines) and leaves
+every cell, padding bits included, as running the events one by one
+would; the tests keep that per-event reference executor
+(tests/reference.py).
 A state may also stand for a packed bank: the MAC columns of several
 subarrays side by side, sharing one row layout and one command stream.
 Which subarray and column a MAC sits in never changes a bit, so such a
@@ -41,8 +48,9 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -440,6 +448,11 @@ def _multiply_wide(state: BankState, pair: int) -> AapTrace:
     return trace
 
 
+# (f, x, y, out): out = f(x, y), f one of operator.and_, or_ and xor, over
+# value ids inside _compile and over slot rows in a Program
+Op = tuple[Callable[[int, int], int], int, int, int]
+
+
 @dataclass(frozen=True)
 class Program:
     """A multiply schedule compiled to logic over slot rows.
@@ -447,23 +460,27 @@ class Program:
     Slots 0..touched-1 are the state's own cell rows, slots from touched on
     are rows of a scratch buffer of `extra` rows. The multiply's temporaries
     fit in rows the copies rename; up to n = 30 it needs one scratch row,
-    to save a cycle of moves, only at n = 20, 22 and 24-30. Each step is one
-    AND or one full adder, as (ufunc, x, y, out) slot operations. A full
-    adder is a TRIPLE together with the QUINTUPLE that senses the parity of
-    the same three values: 5 ops write its carry and sum bit, and one more
-    the sum's complement when something reads it. Ops whose value
-    constants fix are folded away (_compile), so a full adder with an input
-    from the all-zero row 0 is a half adder of 2 ops, and a step may hold
-    none. Copies and zero writes are row renames and cost nothing. pins
-    sets every bit of a slot to 0 or 1 before the steps, as (slot, bit).
-    loads lists the touched rows whose starting value the program uses;
-    row 0 is never loaded, and is never stored when it ends zero. stores
-    gives each slot whose value some rows end with in place of their own,
-    and those rows, as (slot, rows). moves gives the same stores as one
-    copy per row whose value sits in another slot, (row, slot), ordered so
-    that every slot is read before a copy overwrites it, which the
-    multiply's moves need from n = 8 on; where stored rows exchange values,
-    the cycle first saves one of them to a scratch row of its own.
+    to save a cycle of moves, only at n = 20, 22 and 24-30. ops holds the
+    slot operations (f, x, y, out) in the order they run (Op), f one of
+    operator.and_, or_ and xor, and sizes cuts them into steps (steps),
+    each one AND or one full adder. A full adder is a TRIPLE together with
+    the QUINTUPLE that senses the parity of the same three values: 5 ops
+    write its carry and sum bit, and one more the sum's complement when
+    something reads it. Ops whose value constants fix are folded away
+    (_compile), so a full adder with an input from the all-zero row 0 is a
+    half adder of 2 ops, and a step may hold none. Up to n = 9 that
+    includes every value an exhaustive proof shows to be the same for all
+    operands, such as the running sums' high bits. Copies and zero writes
+    are row renames and cost nothing. pins sets every bit of a slot to 0
+    or 1 before the steps, as (slot, bit). loads lists the touched rows
+    whose starting value the program uses; row 0 is never loaded, and is
+    never stored when it ends zero. stores gives each slot whose value
+    some rows end with in place of their own, and those rows, as (slot,
+    rows). moves gives the same stores as one copy per row whose value
+    sits in another slot, (row, slot), ordered so that every slot is read
+    before a copy overwrites it, which the multiply's moves need from
+    n = 10 on; where stored rows exchange values, the cycle first saves
+    one of them to a scratch row of its own.
 
     _run_program runs it on Python ints when the state is at most
     INT_ROW_WORDS words wide and on numpy rows when it is wider; either
@@ -473,23 +490,37 @@ class Program:
     touched: int
     extra: int
     pins: tuple[tuple[int, int], ...]
-    steps: tuple[tuple[tuple[np.ufunc, int, int, int], ...], ...]
+    ops: tuple[Op, ...]
+    sizes: tuple[int, ...]
     loads: tuple[int, ...]
     stores: tuple[tuple[int, tuple[int, ...]], ...]
     moves: tuple[tuple[int, int], ...]
 
+    @property
+    def steps(self) -> tuple[tuple[Op, ...], ...]:
+        """The ops grouped into their steps."""
+        at = iter(self.ops)
+        return tuple(tuple(itertools.islice(at, k)) for k in self.sizes)
+
 
 _ZERO, _ONES = -1, -2     # value ids of the all-zero and all-one rows
-_BAND, _BOR, _BXOR = np.bitwise_and, np.bitwise_or, np.bitwise_xor
+# numpy's in-place form of each op's function, for the numpy-row executor
+_UFUNCS = {operator.and_: np.bitwise_and, operator.or_: np.bitwise_or,
+           operator.xor: np.bitwise_xor}
+# _compile proves constants when its ops read at most this many rows: the
+# multiply's 2n operand rows up to n = 9, where a truth table is 2**18
+# bits (32 KiB) and the compile takes about 30 ms and a 1.7 MiB peak. At
+# n = 10 a table is four times as wide: about 0.16 s and 4.4 MiB.
+PROOF_ROWS = 18
 # A state at most this many words wide runs its program on Python ints, a
 # wider one on numpy rows. A numpy op pays about a microsecond of call
 # overhead at any width; an int op pays little overhead but more per word,
 # and each row it loads or stores costs a conversion. Measured on a
-# shared 2-core VM (table in CHANGES.md), numpy rows are faster at every
-# width at n = 2, even at 2 words; the two cross between 48 and 128 words
-# at n = 4 and between 512 and 1,024 at n = 8. At 256 words ints lose
-# about 25 us per multiply at n = 2 and 30 us at n = 4, and save about
-# 150 us at n = 8.
+# shared 2-core VM on the proved programs (table in CHANGES.md), numpy rows
+# are as fast at 2 words at n = 2 and faster from 64; the two cross
+# between 96 and 128 words at n = 4 and between 384 and 512 at n = 8. At
+# 256 words ints lose about 35-45 us per multiply at n = 2 and 35-50 us at
+# n = 4, and save about 25-50 us at n = 8.
 INT_ROW_WORDS = 256
 
 
@@ -549,18 +580,91 @@ def _values(events: Sequence[AapEvent], start: Sequence[int]):
     return steps, row_val
 
 
-def _fold(f: np.ufunc, x: int, y: int) -> int | None:
+def _fold(f: Callable[[int, int], int], x: int, y: int) -> int | None:
     """The value id that op f over ids x and y equals when a constant or a
     repeated input fixes it, else None: x&0 = 0, x&1 = x&x = x, x|1 = 1,
     x|0 = x|x = x, x^0 = x and x^x = 0."""
     if x == y:
-        return _ZERO if f is _BXOR else x
+        return _ZERO if f is operator.xor else x
     for a, b in ((x, y), (y, x)):
         if b == _ZERO:
-            return _ZERO if f is _BAND else a
-        if b == _ONES and f is not _BXOR:
-            return a if f is _BAND else _ONES
+            return _ZERO if f is operator.and_ else a
+        if b == _ONES and f is not operator.xor:
+            return a if f is operator.and_ else _ONES
     return None
+
+
+def _simplify(steps: list[list[Op]], same: dict[int, int],
+              proven: dict[int, int]) -> None:
+    """Rewrite each op's inputs to the values they equal, in same, and drop
+    every op whose output proven or _fold fixes to a value, which same then
+    records for its output."""
+    for step in steps:
+        kept = []
+        for f, x, y, out in step:
+            x, y = same.get(x, x), same.get(y, y)
+            value = proven.get(out)
+            if value is None:
+                value = _fold(f, x, y)
+            if value is None:
+                kept.append((f, x, y, out))
+            else:
+                same[out] = value
+        step[:] = kept
+
+
+def _prune(steps: list[list[Op]], kept: set[int]) -> None:
+    """Drop every op whose output no later op needs and kept lacks, in one
+    backward pass."""
+    needed = set(kept)
+    for step in reversed(steps):
+        used = []
+        for op in reversed(step):
+            if op[3] in needed:
+                needed.update(op[1:3])
+                used.append(op)
+        step[:] = used[::-1]
+
+
+def _column_bits(var: int, width: int) -> int:
+    """The truth table of input var over 2**width columns: column c holds
+    bit var of c."""
+    period, table = 2 << var, ((1 << (1 << var)) - 1) << (1 << var)
+    while period < 1 << width:
+        table |= table << period
+        period *= 2
+    return table
+
+
+def _prove(ops: list[Op]) -> dict[int, int]:
+    """The outputs of ops that are _ZERO or _ONES for every value of the
+    rows they read, by id, when those are at most PROOF_ROWS rows, else {}.
+
+    Each value is a truth table over every assignment of the rows read, one
+    column per assignment (a Python int of 2**rows bits), so a constant is
+    proved, not sampled. A table is dropped after its last read: the ones
+    alive at once, not all of them, set the memory the proof takes.
+    """
+    outs = {op[3] for op in ops}
+    rows = sorted({v for op in ops for v in op[1:3]} - outs - {_ZERO, _ONES})
+    if len(rows) > PROOF_ROWS:
+        return {}
+    ones = (1 << (1 << len(rows))) - 1
+    tables = {_ZERO: 0, _ONES: ones}
+    tables.update((r, _column_bits(i, len(rows))) for i, r in enumerate(rows))
+    last_read = {v: i for i, op in enumerate(ops) for v in op[1:3] if v >= 0}
+    proven = {}
+    for i, (f, x, y, out) in enumerate(ops):
+        table = f(tables[x], tables[y])
+        for v in (x, y):
+            if last_read.get(v) == i:
+                tables.pop(v, None)
+        if table == 0 or table == ones:
+            proven[out] = _ZERO if table == 0 else _ONES
+            table = tables[proven[out]]     # one copy of each constant
+        if out in last_read:
+            tables[out] = table
+    return proven
 
 
 def _compile(events: Sequence[AapEvent], touched: int) -> Program:
@@ -568,59 +672,56 @@ def _compile(events: Sequence[AapEvent], touched: int) -> Program:
     _ZERO, the reserved all-zero row: the caller must make that hold
     (multiply checks it).
 
-    1. Lower each step to (ufunc, x, y, out) ops over value ids: an AND to
-       one op, a full adder to t=a^b, o=a&b, sum=t^c, t2=t&c, carry=o|t2
-       and comp=sum^ONES. An op that _fold fixes to a value is no op: its
-       output is that value. So a full adder with a zero input is a half
-       adder of 2 ops, and one with two is none.
+    1. Lower each step to (f, x, y, out) ops over value ids, f one of
+       operator.and_, or_ and xor: an AND to one op, a full adder to
+       t=a^b, o=a&b, sum=t^c, t2=t&c, carry=o|t2 and comp=sum^ONES. An op
+       that _fold fixes to a value is no op: its output is that value. So
+       a full adder with a zero input is a half adder of 2 ops, and one
+       with two is none.
     2. Drop every op whose output no kept op reads and no row ends with, in
        one backward pass.
-    3. Give each value a slot in one forward scan. A row's own value starts
+    3. Prove the ops' constants (_prove) when they read at most PROOF_ROWS
+       rows, and fold them as in 1, then drop what that leaves dead. The
+       multiply reads its 2n operand rows, so up to n = 9 this folds every
+       bit that ends zero or one for all operands, such as the running
+       sums' high bits: n = 8 falls from 701 ops to 396.
+    4. Give each value a slot in one forward scan. A row's own value starts
        in that row, and _ZERO and _ONES are pinned before the first op. A
        value's slot is freed after its last read unless some row ends with
        it, so an op may overwrite an input it reads last. Row 0, when it
        ends zero, is never read or written. A value takes the home row of
        a row that ends with it when that row is free, so most rows get
        their value in place, and otherwise the lowest free row.
-    4. Order the copies of the rows whose value ends in another slot
+    5. Order the copies of the rows whose value ends in another slot
        (_order_moves).
     """
     start = [_ZERO, *range(1, touched)]
     steps, final = _values(events, start)
     # t, o and t2 take ids past every id of _values
     fresh = itertools.count(touched + sum(len(outs) for _, outs in steps))
-    same: dict[int, int] = {}     # the value each folded op's output equals
+    xor, and_, or_ = operator.xor, operator.and_, operator.or_
     lowered = []
     for ins, outs in steps:
         if len(ins) == 2:
-            logic = [(_BAND, *ins, *outs)]
-        else:
-            (a, b, c), (carry, total, comp) = ins, outs
-            t, o, t2 = next(fresh), next(fresh), next(fresh)
-            logic = [(_BXOR, a, b, t), (_BAND, a, b, o),
-                     (_BXOR, t, c, total), (_BAND, t, c, t2),
-                     (_BOR, o, t2, carry), (_BXOR, total, _ONES, comp)]
-        step = []
-        for f, x, y, out in logic:
-            x, y = same.get(x, x), same.get(y, y)
-            value = _fold(f, x, y)
-            if value is None:
-                step.append((f, x, y, out))
-            else:
-                same[out] = value
-        lowered.append(step)
+            lowered.append([(and_, *ins, *outs)])
+            continue
+        (a, b, c), (carry, total, comp) = ins, outs
+        t, o, t2 = next(fresh), next(fresh), next(fresh)
+        lowered.append([(xor, a, b, t), (and_, a, b, o),
+                        (xor, t, c, total), (and_, t, c, t2),
+                        (or_, o, t2, carry), (xor, total, _ONES, comp)])
+    same: dict[int, int] = {}     # the value each folded op's output equals
+    _simplify(lowered, same, {})
     final = [same.get(v, v) for v in final]
-
     # row 0 holds no value of the program when it ends zero
     kept = {v for v, s in zip(final, start) if not v == s == _ZERO}
-    needed = set(kept)
-    for step in reversed(lowered):
-        used = []
-        for op in reversed(step):
-            if op[3] in needed:
-                needed.update(op[1:3])
-                used.append(op)
-        step[:] = used[::-1]
+    _prune(lowered, kept)
+    proven = _prove([op for step in lowered for op in step])
+    if proven:
+        _simplify(lowered, same, proven)
+        final = [same.get(v, v) for v in final]
+        kept = {v for v, s in zip(final, start) if not v == s == _ZERO}
+        _prune(lowered, kept)
 
     ops = [op for step in lowered for op in step]
     last_read = {v: i for i, op in enumerate(ops) for v in op[1:3]}
@@ -654,13 +755,12 @@ def _compile(events: Sequence[AapEvent], touched: int) -> Program:
             if last_read[v] == i:
                 free.add(slot_of.pop(v))
         slotted.append((f, sx, sy, alloc(out)))
-    at = iter(slotted)
-    program = tuple(tuple(itertools.islice(at, len(step))) for step in lowered)
     loads = tuple(r for r in range(touched) if r in last_read or r in ends)
     stores = tuple((slot_of[v], tuple(rows)) for v, rows in ends.items())
     moves = _order_moves(stores, touched + extra)
     extra += any(row == touched + extra for row, _ in moves)
-    return Program(touched, extra, pins, program, loads, stores, moves)
+    return Program(touched, extra, pins, tuple(slotted),
+                   tuple(map(len, lowered)), loads, stores, moves)
 
 
 def _order_moves(stores: tuple[tuple[int, tuple[int, ...]], ...],
@@ -694,9 +794,8 @@ def _run_rows(program: Program, cells: np.ndarray) -> None:
     slots = [*cells[: program.touched], *extra]
     for slot, bit in program.pins:
         slots[slot].fill(bit * ((1 << WORD_BITS) - 1))
-    for step in program.steps:
-        for f, x, y, out in step:
-            f(slots[x], slots[y], slots[out])
+    for f, x, y, out in program.ops:
+        _UFUNCS[f](slots[x], slots[y], slots[out])
     for row, slot in program.moves:
         np.copyto(slots[row], slots[slot])
 
@@ -714,14 +813,8 @@ def _run_ints(program: Program, cells: np.ndarray) -> None:
         slots[r] = int.from_bytes(raw[at * size : (at + 1) * size], "little")
     for slot, bit in program.pins:
         slots[slot] = bit * ((1 << words * WORD_BITS) - 1)
-    for step in program.steps:
-        for f, x, y, out in step:
-            if f is _BXOR:
-                slots[out] = slots[x] ^ slots[y]
-            elif f is _BAND:
-                slots[out] = slots[x] & slots[y]
-            else:
-                slots[out] = slots[x] | slots[y]
+    for f, x, y, out in program.ops:
+        slots[out] = f(slots[x], slots[y])
     if program.stores:
         done = b"".join([slots[s].to_bytes(size, "little")
                          for s, _ in program.stores])

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -314,13 +315,17 @@ class TestCountFormulas:
 # --------------------------------------------------------------------------
 
 class TestMultiply:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", range(1, 10))
     def test_exhaustive_products(self, n):
-        pairs = list(itertools.product(range(1 << n), repeat=2))
-        st_ = new_bank(9 + (n - 1) + 4 * n + 4, len(pairs), n)
-        write_operands(st_, *zip(*pairs))
-        multiply(st_)
-        assert read_products(st_).tolist() == [a * b for a, b in pairs], n
+        # every operand pair, one per column, at each of three stacked
+        # pairs: every n whose program folds proved constants
+        cols = np.arange(1 << 2 * n)
+        acts, weights = cols & ((1 << n) - 1), cols >> n
+        st_ = new_bank(subarray.rows_needed(n, 3), len(cols), n)
+        for pair in range(3):
+            write_operands(st_, acts, weights, pair=pair)
+            multiply(st_, pair=pair)
+            assert np.array_equal(read_products(st_), acts * weights), pair
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8])
     def test_cost_exactness(self, n):
@@ -794,14 +799,19 @@ class TestCompiledMultiply:
             assert np.array_equal(cells, want), run.__name__
 
     # per n, for every pair: ops, steps, loaded rows, store slots, stored
-    # rows, stored rows whose value sits in another slot, scratch rows
+    # rows, stored rows whose value sits in another slot, scratch rows. Up
+    # to n = 9 the proof folds the rows that end zero for every operand
+    # pair, which are then stored from the one zero slot; n = 10 reads 20
+    # rows, past PROOF_ROWS, and folds only the constants the events name
     SHAPES = {1: (1, 1, 2, 2, 10, 8, 0), 2: (9, 6, 4, 5, 11, 6, 0),
-              3: (32, 19, 6, 9, 16, 7, 0), 4: (75, 46, 8, 12, 19, 7, 0),
-              5: (152, 93, 10, 15, 22, 7, 0), 6: (273, 166, 12, 18, 25, 7, 0),
-              7: (452, 271, 14, 21, 28, 7, 0),
-              8: (701, 414, 16, 24, 31, 8, 0)}
+              3: (31, 19, 6, 9, 16, 7, 0), 4: (66, 46, 8, 11, 19, 8, 0),
+              5: (118, 93, 10, 13, 22, 9, 0), 6: (192, 166, 12, 15, 25, 10, 0),
+              7: (286, 271, 14, 17, 28, 11, 0),
+              8: (396, 414, 16, 19, 31, 12, 0),
+              9: (526, 601, 18, 21, 34, 13, 0),
+              10: (1453, 838, 20, 30, 37, 11, 0)}
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", range(1, 11))
     @pytest.mark.parametrize("pair", range(3))
     def test_program_shape(self, n, pair):
         program = subarray._schedule(n, pair).program
@@ -817,10 +827,41 @@ class TestCompiledMultiply:
         assert sorted(program.moves) == sorted(
             (r, slot) for slot, rows in program.stores for r in rows
             if r != slot)
-        # up to n = 7 no moved row is read by another move, so no two
+        # up to n = 9 no moved row is read by another move, so no two
         # stored rows exchange values and the copies need no order
-        assert (n > 7) == bool({r for r, _ in program.moves} & {
+        assert (n > 9) == bool({r for r, _ in program.moves} & {
             slot for _, slot in program.moves})
+
+    @staticmethod
+    def _unproven(monkeypatch, sched, n, pair):
+        # the program of the constants the events name, without the proof
+        monkeypatch.setattr(subarray, "PROOF_ROWS", -1)
+        program = subarray._compile(sched.events,
+                                    subarray.rows_needed(n, pair + 1))
+        monkeypatch.undo()
+        return program
+
+    @pytest.mark.parametrize("n, proven", [(9, True), (10, False)])
+    def test_proof_stops_at_its_row_bound(self, n, proven, monkeypatch):
+        # n = 9 reads 18 rows, PROOF_ROWS, and its proof folds ops; n = 10
+        # reads 20 and keeps the program of the named constants alone
+        sched = subarray._schedule(n, 0)
+        assert len(sched.program.loads) == 2 * n
+        unproven = self._unproven(monkeypatch, sched, n, 0)
+        assert (sched.program != unproven) == proven
+        assert sum(map(len, unproven.steps)) == {9: 1030, 10: 1453}[n]
+
+    def test_proof_frees_each_truth_table(self):
+        # at n = 9 a truth table is 2**18 bits (32 KiB): all of the
+        # program's would take over 30 MiB, the ones alive at once about 1
+        events = subarray._schedule(9, 0).events
+        tracemalloc.start()
+        try:
+            subarray._compile(events, subarray.rows_needed(9, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
     @staticmethod
     def _compiles_exactly(events, touched):
@@ -909,37 +950,56 @@ class TestCompiledMultiply:
         with pytest.raises(ValueError, match="sum bit"):
             subarray._compile(events, 4)
 
+    # ops per n after the proof; the ops parameter below counts them
+    # without it, with only the constants the events name folded
+    PROVEN_OPS = {1: 1, 2: 9, 3: 31, 4: 66, 5: 118, 6: 192, 7: 286, 8: 396}
+
     @pytest.mark.parametrize("n, ops", [(1, 1), (2, 9), (3, 32), (4, 75),
                                         (5, 152), (6, 273), (7, 452),
                                         (8, 701)])
     @pytest.mark.parametrize("pair", [0, 2])
-    def test_one_step_per_and_and_full_adder(self, n, ops, pair):
+    def test_one_step_per_and_and_full_adder(self, n, ops, pair,
+                                             monkeypatch):
         # every TRIPLE has its QUINTUPLE, and the two are one step
         sched = subarray._schedule(n, pair)
         kinds = [e.kind for e in sched.events]
         adders = kinds.count(subarray.TRIPLE)
         assert kinds.count(subarray.QUINTUPLE) == adders
-        steps = sched.program.steps
-        assert len(steps) == kinds.count(subarray.AND_STAGE) + adders
-        # an AND is 1 op; a full adder 5, a half adder (one input from the
-        # zero row) 2, or 1 when nothing reads its carry, and one with two
-        # zero inputs none; the one sum complement that Cout keeps at the
-        # end costs 1 more, on a half adder
+        unproven = self._unproven(monkeypatch, sched, n, pair)
+        ands = kinds.count(subarray.AND_STAGE)
+        for program in (unproven, sched.program):
+            assert len(program.steps) == ands + adders
+        # without the proof an AND is 1 op; a full adder 5, a half adder
+        # (one input from the zero row) 2, or 1 when nothing reads its
+        # carry, and one with two zero inputs none; the one sum complement
+        # that Cout keeps at the end costs 1 more, on a half adder
+        steps = unproven.steps
         assert sorted({len(step) for step in steps}) == (
             [1] if n == 1 else [1, 2, 3] if n == 2 else [0, 1, 2, 3, 5])
         assert sum(len(step) == 3 for step in steps) == (n > 1)
         assert sum(map(len, steps)) == ops
+        # from n = 3 on the proof folds that last half adder and its
+        # complement, which are constant, and so no step is 3 ops
+        steps = sched.program.steps
+        assert sorted({len(step) for step in steps}) == (
+            [1] if n == 1 else [1, 2, 3] if n == 2 else [0, 1, 2, 5])
+        assert sum(map(len, steps)) == self.PROVEN_OPS[n]
 
     def test_eight_bit_program(self):
         sched = subarray._schedule(8, 0)
         assert len(sched.events) == mul_aap_count(8) == 1592
         # 64 ANDs and 350 full adders. The running sums zero-extend from
         # row 0, so only bit 0 of the 12 seeded ADDs over the intermediate
-        # rows adds three unknown values; 273 adders are half adders, 30
-        # more are half adders whose carry nothing reads and 35 add two zeros
-        assert len(sched.program.steps) == 414
-        assert sum(map(len, sched.program.steps)) == (
-            64 + 5 * 12 + 2 * 273 + 30 + 1)
+        # rows adds three unknown values. Of the 338 others the proof
+        # leaves 118 half adders of 2 ops, and 36 whose carry it proves
+        # zero, which keep only the sum. The other 184 cost nothing: 35
+        # add two zeros from row 0, and the proof shows every output of
+        # the rest constant, the running sums' high bits among them
+        steps = sched.program.steps
+        assert len(steps) == 414
+        assert [sum(len(step) == k for step in steps)
+                for k in range(6)] == [184, 64 + 36, 118, 0, 0, 12]
+        assert sum(map(len, steps)) == 64 + 5 * 12 + 2 * 118 + 36 == 396
         assert len(sched.program.loads) == 16
         # copies are renames, and the full adders' temporaries and the
         # all-ones row of the complement live in rows the copies rename

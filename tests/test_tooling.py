@@ -202,6 +202,14 @@ def test_script_runs(argv):
     assert done.stdout
 
 
+def _load_full_size():
+    spec = importlib.util.spec_from_file_location(
+        "full_size", ROOT / "scripts" / "full_size.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
 def test_full_size_digests_cover_every_preset_vector():
     # scripts/full_size.py runs at full size, outside the suite; its pinned
     # digests must name every preset's parallelism vectors at n = 4,
@@ -209,10 +217,7 @@ def test_full_size_digests_cover_every_preset_vector():
     # n = 8
     from pimsim.presets import PARALLELISM
 
-    spec = importlib.util.spec_from_file_location(
-        "full_size", ROOT / "scripts" / "full_size.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _load_full_size()
     want = {f"{name}-{vector}" for name, vectors in PARALLELISM.items()
             for vector in vectors}
     assert len(want) == 9
@@ -225,6 +230,29 @@ def test_full_size_digests_cover_every_preset_vector():
         for digests in table.values():
             assert len(digests) == len(script.REPORT_NAMES)
             assert all(re.fullmatch("[0-9a-f]{64}", d) for d in digests)
+
+
+@pytest.mark.parametrize("only, unpinned", [
+    (["alexnet-P1", "vgg16-P1"], "vgg16-P1 is not pinned at n = 1, 2"),
+    (["alexnet-P9"], "alexnet-P9 is not pinned at n = 1, 2, 8")],
+    ids=["pinned-at-n8-only", "no-such-vector"])
+def test_full_size_only_rejects_an_unpinned_combination(
+        only, unpinned, tmp_path, capsys, monkeypatch):
+    # --only names combinations to run; one not pinned at a precision asked
+    # for stops the script with one line before any child process starts
+    script = _load_full_size()
+
+    def run_one(*args):
+        raise AssertionError("a combination ran")
+
+    monkeypatch.setattr(script, "run_one", run_one)
+    result = tmp_path / "result.json"
+    argv = [str(result), "--precisions", "1", "2", "8"]
+    with pytest.raises(SystemExit) as done:
+        script.main([*argv, *(arg for key in only for arg in ("--only", key))])
+    assert done.value.code == 2
+    assert capsys.readouterr().err == f"full_size.py: error: {unpinned}\n"
+    assert not result.exists()
 
 
 @pytest.mark.parametrize("extra, status", [([], 0), (["--rows", "0"], 2)],
