@@ -22,7 +22,8 @@ from itertools import repeat
 from pathlib import Path
 from typing import BinaryIO
 
-from . import engine, timing
+from . import timing
+from .layout import ConfigurationError
 from .mapper import (
     MappingError,
     MappingPlan,
@@ -35,7 +36,6 @@ from .mapper import (
     validate_plan,
 )
 from .presets import PRESET_NAMES, preset
-from .subarray import ConfigurationError
 from .timing import TimingParams
 
 
@@ -346,6 +346,9 @@ def run(net: NetworkDescription, config: RunConfig,
     functional = None
     status = 0
     if config.mode in ("functional", "both"):
+        # imported here, so that a timing-mode run never loads numpy
+        from . import engine
+
         functional = engine.run_functional(net, plan, config.seed)
         if not functional.passed:
             status = 1

@@ -22,8 +22,8 @@ arithmetic the tree and accumulators perform, summed in the other order; it
 is tested against build_adder_tree, tree_reduce and, in tests/reference.py,
 the shift-add accumulator and mac_plane_sums over unpacked planes. The row
 reads the TREE_WIDTH-input tree would need are counted by
-tree_loads_per_pass, the same arithmetic and the same width the timing model
-uses, from the mapper's physical layout.
+layout.tree_loads_per_pass, the same arithmetic and the same width the
+timing model uses, from the mapper's physical layout.
 
 The layer's MAC sums stay one int64 array from there on: sfu_stage applies
 ReLU, per-channel BatchNorm and Quantize to the whole (C, H, W) or (C,)
@@ -39,11 +39,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .layout import TREE_WIDTH, pow2ceil, tree_loads_per_pass
 from .subarray import BankState, multiply
-
-# Inputs of the shared adder tree behind the sense amplifiers (the paper's
-# 4096-input adder); the functional run and the timing model both reduce on it.
-TREE_WIDTH = 4096
 
 BN_FRAC_BITS = 16
 BN_SAT_MIN = -(1 << 31)
@@ -56,30 +53,6 @@ class TreeConfigError(ValueError):
 
 class ShapeError(ValueError):
     """Bit-plane length does not match the tree width."""
-
-
-def pow2ceil(x: int) -> int:
-    return 1 << max(0, (x - 1).bit_length())
-
-
-def tree_loads_per_pass(place, tree_width: int) -> int:
-    """Row-buffer loads needed to reduce one pass of a LayerPlacement through
-    the shared tree.
-
-    A MAC wider than the tree folds through it in tree-wide pieces, one load
-    each. Narrower MACs are padded to a power of two and packed into aligned
-    slots, tree_width // pow2ceil(mac_size) per load; a load never spans two
-    subarrays.
-    """
-    ms = place.mac_size
-    if ms > tree_width:
-        return place.macs_per_pass * -(-ms // tree_width)
-    per_load = tree_width // pow2ceil(ms)
-    full, rem = divmod(place.macs_per_pass, place.macs_per_subarray)
-    loads = full * -(-place.macs_per_subarray // per_load)
-    if rem:
-        loads += -(-rem // per_load)
-    return loads
 
 
 @dataclass

@@ -29,6 +29,7 @@ import numpy as np
 
 from . import oracle
 from .datapath import BankAccounting, SfuParams, bank_execute
+from .layout import ConfigurationError, rows_needed
 from .mapper import (
     LayerPlacement,
     LayerSpec,
@@ -40,10 +41,8 @@ from .subarray import (
     WORD,
     WORD_BITS,
     BankState,
-    ConfigurationError,
     OperandRangeError,
     new_bank,
-    rows_needed,
     word_count,
 )
 

@@ -23,7 +23,7 @@ import json
 from collections.abc import Iterator
 from dataclasses import dataclass, field, asdict
 
-from .subarray import rows_needed
+from .layout import rows_needed
 
 
 class MappingError(ValueError):
@@ -375,7 +375,7 @@ def map_network(
 
     A layer must fit the geometry: each MAC within column_size, at most
     subarrays_per_bank subarrays, and its stacked pairs within `rows`
-    (subarray.rows_needed). None leaves a bound unchecked. column_size must
+    (layout.rows_needed). None leaves a bound unchecked. column_size must
     be below 2**63: the engine computes MAC column bounds in int64
     (datapath.packed_mac_sums).
     """

@@ -7,12 +7,9 @@ multiplication as AAPs (ACTIVATE-ACTIVATE-PRECHARGE): RowClone copies and
 multi-row activations. and_op and add_bitserial append one AapEvent per
 AAP to an AapTrace, from row indices alone: they execute nothing. The
 multiply's command stream is emitted the same way once per (n, pair), into
-its cached schedule. So command counts can be audited exactly:
-
-    and_count(n)     = n*n                AND operations per multiply
-    add_count(n)     = (n-2)(n-1)+n       intermediate ADDs (0 when n == 1)
-    mul_aap_count(n) = 3n^2 + 3(n-1)^2 + 4            for n <= 2
-                       3n^2 + 4(n-1)^3 + 4(n-1)       for n  > 2
+its cached schedule. So command counts can be audited exactly against the
+closed forms in layout (and_count, add_count, mul_aap_count), which also
+holds the row budget (rows_needed) this module's row layout follows.
 
 Operands live in transposed layout: one multiplication per column, LSB in the
 lowest-indexed data row. Cells are stored bit-packed, 64 columns per uint64
@@ -54,15 +51,13 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .layout import COMPUTE_ROW_COUNT, ConfigurationError, rows_needed
+
 COPY = "copy"
 AND_STAGE = "and_stage"
 TRIPLE = "triple_activate"
 QUINTUPLE = "quintuple_activate"
 WRITE_ROW0 = "write_row0"
-
-
-class ConfigurationError(ValueError):
-    """Subarray geometry cannot support the requested precision."""
 
 
 class RowBoundsError(IndexError):
@@ -131,7 +126,6 @@ class AapTrace:
 
 # The nine compute rows sit at the same indices in every subarray.
 ROW0, A, A1, B, B1, CIN, CIN1, COUT, COUT1 = range(9)
-COMPUTE_ROW_COUNT = 9
 WORD_BITS = 64
 WORD = np.dtype("<u8")
 
@@ -186,13 +180,6 @@ class BankState:
     @property
     def pair_capacity(self) -> int:
         return (self.rows - self.data_base) // self.n - 1
-
-
-def rows_needed(n: int, pairs: int) -> int:
-    """Rows of a state at precision n with `pairs` stacked weight blocks:
-    compute rows, n-1 intermediate, 2n product, then the activation and one
-    weight per pair."""
-    return COMPUTE_ROW_COUNT + (n - 1) + 2 * n + (pairs + 1) * n
 
 
 def new_bank(rows: int, cols: int, n: int) -> BankState:
@@ -303,35 +290,6 @@ def add_bitserial(
 # --------------------------------------------------------------------------
 # Multiplication
 # --------------------------------------------------------------------------
-
-def and_count(n: int) -> int:
-    """AND operations in an n-bit multiply: (1+..+(n-1))*2 + n = n^2."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return n * n
-
-
-def add_count(n: int) -> int:
-    """Intermediate ADD operations in an n-bit multiply.
-
-    (1+..+(n-2))*2 + (n-1) + 1 = (n-2)(n-1) + n for n >= 2; a 1-bit product
-    needs no additions at all.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n == 1:
-        return 0
-    return (n - 2) * (n - 1) + n
-
-
-def mul_aap_count(n: int) -> int:
-    """Total AAPs for one n-bit multiply (same for every column)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n <= 2:
-        return 3 * n * n + 3 * (n - 1) ** 2 + 4
-    return 3 * n * n + 4 * (n - 1) ** 3 + 4 * (n - 1)
-
 
 def _fused_add(
     trace: AapTrace,

@@ -12,7 +12,9 @@ whole transfer window.
 Synthesized-logic delays carry a 1.215x penalty for implementation in a DRAM
 process; it applies exactly once, to logic cycles only, never to DRAM row
 timing. Defaults follow DDR3-1600 (t_aap = tRAS 35 ns + tRP 13.75 ns); all
-values are overridable configuration, not measured ground truth.
+values are overridable configuration, not measured ground truth. The counts
+it costs (mul_aap_count, TREE_WIDTH, tree_loads_per_pass) live in layout,
+which the functional run reads too, so this module loads no numpy.
 """
 
 from __future__ import annotations
@@ -22,10 +24,9 @@ import sys
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
-from .datapath import TREE_WIDTH, tree_loads_per_pass
+from .layout import TREE_WIDTH, mul_aap_count, tree_loads_per_pass
 from .mapper import LayerPlacement, MappingPlan, NetworkDescription
 from .mapper import ResidualAssignment, map_network
-from .subarray import mul_aap_count
 
 SFU_UNITS = ("relu", "batchnorm", "quantize", "pool", "transpose")
 # Pipeline depth of the one TREE_WIDTH-input adder tree.

@@ -16,6 +16,7 @@ from pimsim import subarray
 from pimsim.cli import RunConfig, run
 from pimsim.datapath import build_adder_tree, tree_reduce
 from pimsim.engine import BANK_CHUNK_COLUMNS, run_functional
+from pimsim.layout import add_count, and_count, mul_aap_count, rows_needed
 from pimsim.mapper import (
     NetworkDescription,
     conv_layer,
@@ -26,15 +27,7 @@ from pimsim.mapper import (
     validate_plan,
 )
 from pimsim.presets import PARALLELISM, preset
-from pimsim.subarray import (
-    AapTrace,
-    add_bitserial,
-    add_count,
-    and_count,
-    mul_aap_count,
-    multiply,
-    new_bank,
-)
+from pimsim.subarray import AapTrace, add_bitserial, multiply, new_bank
 from pimsim.timing import (
     LayerLatency,
     TimingParams,
@@ -57,7 +50,7 @@ def test_criterion_1_multiplication_correctness():
         # every operand pair, one per column, at three stacked pairs
         cols = np.arange(1 << 2 * n)
         acts, weights = cols & ((1 << n) - 1), cols >> n
-        st = new_bank(subarray.rows_needed(n, 3), len(cols), n)
+        st = new_bank(rows_needed(n, 3), len(cols), n)
         for pair in range(3):
             write_operands(st, acts, weights, pair=pair)
             multiply(st, pair=pair)

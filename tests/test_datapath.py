@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from cells import pack_columns, unpack_columns
 from pimsim.datapath import (
-    TREE_WIDTH,
     BatchNormParams,
     SfuParams,
     ShapeError,
@@ -23,7 +22,6 @@ from pimsim.datapath import (
     quantize,
     relu,
     sfu_stage,
-    tree_loads_per_pass,
     tree_reduce,
 )
 from pimsim import datapath, engine, oracle
@@ -47,12 +45,13 @@ from pimsim.engine import (
     prepare_operands,
     run_functional,
 )
-from pimsim.subarray import (
+from pimsim.layout import (
+    TREE_WIDTH,
     mul_aap_count,
-    new_bank,
     rows_needed,
-    word_count,
+    tree_loads_per_pass,
 )
+from pimsim.subarray import new_bank, word_count
 
 
 # --------------------------------------------------------------------------

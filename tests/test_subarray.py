@@ -19,6 +19,13 @@ from cells import (
 )
 from reference import apply_event, run_events, to_text
 from pimsim import engine, subarray
+from pimsim.layout import (
+    ConfigurationError,
+    add_count,
+    and_count,
+    mul_aap_count,
+    rows_needed,
+)
 from pimsim.subarray import (
     A,
     A1,
@@ -35,14 +42,10 @@ from pimsim.subarray import (
     AapEvent,
     AapTrace,
     AliasingError,
-    ConfigurationError,
     OperandRangeError,
     RowBoundsError,
     add_bitserial,
-    add_count,
-    and_count,
     and_op,
-    mul_aap_count,
     multiply,
     new_bank,
 )
@@ -321,7 +324,7 @@ class TestMultiply:
         # pairs: every n whose program folds proved constants
         cols = np.arange(1 << 2 * n)
         acts, weights = cols & ((1 << n) - 1), cols >> n
-        st_ = new_bank(subarray.rows_needed(n, 3), len(cols), n)
+        st_ = new_bank(rows_needed(n, 3), len(cols), n)
         for pair in range(3):
             write_operands(st_, acts, weights, pair=pair)
             multiply(st_, pair=pair)
@@ -405,7 +408,7 @@ class TestMultiply:
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("pair", range(3))
     def test_multiply_logs_nothing_and_returns_the_schedule(self, n, pair):
-        st_ = new_bank(subarray.rows_needed(n, 3), 2, n)
+        st_ = new_bank(rows_needed(n, 3), 2, n)
         events = multiply(st_, pair=pair)
         assert events is subarray._schedule(n, pair).events
         assert len(events) == mul_aap_count(n)
@@ -568,10 +571,10 @@ def _sha256(text):
 def test_command_streams_are_frozen(n):
     *mul, add = STREAM_SHA256[n]
     for pair, digest in enumerate(mul):
-        st_ = new_bank(subarray.rows_needed(n, 3), 1, n)
+        st_ = new_bank(rows_needed(n, 3), 1, n)
         text = to_text(multiply_trace(st_, pair))
         assert _sha256(text) == digest, (n, pair)
-    base = subarray.rows_needed(n, 1)
+    base = rows_needed(n, 1)
     trace = AapTrace(base + 3 * n + 1)
     add_bitserial(trace, range(base, base + n), range(base + n, base + 2 * n),
                   range(base + 2 * n, base + 3 * n + 1))
@@ -694,7 +697,7 @@ class TestCompiledMultiply:
         # random cells everywhere but the reserved zero row 0, padding bits
         # and rows past the schedule included: multiply and each executor
         # run directly must match the per-event interpreter
-        rows = subarray.rows_needed(n, pair + 1) + above
+        rows = rows_needed(n, pair + 1) + above
         st_ = new_bank(rows, cols, n)
         rng = np.random.default_rng(seed)
         st_.cells[:] = rng.integers(0, 1 << 64, size=st_.cells.shape,
@@ -719,7 +722,7 @@ class TestCompiledMultiply:
         # chunk's products and intermediates, other pairs' weights) leave
         # the product rows a zeroed state ends with
         rng = np.random.default_rng(n)
-        clean = new_bank(subarray.rows_needed(n, 3), cols, n)
+        clean = new_bank(rows_needed(n, 3), cols, n)
         for pair in range(clean.pair_capacity):
             program = subarray._schedule(n, pair).program
             operands = [*clean.activation_rows(), *clean.weight_rows(pair)]
@@ -837,7 +840,7 @@ class TestCompiledMultiply:
         # the program of the constants the events name, without the proof
         monkeypatch.setattr(subarray, "PROOF_ROWS", -1)
         program = subarray._compile(sched.events,
-                                    subarray.rows_needed(n, pair + 1))
+                                    rows_needed(n, pair + 1))
         monkeypatch.undo()
         return program
 
@@ -857,7 +860,7 @@ class TestCompiledMultiply:
         events = subarray._schedule(9, 0).events
         tracemalloc.start()
         try:
-            subarray._compile(events, subarray.rows_needed(9, 1))
+            subarray._compile(events, rows_needed(9, 1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -28,7 +28,7 @@ from pimsim.timing import (
     residual_overhead,
 )
 from pimsim.engine import run_functional
-from pimsim.subarray import mul_aap_count
+from pimsim.layout import mul_aap_count
 
 
 def _stage(idx, busy, transfer=0.0):

@@ -275,6 +275,48 @@ def test_module_entry_point_exit_status(extra, status, tmp_path):
         assert not out.exists()
 
 
+# Runs the pimsim CLI (target "pimsim") or a script (a path) with the
+# arguments that follow, then prints on stderr whether numpy was imported.
+_IMPORT_PROBE = """
+import runpy, sys
+target, sys.argv = sys.argv[1], sys.argv[1:]
+try:
+    if target == "pimsim":
+        from pimsim.cli import main
+        sys.exit(main(sys.argv[1:]))
+    runpy.run_path(target, run_name="__main__")
+finally:
+    print("numpy imported:", "numpy" in sys.modules, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv, numpy", [
+    (["pimsim", "--preset", "vgg16", "--parallelism", "P3",
+      "--mode", "timing", "--cols", "32768"], False),
+    (["scripts/precision_scaling.py", "--n", "1", "2"], False),
+    (["scripts/parallelism_tradeoff.py"], False),
+    (["pimsim", "--model", "toy.json", "--mode", "both"], True),
+], ids=["cli-timing", "precision-scaling", "parallelism-tradeoff",
+        "cli-both"])
+def test_only_functional_runs_import_numpy(argv, numpy, tmp_path):
+    # the timing path reads its counts from pimsim.layout and never loads
+    # the engine, so it starts without numpy's import
+    (tmp_path / "toy.json").write_text(_readme_block("Network files"))
+    if argv[0] == "pimsim":
+        argv = [*argv, "--output", str(tmp_path / "out")]
+    else:
+        argv = [str(ROOT / argv[0]), *argv[1:]]
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *argv], cwd=tmp_path,
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.endswith(f"numpy imported: {numpy}\n"), done.stderr
+    if numpy:
+        assert "functional: PASS" in done.stdout
+
+
 def _readme_block(section):
     """The first fenced block after the README heading `### section`."""
     text = (ROOT / "README.md").read_text()
