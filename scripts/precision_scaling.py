@@ -11,11 +11,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from pimsim.mapper import MappingError
 from pimsim.presets import preset
-from pimsim.timing import TimingParams, precision_sweep
+from pimsim.timing import TimingConfigError, TimingParams, precision_sweep
 
 
-def main():
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--preset", default="alexnet")
     parser.add_argument("--parallelism", default="P1")
@@ -23,10 +24,14 @@ def main():
     parser.add_argument("--column-size", type=int, default=32768)
     args = parser.parse_args()
 
-    net = preset(args.preset, args.parallelism)
-    series = precision_sweep(
-        net, args.n, args.column_size, TimingParams()
-    )
+    try:
+        net = preset(args.preset, args.parallelism)
+        series = precision_sweep(
+            net, args.n, args.column_size, TimingParams()
+        )
+    except (MappingError, TimingConfigError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"{args.preset} {args.parallelism}: latency vs operand width")
     print(f"{'n':>3} {'multiply_ns':>16} {'pipeline_ns':>18} {'vs n=min':>9}")
     base = series[0]["total_ns"]
@@ -35,7 +40,8 @@ def main():
             f"{point['n']:>3} {point['multiply_ns']:>16.2f} "
             f"{point['total_ns']:>18.2f} {point['total_ns'] / base:>8.2f}x"
         )
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -94,16 +94,14 @@ def synth_input(rng: np.random.Generator, layer: LayerSpec, n: int) -> np.ndarra
 
 
 def build_bank(place: LayerPlacement,
-               subarrays: range | None = None) -> list[BankState]:
-    """An all-zero packed state for the given subarrays of the layer
-    (default: all), or any chunk of no more MACs: only the rows the layer
-    touches and mac_size columns per MAC; returned as a one-element list
-    because the benchmark's traced run (`_count_alloc` in bench/tracing.py)
-    iterates over what this returns. Rows, width and precision come from
-    the placement, whose row budget the mapper has checked.
+               subarrays: range) -> list[BankState]:
+    """An all-zero packed state for the given subarrays of the layer, or
+    any chunk of no more MACs: only the rows the layer touches and mac_size
+    columns per MAC; returned as a one-element list because the benchmark's
+    traced run (`_count_alloc` in bench/tracing.py) iterates over what this
+    returns. Rows, width and precision come from the placement, whose row
+    budget the mapper has checked.
     """
-    if subarrays is None:
-        subarrays = range(place.subarrays_used)
     held = place.pass_macs(subarrays)
     return [new_bank(rows_needed(place.precision, place.passes),
                      len(held) * place.mac_size, place.precision)]

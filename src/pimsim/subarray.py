@@ -18,14 +18,14 @@ bitwise operations on whole rows. Each event is self-describing: its kind
 (see AapEvent) and every row it touches. The multiply command sequence
 depends only on n and the stacked pair, never on operand values: it is
 emitted once per (n, pair) and compiled once (_compile) into a program over
-row slots, in which copies are renames, each AND and each full adder (a
+row slots, in which copies are renames and each AND and each full adder (a
 TRIPLE and the QUINTUPLE that senses the parity of the same three values)
-is one step, and the constants of the reserved all-zero row 0, which
-multiply checks, fold away. Up to n = 9 (PROOF_ROWS) the compiler then
-runs the ops once over every value of the operand rows, one column each,
-and folds every op that ends all zeros or all ones in every column: a
-proof, not a sample. At n = 8 that leaves 396 of 701 ops. The events and
-their AAP counts never change; only the program the simulator runs does.
+is one step of ops. One round folds away every op a constant fixes: the
+constants of the reserved all-zero row 0, which multiply checks, and, up
+to n = 9 (PROOF_ROWS), every op that a run over every value of the
+operand rows, one column each, shows all zeros or all ones in every
+column: a proof, not a sample. The events and their AAP counts never
+change; only the program the simulator runs does.
 Every call runs that program, the one executor of events here, on Python
 ints or numpy rows by width (_run_program); each op carries its
 operator.and_, or_ or xor, so the int executor calls it with no branch.
@@ -424,11 +424,11 @@ class Program:
     each one AND or one full adder. A full adder is a TRIPLE together with
     the QUINTUPLE that senses the parity of the same three values: 5 ops
     write its carry and sum bit, and one more the sum's complement when
-    something reads it. Ops whose value constants fix are folded away
-    (_compile), so a full adder with an input from the all-zero row 0 is a
-    half adder of 2 ops, and a step may hold none. Up to n = 9 that
-    includes every value an exhaustive proof shows to be the same for all
-    operands, such as the running sums' high bits. Copies and zero writes
+    something reads it. One round (_compile) folds away every op whose
+    value a constant fixes, row 0's zeros or, up to n = 9, a value an
+    exhaustive proof shows to be the same for all operands, such as the
+    running sums' high bits. So a full adder with an input from row 0 is
+    a half adder of 2 ops, and a step may hold none. Copies and zero writes
     are row renames and cost nothing. pins sets every bit of a slot to 0
     or 1 before the steps, as (slot, bit). loads lists the touched rows
     whose starting value the program uses; row 0 is never loaded, and is
@@ -467,8 +467,9 @@ _UFUNCS = {operator.and_: np.bitwise_and, operator.or_: np.bitwise_or,
            operator.xor: np.bitwise_xor}
 # _compile proves constants when its ops read at most this many rows: the
 # multiply's 2n operand rows up to n = 9, where a truth table is 2**18
-# bits (32 KiB) and the compile takes about 30 ms and a 1.7 MiB peak. At
-# n = 10 a table is four times as wide: about 0.16 s and 4.4 MiB.
+# bits (32 KiB) and the compile takes about 20 ms and a 1.4 MiB peak
+# (tracemalloc, median of 15 on a shared 2-core Xeon VM). At n = 10 a
+# table is four times as wide: about 60 ms and 4.5 MiB.
 PROOF_ROWS = 18
 # A state at most this many words wide runs its program on Python ints, a
 # wider one on numpy rows. A numpy op pays about a microsecond of call
@@ -483,24 +484,25 @@ INT_ROW_WORDS = 256
 
 
 def _values(events: Sequence[AapEvent], start: Sequence[int]):
-    """Symbolic run of the events over value ids: row r starts as start[r],
-    its own id r or _ZERO, every logic event makes new ids past
-    len(start), copies only rename.
+    """Symbolic run of the events over value ids, lowered as it goes: row r
+    starts as start[r], its own id r or _ZERO, every logic event makes new
+    ids past len(start), copies only rename.
 
-    Returns the steps as (input ids, output ids) and the final id of every
-    row. An AND_STAGE is a step with one output. A TRIPLE opens a full
-    adder over its three inputs, whose outputs are its carry (the
-    majority), its sum bit (the parity) and the sum's complement. The
-    multiply only ever activates a QUINTUPLE whose negated row holds the
-    carry of a full adder over the same three values, so it senses their
-    parity (Ambit's sum bit): its rows take that adder's sum and the
-    negated row the complement. Any other QUINTUPLE raises ValueError: it
-    has no step here.
+    Returns the steps, each a list of (f, x, y, out) ops over ids (Op), and
+    the final id of every row. An AND_STAGE is a step of one op. A TRIPLE
+    is a full adder over its three inputs a, b and c, a step of six ops:
+    t=a^b, o=a&b, sum=t^c, t2=t&c, carry=o|t2 and comp=sum^ONES; its rows
+    take the carry (the majority). The multiply only ever activates a
+    QUINTUPLE whose negated row holds the carry of a full adder over the
+    same three values, so it senses their parity (Ambit's sum bit): its
+    rows take that adder's sum and the negated row the complement. Any
+    other QUINTUPLE raises ValueError: it has no step here.
     """
+    xor, and_, or_ = operator.xor, operator.and_, operator.or_
     row_val = list(start)
-    adders: dict[int, tuple[list[int], tuple[int, ...]]] = {}   # by carry
+    adders: dict[int, tuple[list[int], int, int]] = {}   # by carry
     steps = []
-    fresh = len(start)
+    fresh = itertools.count(len(start))
     for event in events:
         kind, rows = event.kind, event.rows
         if kind == COPY:
@@ -512,29 +514,29 @@ def _values(events: Sequence[AapEvent], start: Sequence[int]):
                 row_val[d] = _ZERO
             continue
         if kind == QUINTUPLE:
-            inputs, outs = adders.get(row_val[rows[3]], (None, ()))
+            inputs, total, comp = adders.get(row_val[rows[3]], (None, 0, 0))
             if inputs != sorted(row_val[r] for r in rows[:3]):
                 raise ValueError(
                     f"quintuple activation {rows} is not a full adder's sum "
                     f"bit: its negated row holds no carry of its inputs")
             for d in rows:
-                row_val[d] = outs[1]
-            row_val[rows[3]] = outs[2]
+                row_val[d] = total
+            row_val[rows[3]] = comp
             continue
         if kind == AND_STAGE:
-            ins, width = rows[:2], 1
+            out = next(fresh)
+            steps.append([(and_, row_val[rows[0]], row_val[rows[1]], out)])
         elif kind == TRIPLE:
-            ins, width = rows[:3], 3
+            a, b, c = (row_val[r] for r in rows[:3])
+            t, o, total, t2, out, comp = itertools.islice(fresh, 6)
+            steps.append([(xor, a, b, t), (and_, a, b, o),
+                          (xor, t, c, total), (and_, t, c, t2),
+                          (or_, o, t2, out), (xor, total, _ONES, comp)])
+            adders[out] = (sorted((a, b, c)), total, comp)
         else:
             raise ValueError(f"unknown AAP event kind {kind!r}")
-        ins = tuple(row_val[r] for r in ins)
-        outs = tuple(range(fresh, fresh + width))
-        fresh += width
         for d in rows:
-            row_val[d] = outs[0]
-        if kind == TRIPLE:
-            adders[outs[0]] = (sorted(ins), outs)
-        steps.append((ins, outs))
+            row_val[d] = out
     return steps, row_val
 
 
@@ -552,11 +554,12 @@ def _fold(f: Callable[[int, int], int], x: int, y: int) -> int | None:
     return None
 
 
-def _simplify(steps: list[list[Op]], same: dict[int, int],
-              proven: dict[int, int]) -> None:
-    """Rewrite each op's inputs to the values they equal, in same, and drop
-    every op whose output proven or _fold fixes to a value, which same then
-    records for its output."""
+def _simplify(steps: list[list[Op]],
+              proven: dict[int, int]) -> dict[int, int]:
+    """Drop every op whose output proven or, failing that, _fold fixes to a
+    value, and rewrite the inputs of the ops kept to the values they equal.
+    Returns the value each dropped op's output equals, by id."""
+    same: dict[int, int] = {}
     for step in steps:
         kept = []
         for f, x, y, out in step:
@@ -569,6 +572,7 @@ def _simplify(steps: list[list[Op]], same: dict[int, int],
             else:
                 same[out] = value
         step[:] = kept
+    return same
 
 
 def _prune(steps: list[list[Op]], kept: set[int]) -> None:
@@ -626,62 +630,40 @@ def _prove(ops: list[Op]) -> dict[int, int]:
 
 
 def _compile(events: Sequence[AapEvent], touched: int) -> Program:
-    """Compile the steps of _values to a slot program. Row 0 starts as
-    _ZERO, the reserved all-zero row: the caller must make that hold
+    """Compile the lowered steps of _values to a slot program. Row 0 starts
+    as _ZERO, the reserved all-zero row: the caller must make that hold
     (multiply checks it).
 
-    1. Lower each step to (f, x, y, out) ops over value ids, f one of
-       operator.and_, or_ and xor: an AND to one op, a full adder to
-       t=a^b, o=a&b, sum=t^c, t2=t&c, carry=o|t2 and comp=sum^ONES. An op
-       that _fold fixes to a value is no op: its output is that value. So
-       a full adder with a zero input is a half adder of 2 ops, and one
-       with two is none.
+    1. Fold, in one round (_simplify): an op whose output _prove shows
+       constant, when the ops read at most PROOF_ROWS rows, or that _fold
+       fixes to a value is no op: its output is that value. So a full
+       adder with a zero input is a half adder of 2 ops, and one with two
+       is none. The multiply's ops read only its 2n operand rows besides
+       _ZERO and _ONES, so up to n = 9 this also folds every bit that ends
+       zero or one for all operands, such as the running sums' high bits:
+       n = 4 falls from 75 ops to 66, n = 8 from 701 to 396 and n = 9 from
+       1,030 to 526; n = 10 keeps 1,453.
     2. Drop every op whose output no kept op reads and no row ends with, in
        one backward pass.
-    3. Prove the ops' constants (_prove) when they read at most PROOF_ROWS
-       rows, and fold them as in 1, then drop what that leaves dead. The
-       multiply reads its 2n operand rows, so up to n = 9 this folds every
-       bit that ends zero or one for all operands, such as the running
-       sums' high bits: n = 8 falls from 701 ops to 396.
-    4. Give each value a slot in one forward scan. A row's own value starts
+    3. Give each value a slot in one forward scan. A row's own value starts
        in that row, and _ZERO and _ONES are pinned before the first op. A
        value's slot is freed after its last read unless some row ends with
        it, so an op may overwrite an input it reads last. Row 0, when it
        ends zero, is never read or written. A value takes the home row of
        a row that ends with it when that row is free, so most rows get
        their value in place, and otherwise the lowest free row.
-    5. Order the copies of the rows whose value ends in another slot
+    4. Order the copies of the rows whose value ends in another slot
        (_order_moves).
     """
     start = [_ZERO, *range(1, touched)]
     steps, final = _values(events, start)
-    # t, o and t2 take ids past every id of _values
-    fresh = itertools.count(touched + sum(len(outs) for _, outs in steps))
-    xor, and_, or_ = operator.xor, operator.and_, operator.or_
-    lowered = []
-    for ins, outs in steps:
-        if len(ins) == 2:
-            lowered.append([(and_, *ins, *outs)])
-            continue
-        (a, b, c), (carry, total, comp) = ins, outs
-        t, o, t2 = next(fresh), next(fresh), next(fresh)
-        lowered.append([(xor, a, b, t), (and_, a, b, o),
-                        (xor, t, c, total), (and_, t, c, t2),
-                        (or_, o, t2, carry), (xor, total, _ONES, comp)])
-    same: dict[int, int] = {}     # the value each folded op's output equals
-    _simplify(lowered, same, {})
+    same = _simplify(steps, _prove([op for step in steps for op in step]))
     final = [same.get(v, v) for v in final]
     # row 0 holds no value of the program when it ends zero
     kept = {v for v, s in zip(final, start) if not v == s == _ZERO}
-    _prune(lowered, kept)
-    proven = _prove([op for step in lowered for op in step])
-    if proven:
-        _simplify(lowered, same, proven)
-        final = [same.get(v, v) for v in final]
-        kept = {v for v, s in zip(final, start) if not v == s == _ZERO}
-        _prune(lowered, kept)
+    _prune(steps, kept)
 
-    ops = [op for step in lowered for op in step]
+    ops = [op for step in steps for op in step]
     last_read = {v: i for i, op in enumerate(ops) for v in op[1:3]}
     ends: dict[int, list[int]] = {}
     for r, v in enumerate(final):
@@ -718,7 +700,7 @@ def _compile(events: Sequence[AapEvent], touched: int) -> Program:
     moves = _order_moves(stores, touched + extra)
     extra += any(row == touched + extra for row, _ in moves)
     return Program(touched, extra, pins, tuple(slotted),
-                   tuple(map(len, lowered)), loads, stores, moves)
+                   tuple(map(len, steps)), loads, stores, moves)
 
 
 def _order_moves(stores: tuple[tuple[int, tuple[int, ...]], ...],

@@ -321,8 +321,8 @@ class TestSfuStageMatchesOracle:
 
 def _one_bank(place, x, w, sfu):
     """Run a layer as one chunk, on one state that holds all its MACs."""
-    (state,) = build_bank(place)
     whole = range(place.subarrays_used)
+    (state,) = build_bank(place, whole)
     place_operands(state, place, whole, *prepare_operands(place, x, w))
     return bank_execute([(state, whole)], place, sfu)
 
@@ -642,7 +642,7 @@ class TestBankChunks:
         net = NetworkDescription("pad", 2, [linear_layer(w1=5, w2=7)])
         place = map_network(net, column_size=12).layers[0]
         assert place.subarrays_used == 4
-        (whole,) = build_bank(place)
+        (whole,) = build_bank(place, range(place.subarrays_used))
         assert whole.cols == 7 * 5
         (tail,) = build_bank(place, range(1, 4))
         assert tail.cols == len(place.pass_macs(range(1, 4))) * 5 == 25

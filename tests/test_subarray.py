@@ -854,6 +854,23 @@ class TestCompiledMultiply:
         assert (sched.program != unproven) == proven
         assert sum(map(len, unproven.steps)) == {9: 1030, 10: 1453}[n]
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("pair", range(3))
+    def test_lowered_ops_read_only_the_operand_rows(self, n, pair):
+        # the proof runs before any fold, on the ops _values lowers: they
+        # read only the two constants, the 2n operand rows and values made
+        # by earlier ops, so the proof counts the same 2n rows against
+        # PROOF_ROWS that the program loads
+        touched = rows_needed(n, pair + 1)
+        layout = new_bank(touched, 1, n)
+        readable = {subarray._ZERO, subarray._ONES, *layout.activation_rows(),
+                    *layout.weight_rows(pair)}
+        steps, _ = subarray._values(subarray._schedule(n, pair).events,
+                                    [subarray._ZERO, *range(1, touched)])
+        for f, x, y, out in (op for step in steps for op in step):
+            assert {x, y} <= readable, (f.__name__, x, y, out)
+            readable.add(out)
+
     def test_proof_frees_each_truth_table(self):
         # at n = 9 a truth table is 2**18 bits (32 KiB): all of the
         # program's would take over 30 MiB, the ones alive at once about 1

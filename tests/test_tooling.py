@@ -202,6 +202,30 @@ def test_script_runs(argv):
     assert done.stdout
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["scripts/precision_scaling.py", "--preset", "foo"], "unknown preset"),
+    (["scripts/precision_scaling.py", "--column-size", "10"],
+     "exceeds column_size 10"),
+    (["scripts/precision_scaling.py", "--n", "0"], "precision 0 is invalid"),
+    (["scripts/parallelism_tradeoff.py", "--preset", "foo"],
+     "unknown preset"),
+    (["scripts/parallelism_tradeoff.py", "--images", "0"],
+     "need at least one image"),
+], ids=["scaling-preset", "scaling-column-size", "scaling-n",
+        "tradeoff-preset", "tradeoff-images"])
+def test_script_rejects_bad_input_in_one_line(argv, reason):
+    # a bad argument ends the script with exit status 2 and one stderr
+    # line, as pimsim.cli.main does, not a traceback, and prints no table
+    done = subprocess.run(
+        [sys.executable, *argv], cwd=ROOT, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: ") and reason in done.stderr
+    assert done.stderr.count("\n") == 1
+    assert not done.stdout
+
+
 def _load_full_size():
     spec = importlib.util.spec_from_file_location(
         "full_size", ROOT / "scripts" / "full_size.py")
