@@ -1,22 +1,24 @@
 """End-to-end functional execution: place operands, run every bank, compare
-against the reference oracle.
+against the reference oracle, one layer at a time.
 
-Synthetic workloads draw seeded uniform n-bit integers for the input image and
-all weights, in the smallest unsigned type that holds n bits. Each layer runs
-on one packed bank state (see subarray): the rows the layer touches, and
-mac_size columns per MAC of its subarrays in MAC order, bit-packed. The
-subarray and column a MAC occupies only matter for cost, which the mapper and
-the accounting compute. Each cell row of the transposed layout is built from
-packed uint64 words: the activations are gathered im2col-style and packed into
-n bit-planes once per layer, and a chunk's activation rows are a cyclic window
-of them; its weight rows, one block per stacked pair, tile and join the bit
-patterns of the filters it touches (place_operands). bank_execute runs one
-multiply per pass, reduces the packed product rows by popcount, accumulates
-and runs the SFU chain. A layer wider than BANK_CHUNK_COLUMNS runs in chunks
-of whole subarrays, placed in turn into the layer's one state, sized for the
-first and widest chunk: the multiply reads only the operand rows that
-placement rewrites. Each layer's output tensor is compared with the oracle's
-as it is and feeds the next layer unchanged. The layer and every geometry
+Synthetic workloads draw seeded uniform n-bit integers, the input image first
+and then each layer's weights as its turn comes, in the smallest unsigned type
+that holds n bits. Each layer runs on one packed bank state (see subarray):
+the rows the layer touches, and mac_size columns per MAC of its subarrays in
+MAC order, bit-packed. The subarray and column a MAC occupies only matter for
+cost, which the mapper and the accounting compute. Each cell row of the
+transposed layout is built from packed uint64 words: the activations are
+gathered im2col-style and packed into n bit-planes once per layer, and a
+chunk's activation rows are a cyclic window of them; its weight rows, one
+block per stacked pair, tile and join the bit patterns of the filters it
+touches (place_operands). bank_execute runs one multiply per pass, reduces the
+packed product rows by popcount, accumulates and runs the SFU chain. A layer
+wider than BANK_CHUNK_COLUMNS runs in chunks of whole subarrays, placed in
+turn into the layer's one state, sized for the first and widest chunk: the
+multiply reads only the operand rows that placement rewrites. The oracle
+computes each layer from its own previous output; the engine's output tensor
+is compared with it as it is and feeds the next layer unchanged. So a run
+holds one layer's weights and outputs at a time. The layer and every geometry
 parameter (rows, column size, precision, passes) are read from the layer's
 placement; the mapper owns their checks.
 """
@@ -326,13 +328,18 @@ def run_functional(
     plan: MappingPlan,
     seed: int,
 ) -> FunctionalResult:
-    """Simulate the whole network and cross-check against the oracle.
+    """Simulate the network one layer at a time and cross-check each layer
+    against the oracle.
 
     The plan, map_network's for this network, carries all the geometry.
-    Returns the per-layer accounting; mismatch carries the first divergent
-    element if the datapath ever disagrees. The layers must chain (cli.run
-    checks it). Raises ConfigurationError if a layer's dot products could
-    leave int64, the width of the MAC sums here and in the oracle.
+    For each layer in turn: draw its weights, run oracle.layer_ref on the
+    oracle's own previous output and run_layer on the engine's, and compare
+    the two. Returns the accounting of the layers run; at the first layer
+    whose output differs, mismatch names its first divergent element and no
+    later layer is drawn or run. The layers must chain (cli.run checks it).
+    Raises ConfigurationError, before any layer runs, if a layer's dot
+    products could leave int64, the width of the MAC sums here and in the
+    oracle.
     """
     n = net.precision
     for idx, place in enumerate(plan.layers):
@@ -346,38 +353,24 @@ def run_functional(
     rng = np.random.default_rng(seed)
     if not net.layers:
         return FunctionalResult([])
-    x0 = synth_input(rng, net.layers[0], n)
-    weights = [synth_weights(rng, layer, n) for layer in net.layers]
-
-    sfus = [
-        SfuParams(quantize_width=n, quantize_shift=default_quant_shift(layer, n),
-                  pool_window=layer.pool)
-        for layer in net.layers
-    ]
-    ref_outputs = oracle.network_ref(
-        net, x0, weights,
-        [(None, (sfu.quantize_width, sfu.quantize_shift)) for sfu in sfus])
-
+    x = ref = synth_input(rng, net.layers[0], n)
     accounting: list[BankAccounting] = []
-    mismatch = None
-    x = x0
     for idx, place in enumerate(plan.layers):
-        got, acct = run_layer(place, x, weights[idx], sfus[idx])
+        layer = place.layer
+        w = synth_weights(rng, layer, n)
+        shift = default_quant_shift(layer, n)
+        ref = oracle.layer_ref(layer, ref, w, None, (n, shift))
+        x, acct = run_layer(place, x, w, SfuParams(
+            quantize_width=n, quantize_shift=shift, pool_window=layer.pool))
         accounting.append(acct)
-        want = ref_outputs[idx]
-        if got.shape != want.shape:
-            mismatch = (
-                f"layer {idx}: shape {got.shape} != oracle {want.shape}"
-            )
-            break
-        if not np.array_equal(got, want):
-            flat_got = got.reshape(-1)
-            flat_want = want.reshape(-1)
-            at = int(np.nonzero(flat_got != flat_want)[0][0])
-            mismatch = (
-                f"layer {idx}: element {at} is {int(flat_got[at])}, "
-                f"oracle says {int(flat_want[at])}"
-            )
-            break
-        x = got
-    return FunctionalResult(accounting, mismatch)
+        if x.shape != ref.shape:
+            return FunctionalResult(
+                accounting,
+                f"layer {idx}: shape {x.shape} != oracle {ref.shape}")
+        if not np.array_equal(x, ref):
+            got, want = x.reshape(-1), ref.reshape(-1)
+            at = int(np.nonzero(got != want)[0][0])
+            return FunctionalResult(
+                accounting, f"layer {idx}: element {at} is {int(got[at])}, "
+                f"oracle says {int(want[at])}")
+    return FunctionalResult(accounting)

@@ -149,7 +149,11 @@ def layer_ref(
 
 def network_ref(net, x0: np.ndarray, weights: list[np.ndarray],
                 sfu_configs: list[tuple]) -> list[np.ndarray]:
-    """Run every layer; sfu_configs carries (bn, quant) per layer."""
+    """Run every layer and return every output; sfu_configs carries (bn,
+    quant) per layer. The engine checks one layer_ref at a time; this
+    whole-network chain is the tests' reference for it
+    (test_draws_and_oracle_chain_are_unchanged), and bench/tracing.py's
+    WRAPPED table names it."""
     outputs = []
     x = x0
     for layer, w, (bn, quant) in zip(net.layers, weights, sfu_configs):

@@ -648,6 +648,89 @@ class TestBankChunks:
         assert tail.cols == len(place.pass_macs(range(1, 4))) * 5 == 25
 
 
+class TestLayerLoop:
+    """run_functional draws, checks and runs one layer at a time."""
+
+    def test_draws_and_oracle_chain_are_unchanged(self, monkeypatch):
+        # the input and every layer's weights come from the run's generator
+        # in layer order, as if all were drawn up front, and each layer
+        # reads the output of the whole-network oracle chain
+        n, seed = 4, 11
+        net = NetworkDescription("chain", n, [
+            conv_layer(H=6, W=6, I=2, O=4, K=3, p=1, pool=2),
+            conv_layer(H=3, W=3, I=4, O=3, K=3, p=1),
+            linear_layer(w1=27, w2=5),
+        ])
+        plan = map_network(net, column_size=64)
+        seen = []
+        run = engine.run_layer
+        monkeypatch.setattr(engine, "run_layer",
+                            lambda place, x, w, sfu: seen.append((x, w))
+                            or run(place, x, w, sfu))
+        assert run_functional(net, plan, seed).passed
+        rng = np.random.default_rng(seed)
+        x0 = engine.synth_input(rng, net.layers[0], n)
+        weights = [engine.synth_weights(rng, layer, n)
+                   for layer in net.layers]
+        refs = oracle.network_ref(net, x0, weights, [
+            (None, (n, engine.default_quant_shift(layer, n)))
+            for layer in net.layers])
+        assert len(seen) == len(net.layers)
+        assert np.array_equal(seen[0][0], x0)
+        for (_, got), want in zip(seen, weights):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        for (x, _), ref in zip(seen[1:], refs):
+            assert np.array_equal(x, ref)
+
+    def test_run_holds_one_layers_weights_at_a_time(self, monkeypatch):
+        # eight 512 x 512 linear layers, 256 KiB of uint8 weights each;
+        # the bank state is capped by BANK_CHUNK_COLUMNS and the oracle's
+        # float64 copy of the weights by its block size, so one layer's
+        # working set is well under the 2 MiB all the weights take
+        net = NetworkDescription("deep", 2, [linear_layer(w1=512, w2=512)
+                                             for _ in range(8)])
+        plan = map_network(net, column_size=4096)
+        monkeypatch.setattr(engine, "BANK_CHUNK_COLUMNS", 1 << 15)
+        monkeypatch.setattr(oracle, "_BLOCK_ELEMENTS", 1 << 12)
+        # a first run fills the per-process caches (compiled multiply)
+        assert run_functional(net, plan, seed=1).passed
+        tracemalloc.start()
+        try:
+            assert run_functional(net, plan, seed=1).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 512 * 512 < len(net.layers) * 512 * 512
+
+    def test_run_stops_at_the_first_divergent_layer(self, monkeypatch):
+        # layer 0's output is off by one: no later layer is drawn or run
+        n = 3
+        net = NetworkDescription("stop", n, [
+            conv_layer(H=6, W=6, I=2, O=4, K=3, p=1, pool=2),
+            linear_layer(w1=36, w2=6),
+            linear_layer(w1=6, w2=4),
+        ])
+        plan = map_network(net, column_size=64)
+        execute = engine.bank_execute
+
+        def tampered(banks, place, sfu):
+            outputs, acct = execute(banks, place, sfu)
+            if place.layer_index == 0:
+                outputs.reshape(-1)[0] ^= 1
+            return outputs, acct
+
+        draws = []
+        synth = engine.synth_weights
+        monkeypatch.setattr(engine, "bank_execute", tampered)
+        monkeypatch.setattr(engine, "synth_weights",
+                            lambda *a: draws.append(a) or synth(*a))
+        result = run_functional(net, plan, seed=4)
+        assert result.mismatch.startswith("layer 0: element 0 is ")
+        assert len(result.accounting) == 1
+        assert len(draws) == 1
+
+
 class TestPackedReduction:
     @settings(max_examples=60, deadline=None)
     @given(
