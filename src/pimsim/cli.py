@@ -350,23 +350,7 @@ def run(net: NetworkDescription, config: RunConfig,
         from . import engine
 
         functional = engine.run_functional(net, plan, config.seed)
-        if not functional.passed:
-            status = 1
-        else:
-            # Whenever the engine runs, cross-check the executed traces
-            # against the analytic counts. Each bank replays one multiply
-            # trace per pass across all of its subarrays' columns and charges
-            # it to every subarray, so this is the model's count exactly.
-            expected_events = sum(
-                place.subarrays_used * lat.aap_count
-                for place, lat in zip(plan.layers, latencies)
-            )
-            if functional.total_aap() != expected_events:
-                status = 1
-                functional.mismatch = (
-                    f"traces logged {functional.total_aap()} AAPs, "
-                    f"timing model expected {expected_events}"
-                )
+        status = 0 if functional.passed else 1
 
     report = _build_report(
         net, config, plan, latencies, pipeline, residual_ns, functional

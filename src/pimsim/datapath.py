@@ -245,10 +245,10 @@ def sfu_stage(sums: np.ndarray, sfu: SfuParams) -> np.ndarray:
 # Whole-bank execution
 # --------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class BankAccounting:
-    aap_total: int = 0
-    plane_reads: int = 0
+    aap_total: int
+    plane_reads: int
 
 
 def packed_mac_sums(rows: np.ndarray, macs: int, mac_size: int) -> np.ndarray:
@@ -280,21 +280,22 @@ def packed_mac_sums(rows: np.ndarray, macs: int, mac_size: int) -> np.ndarray:
     return np.diff(prefix)
 
 
-def _layer_sums(chunks: Iterable[tuple[BankState, range]], place,
-                acct: BankAccounting) -> np.ndarray:
-    """The layer's MAC sums, pass-major; no state outlives the call."""
+def _layer_sums(chunks: Iterable[tuple[BankState, range]],
+                place) -> tuple[np.ndarray, int]:
+    """MAC sums, pass-major, and AAPs charged; no state outlives the call."""
     mac_sums = np.zeros(place.macs_total, dtype=np.int64)
+    aaps = 0
     for state, subarrays in chunks:
         held = place.pass_macs(subarrays)
         for p in range(place.passes):
             events = multiply(state, pair=p)
-            acct.aap_total += len(events) * len(subarrays)
+            aaps += len(events) * len(subarrays)
             product = state.product_rows
             base = p * place.macs_per_pass
             mac_sums[base + held.start : base + held.stop] = packed_mac_sums(
                 state.cells[product.start : product.stop], len(held),
                 place.mac_size)
-    return mac_sums
+    return mac_sums, aaps
 
 
 def bank_execute(
@@ -315,10 +316,10 @@ def bank_execute(
     plus the phase accounting; plane reads are those of the
     TREE_WIDTH-input tree.
     """
-    acct = BankAccounting(plane_reads=2 * place.precision * place.passes
-                          * tree_loads_per_pass(place, TREE_WIDTH))
-    mac_sums = _layer_sums(chunks, place, acct)
+    mac_sums, aaps = _layer_sums(chunks, place)
     layer = place.layer
     if layer.kind == "conv":
         mac_sums = mac_sums.reshape(layer.O, *layer.output_hw())
-    return sfu_stage(mac_sums, sfu_params), acct
+    return sfu_stage(mac_sums, sfu_params), BankAccounting(
+        aaps, 2 * place.precision * place.passes
+        * tree_loads_per_pass(place, TREE_WIDTH))

@@ -15,12 +15,12 @@ touches (place_operands). bank_execute runs one multiply per pass, reduces the
 packed product rows by popcount, accumulates and runs the SFU chain. A layer
 wider than BANK_CHUNK_COLUMNS runs in chunks of whole subarrays, placed in
 turn into the layer's one state, sized for the first and widest chunk: the
-multiply reads only the operand rows that placement rewrites. The oracle
-computes each layer from its own previous output; the engine's output tensor
-is compared with it as it is and feeds the next layer unchanged. So a run
-holds one layer's weights and outputs at a time. The layer and every geometry
-parameter (rows, column size, precision, passes) are read from the layer's
-placement; the mapper owns their checks.
+multiply reads only the operand rows that placement rewrites. Each layer's
+output, fed by the engine's previous one, is compared with the oracle's, and
+its AAPs with the timing model's, as it finishes: that is the run's verdict.
+So a run holds one layer's weights and one activation chain. The layer and
+every geometry parameter (rows, column size, precision, passes) are read
+from the layer's placement; the mapper owns their checks.
 """
 
 from __future__ import annotations
@@ -47,17 +47,18 @@ from .subarray import (
     new_bank,
     word_count,
 )
+from .timing import layer_aaps
 
 # Subarray columns one packed bank state may cover. A layer with more runs in
 # chunks of whole subarrays, which bounds the cell and placement memory.
 BANK_CHUNK_COLUMNS = 1 << 21
 
 
-@dataclass
+@dataclass(frozen=True)
 class FunctionalResult:
-    """The accounting of each layer run, in order, and the first mismatch.
-    A layer's output tensor is not kept: it lives until the next layer has
-    read it."""
+    """The accounting of each layer run, in order, and the first mismatch of
+    a layer's values or AAPs. A layer's output tensor is not kept: it lives
+    until the next layer has read it."""
 
     accounting: list[BankAccounting]
     mismatch: str | None = None
@@ -329,17 +330,17 @@ def run_functional(
     seed: int,
 ) -> FunctionalResult:
     """Simulate the network one layer at a time and cross-check each layer
-    against the oracle.
+    against the oracle and the timing model.
 
     The plan, map_network's for this network, carries all the geometry.
-    For each layer in turn: draw its weights, run oracle.layer_ref on the
-    oracle's own previous output and run_layer on the engine's, and compare
-    the two. Returns the accounting of the layers run; at the first layer
-    whose output differs, mismatch names its first divergent element and no
-    later layer is drawn or run. The layers must chain (cli.run checks it).
-    Raises ConfigurationError, before any layer runs, if a layer's dot
-    products could leave int64, the width of the MAC sums here and in the
-    oracle.
+    For each layer in turn: draw its weights, run oracle.layer_ref and
+    run_layer on the engine's previous output, compare the two, then the
+    executed AAPs with subarrays_used * timing.layer_aaps. Returns the
+    accounting of the layers run; the first layer that differs ends the run
+    before the next is drawn, mismatch naming it and its first divergent
+    element or two counts. The layers must chain (cli.run checks it). Raises
+    ConfigurationError, before any layer runs, if a layer's dot products
+    could leave int64, the width of the MAC sums here and in the oracle.
     """
     n = net.precision
     for idx, place in enumerate(plan.layers):
@@ -353,24 +354,31 @@ def run_functional(
     rng = np.random.default_rng(seed)
     if not net.layers:
         return FunctionalResult([])
-    x = ref = synth_input(rng, net.layers[0], n)
+    x = synth_input(rng, net.layers[0], n)
     accounting: list[BankAccounting] = []
     for idx, place in enumerate(plan.layers):
         layer = place.layer
         w = synth_weights(rng, layer, n)
         shift = default_quant_shift(layer, n)
-        ref = oracle.layer_ref(layer, ref, w, None, (n, shift))
+        ref = oracle.layer_ref(layer, x, w, None, (n, shift))
         x, acct = run_layer(place, x, w, SfuParams(
             quantize_width=n, quantize_shift=shift, pool_window=layer.pool))
         accounting.append(acct)
+        # one multiply trace per pass runs across every subarray's columns
+        # and is charged to each: the model's count, exactly
+        model = place.subarrays_used * layer_aaps(place)
         if x.shape != ref.shape:
-            return FunctionalResult(
-                accounting,
-                f"layer {idx}: shape {x.shape} != oracle {ref.shape}")
-        if not np.array_equal(x, ref):
+            mismatch = f"layer {idx}: shape {x.shape} != oracle {ref.shape}"
+        elif not np.array_equal(x, ref):
             got, want = x.reshape(-1), ref.reshape(-1)
             at = int(np.nonzero(got != want)[0][0])
-            return FunctionalResult(
-                accounting, f"layer {idx}: element {at} is {int(got[at])}, "
-                f"oracle says {int(want[at])}")
+            mismatch = (f"layer {idx}: element {at} is {int(got[at])}, "
+                        f"oracle says {int(want[at])}")
+        elif acct.aap_total != model:
+            mismatch = (f"traces logged {acct.aap_total} AAPs, timing model "
+                        f"expected {model}, in layer {idx}")
+        else:
+            del ref    # x, equal to it, is all the next layer reads
+            continue
+        return FunctionalResult(accounting, mismatch)
     return FunctionalResult(accounting)

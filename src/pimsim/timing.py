@@ -141,6 +141,12 @@ class LayerLatency:
         return self.total_ns - self.transfer_ns
 
 
+def layer_aaps(place: LayerPlacement) -> int:
+    """AAPs each subarray of the layer executes: one multiply per stacked
+    pair. The functional run checks every layer's traces against it."""
+    return mul_aap_count(place.precision) * place.passes
+
+
 def layer_latency(place: LayerPlacement, params: TimingParams) -> LayerLatency:
     """Phase breakdown for one layer on its bank, at the placement's
     precision n.
@@ -153,7 +159,7 @@ def layer_latency(place: LayerPlacement, params: TimingParams) -> LayerLatency:
     granularity of the column width.
     """
     n, passes = place.precision, place.passes
-    mul_aaps = mul_aap_count(n) * passes
+    mul_aaps = layer_aaps(place)
     multiply_ns = mul_aaps * params.t_aap
 
     loads = tree_loads_per_pass(place, TREE_WIDTH) * passes

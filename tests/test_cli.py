@@ -6,6 +6,7 @@ import math
 import os
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -585,6 +586,26 @@ class TestMainEntry:
         out = capsys.readouterr().out
         assert "functional: FAIL (traces logged" in out
         assert "AAPs, timing model expected" in out
+
+    def test_aap_errors_that_cancel_fail_the_run(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # +7 AAPs on layer 0 and -7 on layer 1 leave the network's total
+        # equal to the model's; the run still fails, at layer 0
+        execute = engine.bank_execute
+
+        def tampered(banks, place, sfu):
+            outputs, acct = execute(banks, place, sfu)
+            moved = (7, -7)[place.layer_index]
+            return outputs, replace(acct, aap_total=acct.aap_total + moved)
+
+        monkeypatch.setattr(engine, "bank_execute", tampered)
+        netfile = tmp_path / "toy.json"
+        netfile.write_text(network_to_json(toy_net()))
+        status = main(["--model", str(netfile), "--mode", "functional",
+                       "--output", str(tmp_path / "out")])
+        assert status == 1
+        assert ("functional: FAIL (traces logged 74 AAPs, timing model "
+                "expected 67, in layer 0)\n") in capsys.readouterr().out
 
     @staticmethod
     def _patch_bank_execute(monkeypatch, tamper):

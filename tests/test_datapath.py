@@ -2,6 +2,7 @@
 
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -52,6 +53,7 @@ from pimsim.layout import (
     tree_loads_per_pass,
 )
 from pimsim.subarray import new_bank, word_count
+from pimsim.timing import layer_aaps
 
 
 # --------------------------------------------------------------------------
@@ -704,7 +706,9 @@ class TestLayerLoop:
         assert peak < 3 * 512 * 512 < len(net.layers) * 512 * 512
 
     def test_run_stops_at_the_first_divergent_layer(self, monkeypatch):
-        # layer 0's output is off by one: no later layer is drawn or run
+        # layer 0's output is off by one, or its AAPs by +7 while layer 1's
+        # are off by -7, so the network's total still matches the model: in
+        # each case the run names layer 0, and no later layer is drawn or run
         n = 3
         net = NetworkDescription("stop", n, [
             conv_layer(H=6, W=6, I=2, O=4, K=3, p=1, pool=2),
@@ -712,23 +716,61 @@ class TestLayerLoop:
             linear_layer(w1=6, w2=4),
         ])
         plan = map_network(net, column_size=64)
+        model = plan.layers[0].subarrays_used * layer_aaps(plan.layers[0])
         execute = engine.bank_execute
+        synth = engine.synth_weights
 
-        def tampered(banks, place, sfu):
-            outputs, acct = execute(banks, place, sfu)
-            if place.layer_index == 0:
+        def flip(idx, outputs, acct):
+            if idx == 0:
                 outputs.reshape(-1)[0] ^= 1
             return outputs, acct
 
-        draws = []
-        synth = engine.synth_weights
-        monkeypatch.setattr(engine, "bank_execute", tampered)
-        monkeypatch.setattr(engine, "synth_weights",
-                            lambda *a: draws.append(a) or synth(*a))
-        result = run_functional(net, plan, seed=4)
-        assert result.mismatch.startswith("layer 0: element 0 is ")
-        assert len(result.accounting) == 1
-        assert len(draws) == 1
+        def shift_aaps(idx, outputs, acct):
+            moved = {0: 7, 1: -7}.get(idx, 0)
+            return outputs, replace(acct, aap_total=acct.aap_total + moved)
+
+        for tamper, message in [
+            (flip, "layer 0: element 0 is "),
+            (shift_aaps, f"traces logged {model + 7} AAPs, timing model "
+                         f"expected {model}, in layer 0"),
+        ]:
+            def tampered(banks, place, sfu, tamper=tamper):
+                return tamper(place.layer_index, *execute(banks, place, sfu))
+
+            draws = []
+            monkeypatch.setattr(engine, "bank_execute", tampered)
+            monkeypatch.setattr(engine, "synth_weights",
+                                lambda *a: draws.append(a) or synth(*a))
+            result = run_functional(net, plan, seed=4)
+            assert result.mismatch.startswith(message), result.mismatch
+            assert len(result.accounting) == 1
+            assert len(draws) == 1
+
+    def test_oracle_reads_the_engines_output(self, monkeypatch):
+        # one activation chain: the tensor the oracle reads for layer i + 1
+        # is the very output run_layer returned for layer i
+        n = 4
+        net = NetworkDescription("one-chain", n, [
+            conv_layer(H=6, W=6, I=2, O=4, K=3, p=1, pool=2),
+            conv_layer(H=3, W=3, I=4, O=3, K=3, p=1),
+            linear_layer(w1=27, w2=5),
+        ])
+        plan = map_network(net, column_size=64)
+        outputs, inputs = [], []
+        run, layer_ref = engine.run_layer, oracle.layer_ref
+
+        def traced_run(*args):
+            out = run(*args)
+            outputs.append(out[0])
+            return out
+
+        monkeypatch.setattr(engine, "run_layer", traced_run)
+        monkeypatch.setattr(oracle, "layer_ref", lambda layer, x, *rest:
+                            inputs.append(x) or layer_ref(layer, x, *rest))
+        assert run_functional(net, plan, seed=5).passed
+        assert len(inputs) == len(outputs) == len(net.layers)
+        for x, out in zip(inputs[1:], outputs):
+            assert x is out
 
 
 class TestPackedReduction:
