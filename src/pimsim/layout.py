@@ -9,7 +9,8 @@ nothing, so a timing-mode run loads no numpy:
     and_count(n)     = n*n                AND operations per multiply
     add_count(n)     = (n-2)(n-1)+n       intermediate ADDs (0 when n == 1)
     mul_aap_count(n) = 3n^2 + 3(n-1)^2 + 4            for n <= 2
-                       3n^2 + 4(n-1)^3 + 4(n-1)       for n  > 2
+                       3 and_count(n) + 4(n-1) add_count(n)  for n > 2:
+                       3 AAPs per AND, 4 per bit of an (n-1)-bit ADD
     tree_loads_per_pass(place, width)  row-buffer loads of the adder tree
 """
 
@@ -61,7 +62,7 @@ def mul_aap_count(n: int) -> int:
         raise ValueError("n must be positive")
     if n <= 2:
         return 3 * n * n + 3 * (n - 1) ** 2 + 4
-    return 3 * n * n + 4 * (n - 1) ** 3 + 4 * (n - 1)
+    return 3 * and_count(n) + 4 * (n - 1) * add_count(n)
 
 
 def pow2ceil(x: int) -> int:
@@ -82,7 +83,5 @@ def tree_loads_per_pass(place, tree_width: int) -> int:
         return place.macs_per_pass * -(-ms // tree_width)
     per_load = tree_width // pow2ceil(ms)
     full, rem = divmod(place.macs_per_pass, place.macs_per_subarray)
-    loads = full * -(-place.macs_per_subarray // per_load)
-    if rem:
-        loads += -(-rem // per_load)
-    return loads
+    return (full * -(-place.macs_per_subarray // per_load)
+            + -(-rem // per_load))

@@ -78,7 +78,7 @@ class LayerSpec:
         if self.kind == "linear":
             return self.w2
         oh, ow = self.output_hw()
-        if self.pool and self.pool > 1:
+        if self.pool:
             oh, ow = oh // self.pool, ow // self.pool
         return self.O * oh * ow
 

@@ -34,9 +34,8 @@ _FLOAT_EXACT = 1 << 53
 
 
 def _round_half_even(num: np.ndarray, denom_log2: int) -> np.ndarray:
-    """num / 2**denom_log2 rounded to nearest, ties to even, element-wise."""
-    if denom_log2 <= 0:
-        return num
+    """num / 2**denom_log2 rounded to nearest, ties to even, element-wise,
+    for denom_log2 >= 0."""
     d = 1 << denom_log2
     q = num // d
     twice = 2 * (num - q * d)
@@ -140,7 +139,7 @@ def layer_ref(
     if layer.kind == "conv":
         sums = conv_ref(x.reshape(layer.I, layer.H, layer.W), w, layer.p, layer.s)
         post = sfu_ref(sums, bn, quant)
-        if layer.pool and layer.pool > 1:
+        if layer.pool:
             post = maxpool_ref(post, layer.pool)
         return post
     sums = linear_ref(x.reshape(-1), w)

@@ -7,9 +7,10 @@ multiplication as AAPs (ACTIVATE-ACTIVATE-PRECHARGE): RowClone copies and
 multi-row activations. and_op and add_bitserial append one AapEvent per
 AAP to an AapTrace, from row indices alone: they execute nothing. The
 multiply's command stream is emitted the same way once per (n, pair), into
-its cached schedule. So command counts can be audited exactly against the
-closed forms in layout (and_count, add_count, mul_aap_count), which also
-holds the row budget (rows_needed) this module's row layout follows.
+its cached schedule. So a trace's events, AND spans and ADD spans can be
+counted exactly against the closed forms in layout (mul_aap_count,
+and_count, add_count), which also holds the row budget (rows_needed) this
+module's row layout follows.
 
 Operands live in transposed layout: one multiplication per column, LSB in the
 lowest-indexed data row. Cells are stored bit-packed, 64 columns per uint64
@@ -92,7 +93,8 @@ class AapTrace:
     `rows` rows.
 
     The spans record which event slice each AND or ADD operation occupies, so
-    per-operation AAP costs can be audited; and_ops / add_ops count them.
+    per-operation AAP costs can be audited: len(events) is the trace's AAP
+    count, len(and_spans) and len(add_spans) its AND and ADD operations.
     """
 
     rows: int
@@ -100,22 +102,8 @@ class AapTrace:
     and_spans: list[tuple[int, int]] = field(default_factory=list)
     add_spans: list[tuple[int, int]] = field(default_factory=list)
 
-    @property
-    def total_aap(self) -> int:
-        return len(self.events)
-
-    @property
-    def and_ops(self) -> int:
-        return len(self.and_spans)
-
-    @property
-    def add_ops(self) -> int:
-        return len(self.add_spans)
-
-    def log(self, kind: str, rows: Iterable[int]) -> AapEvent:
-        event = AapEvent(kind, tuple(int(r) for r in rows))
-        self.events.append(event)
-        return event
+    def log(self, kind: str, rows: Iterable[int]) -> None:
+        self.events.append(AapEvent(kind, tuple(int(r) for r in rows)))
 
     def check(self, rows: Iterable[int]) -> None:
         """Raise RowBoundsError for a row outside 0..rows-1."""
@@ -208,7 +196,7 @@ def and_op(
     src_b_row: int,
     dst_rows: Sequence[int],
     pair: str = "a",
-) -> list[AapEvent]:
+) -> None:
     """dst = src_a AND src_b per column. Exactly 3 AAPs.
 
     Stage 1 copies the first operand onto the selector cell of the AND pair
@@ -235,7 +223,6 @@ def and_op(
     trace.log(COPY, (src_b_row, p[1]))
     trace.log(AND_STAGE, (*p, *dsts))
     trace.and_spans.append((start, len(trace.events)))
-    return trace.events[start:]
 
 
 def _add_bit(trace: AapTrace, k: int, b_row: int, sum_row: int,
@@ -755,12 +742,11 @@ def _run_ints(program: Program, cells: np.ndarray) -> None:
         slots[slot] = bit * ((1 << words * WORD_BITS) - 1)
     for f, x, y, out in program.ops:
         slots[out] = f(slots[x], slots[y])
-    if program.stores:
-        done = b"".join([slots[s].to_bytes(size, "little")
-                         for s, _ in program.stores])
-        ends = np.frombuffer(done, dtype=WORD).reshape(-1, words)
-        cells[[r for _, rows in program.stores for r in rows]] = ends.repeat(
-            [len(rows) for _, rows in program.stores], axis=0)
+    done = b"".join([slots[s].to_bytes(size, "little")
+                     for s, _ in program.stores])
+    ends = np.frombuffer(done, dtype=WORD).reshape(-1, words)
+    cells[[r for _, rows in program.stores for r in rows]] = ends.repeat(
+        [len(rows) for _, rows in program.stores], axis=0)
 
 
 def _run_program(program: Program, cells: np.ndarray) -> None:

@@ -46,7 +46,7 @@ def _parse_value(name: str, text: str, kind: type):
         ) from None
 
 
-# The time fields of TimingParams, in to_text order; each is a positive float.
+# The time fields of TimingParams; each is a positive float.
 TIME_FIELDS = ("t_aap", "t_row_read", "logic_clock", "t_rowclone_interbank",
                "dram_logic_penalty")
 
@@ -90,11 +90,6 @@ class TimingParams:
     @property
     def logic_ns(self) -> float:
         return self.logic_clock * self.dram_logic_penalty
-
-    def to_text(self) -> str:
-        lines = [f"{name} = {getattr(self, name)}" for name in TIME_FIELDS]
-        lines += [f"sfu_cycles.{u} = {self.sfu_cycles[u]}" for u in SFU_UNITS]
-        return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "TimingParams":

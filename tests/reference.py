@@ -63,8 +63,8 @@ def to_text(trace):
     summary record."""
     lines = [f"{e.kind} {','.join(map(str, e.rows))}" for e in trace.events]
     lines.append(
-        f"summary total_aap={trace.total_aap} and_ops={trace.and_ops} "
-        f"add_ops={trace.add_ops}"
+        f"summary total_aap={len(trace.events)} "
+        f"and_ops={len(trace.and_spans)} add_ops={len(trace.add_spans)}"
     )
     return "\n".join(lines) + "\n"
 

@@ -319,6 +319,26 @@ class TestFunctionalEngine:
         result = run_functional(net, plan, seed=2)
         assert result.passed, result.mismatch
 
+    def test_pool_of_one_is_no_pool(self, tmp_path):
+        # a 1x1 window pools each element to itself: the run takes the
+        # general pooling path, passes, and writes the reports a layer
+        # with no pool writes, byte for byte
+        reports = []
+        for pool in (1, None):
+            net = NetworkDescription(
+                "pool1", 2,
+                [conv_layer(H=6, W=6, I=1, O=2, K=3, p=1, pool=pool),
+                 linear_layer(w1=72, w2=3)],
+            )
+            out = tmp_path / str(pool)
+            status, report = run(net, RunConfig(mode="functional", seed=2),
+                                 out)
+            assert status == 0
+            assert report["functional"]["passed"], pool
+            reports.append([(out / name).read_bytes()
+                            for name in REPORT_NAMES])
+        assert reports[0] == reports[1]
+
     def test_stacked_parallelism_matches_oracle(self):
         net = NetworkDescription(
             "stack", 2,

