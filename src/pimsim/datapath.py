@@ -17,13 +17,18 @@ every MAC column of the chunk's state at once, and the 2n packed product
 rows, MACs in order, are reduced straight from their uint64 words
 (packed_mac_sums): the per-word popcounts of the planes are first
 folded by the planes' weights 2**p, the shift-add, and one prefix of that
-weighted count is then differenced at the MAC boundary columns. That is the
-arithmetic the tree and accumulators perform, summed in the other order; it
-is tested against build_adder_tree, tree_reduce and, in tests/reference.py,
-the shift-add accumulator and mac_plane_sums over unpacked planes. The row
-reads the TREE_WIDTH-input tree would need are counted by
-layout.tree_loads_per_pass, the same arithmetic and the same width the
-timing model uses, from the mapper's physical layout.
+weighted count is then differenced at the MAC boundary columns, whose
+words are cut by a table of low-bit masks (_LOW_BITS). The fold runs in
+float32 up to FLOAT32_PLANES planes, 18: the significand's 24 bits less
+log2 of a word's 64 bits, so every weighted word count is exact; it is
+then a BLAS matrix-vector product over blocks of FOLD_BLOCK popcounts.
+Above 18 planes it runs in int64, and only there does the prefix wrap mod
+2**64. That is the arithmetic the tree and accumulators perform, summed in
+the other order; it is tested against build_adder_tree, tree_reduce and,
+in tests/reference.py, the shift-add accumulator and mac_plane_sums over
+unpacked planes. The row reads the TREE_WIDTH-input tree would need are
+counted by layout.tree_loads_per_pass, the same arithmetic and the same
+width the timing model uses, from the mapper's physical layout.
 
 The layer's MAC sums stay one int64 array from there on: sfu_stage applies
 ReLU, per-channel BatchNorm and Quantize to the whole (C, H, W) or (C,)
@@ -45,6 +50,16 @@ from .subarray import WORD_BITS, BankState, multiply
 BN_FRAC_BITS = 16
 BN_SAT_MIN = -(1 << 31)
 BN_SAT_MAX = (1 << 31) - 1
+# packed_mac_sums folds up to this many planes in float32: a word's weighted
+# count, below WORD_BITS * 2**planes, then fits the 24-bit significand
+FLOAT32_PLANES = (np.finfo(np.float32).nmant + 1
+                  - (WORD_BITS.bit_length() - 1))
+# Popcounts one float32 fold block reads, 8,192 words of 8 planes; of 2**14
+# to 2**17 the fastest on VGG16's reductions, and a 256 KB float32 copy
+FOLD_BLOCK = 1 << 16
+# _LOW_BITS[b] keeps the low b bits of a word
+_LOW_BITS = ((np.uint64(1) << np.arange(WORD_BITS, dtype=np.uint64))
+             - np.uint64(1))
 
 
 class TreeConfigError(ValueError):
@@ -192,12 +207,13 @@ def batchnorm(x, params: BatchNormParams):
                 f"scale_fp={scale}, beta={params.beta} leaves int64"
             )
     scaled = rne_shift((x - params.mu) * scale, BN_FRAC_BITS)
-    return np.clip(scaled + params.beta, BN_SAT_MIN, BN_SAT_MAX)
+    return np.minimum(np.maximum(scaled + params.beta, BN_SAT_MIN), BN_SAT_MAX)
 
 
 def quantize(x, n: int, shift: int = 0):
-    """Right-shift with round-to-nearest-even, clamp into n unsigned bits."""
-    return np.clip(rne_shift(x, shift), 0, (1 << n) - 1)
+    """Right-shift with round-to-nearest-even, clamp into n unsigned bits;
+    x itself is never written, though rne_shift returns it at shift 0."""
+    return np.minimum(np.maximum(rne_shift(x, shift), 0), (1 << n) - 1)
 
 
 def maxpool(x: np.ndarray, window: int) -> np.ndarray:
@@ -261,24 +277,47 @@ def packed_mac_sums(rows: np.ndarray, macs: int, mac_size: int) -> np.ndarray:
     give one prefix of the row's shift-added count at each word boundary.
     A MAC's sum is the difference of that prefix at its two boundary
     columns, each the whole words before column c plus the low c % 64 bits
-    of its word, folded by the same weights. Bits past the last MAC are
-    never counted. A boundary on the row's end has c % 64 == 0, so it reads
-    the last word under an all-zero mask. The prefix wraps mod 2**64 once
-    the row's running total passes int64, and the differences stay exact
-    whenever each MAC sum fits in int64.
+    of its word (_LOW_BITS[c % 64]), folded by the same weights. Bits past
+    the last MAC are never counted. A boundary on the row's end has
+    c % 64 == 0, so it reads the last word under an all-zero mask.
+
+    A word's weighted count is an integer below 64 * 2**planes. Up to
+    FLOAT32_PLANES planes that fits float32's significand, so the fold runs
+    on float32 weights, exact in any summation order, a block of words at
+    a time (_fold), and the prefix is taken in int64. Above that the fold
+    stays in int64: its prefix wraps mod 2**64 once the row's running
+    total passes int64, and the differences stay exact whenever each MAC
+    sum fits in int64.
     """
     weights = np.left_shift(1, np.arange(len(rows), dtype=np.int64))
+    if len(rows) <= FLOAT32_PLANES:
+        weights = weights.astype(np.float32)
     prefix = np.zeros(rows.shape[1] + 1, dtype=np.int64)
-    np.cumsum(np.einsum("pw,p->w", np.bitwise_count(rows), weights),
+    np.cumsum(_fold(np.bitwise_count(rows), weights), dtype=np.int64,
               out=prefix[1:])
     bounds = np.arange(macs + 1) * mac_size
     # WORD_BITS is a power of two; np.divmod by it runs 2-4x slower
     word, bit = bounds >> (WORD_BITS.bit_length() - 1), bounds & (WORD_BITS - 1)
     tail = np.take(rows, np.minimum(word, rows.shape[1] - 1), axis=1)
-    tail &= (np.uint64(1) << bit.astype(np.uint64)) - np.uint64(1)
-    prefix = prefix[word] + np.einsum("pw,p->w", np.bitwise_count(tail),
-                                      weights)
-    return np.diff(prefix)
+    tail &= _LOW_BITS[bit]
+    tail = np.bitwise_count(tail)
+    ends = prefix[word]
+    ends += _fold(tail, weights).astype(np.int64, copy=False)
+    return ends[1:] - ends[:-1]
+
+
+def _fold(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """weights @ counts for uint8 popcounts, (planes, words): int64 weights
+    by numpy's einsum, float32 ones by BLAS over blocks of about FOLD_BLOCK
+    counts, so the float32 copy the product reads is one block, never the
+    whole row."""
+    if weights.dtype == np.int64:
+        return np.einsum("pw,p->w", counts, weights)
+    out = np.empty(counts.shape[1], dtype=np.float32)
+    step = max(1, FOLD_BLOCK // len(counts))
+    for lo in range(0, counts.shape[1], step):
+        np.matmul(weights, counts[:, lo : lo + step], out=out[lo : lo + step])
+    return out
 
 
 def _layer_sums(chunks: Iterable[tuple[BankState, range]],

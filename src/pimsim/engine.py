@@ -52,6 +52,9 @@ from .timing import layer_aaps
 # Subarray columns one packed bank state may cover. A layer with more runs in
 # chunks of whole subarrays, which bounds the cell and placement memory.
 BANK_CHUNK_COLUMNS = 1 << 21
+# Positions of a row _pack_planes masks at a time; a multiple of 8, so each
+# block packs to whole bytes.
+PACK_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -127,24 +130,33 @@ def _im2col(layer: LayerSpec, x: np.ndarray) -> np.ndarray:
         return x.reshape(1, -1)
     oh, ow = layer.output_hw()
     p, s = layer.p, layer.s
-    xp = np.pad(x.reshape(layer.I, layer.H, layer.W), ((0, 0), (p, p), (p, p)))
+    xp = np.zeros((layer.I, layer.H + 2 * p, layer.W + 2 * p), dtype=x.dtype)
+    xp[:, p : p + layer.H, p : p + layer.W] = x.reshape(layer.I, layer.H,
+                                                        layer.W)
     cols = np.empty((oh, ow, layer.I, layer.K, layer.L), dtype=x.dtype)
-    for ky, kx in np.ndindex(layer.K, layer.L):
-        cols[..., ky, kx] = xp[:, ky : ky + s * oh : s,
-                               kx : kx + s * ow : s].transpose(1, 2, 0)
+    for ky in range(layer.K):
+        for kx in range(layer.L):
+            cols[..., ky, kx] = xp[:, ky : ky + s * oh : s,
+                                   kx : kx + s * ow : s].transpose(1, 2, 0)
     return cols.reshape(oh * ow, -1)
 
 
 def _pack_planes(values: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write the bit-planes of n-bit values along their last axis into out,
     (n, ..., words), LSB plane first, and return it; the bytes past the
-    values' own are left as they were. Each plane is masked out into one
-    reused buffer and packed, a nonzero value packing as a set bit."""
-    raw = out.view(np.uint8)[..., : -(-values.shape[-1] // 8)]
-    buf = np.empty_like(values)
-    for bit in range(len(out)):
-        np.bitwise_and(values, 1 << bit, out=buf)
-        raw[bit] = np.packbits(buf, axis=-1, bitorder="little")
+    values' own are left as they were. Each plane of a block of
+    PACK_BLOCK positions is masked out into one reused buffer and packed,
+    a nonzero value packing as a set bit, so the buffer never holds more
+    than a block of every row."""
+    raw = out.view(np.uint8)
+    buf = np.empty_like(values[..., :PACK_BLOCK])
+    for lo in range(0, values.shape[-1], PACK_BLOCK):
+        block = values[..., lo : lo + PACK_BLOCK]
+        mask = buf[..., : block.shape[-1]]
+        packed = raw[..., lo // 8 : lo // 8 + -(-block.shape[-1] // 8)]
+        for bit in range(len(out)):
+            np.bitwise_and(block, 1 << bit, out=mask)
+            packed[bit] = np.packbits(mask, axis=-1, bitorder="little")
     return out
 
 

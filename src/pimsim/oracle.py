@@ -13,13 +13,16 @@ exact, and in int64 otherwise. Every partial sum of a dot product of
 `terms` terms is an integer of magnitude at most max|x| * max|w| * terms.
 When that bound, taken from the operands themselves, is below 2**53, every
 partial sum is a float64 integer in any summation order; otherwise the
-product stays in int64 (numpy's own loop, no BLAS).
+product stays in int64 (numpy's own loop, no BLAS). Either way the operands
+are promoted a block at a time into a preallocated int64 output: conv_ref
+reads its patches from one read-only strided view of the padded input, and
+linear_ref slices w into blocks of whole rows.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .mapper import LayerSpec
 
@@ -56,10 +59,12 @@ def conv_ref(x: np.ndarray, w: np.ndarray, p: int, s: int) -> np.ndarray:
     """Convolution as im2col plus a matrix product; x is (I, H, W), w is
     (O, I, K, L); integer exact, returned in int64. The product runs in
     float64 when max|x| * max|w| * I*K*L is below 2**53, so that every
-    partial sum is exact in any order, and in int64 otherwise. The patches
-    are built and promoted to that type a block of output rows at a time,
-    about _BLOCK_ELEMENTS elements but at least one row, so one block is
-    all that is ever held at eight bytes per element."""
+    partial sum is exact in any order, and in int64 otherwise. The windows
+    are one read-only as_strided view of the padded input, indexed (output
+    row, output column, channel, kernel row, kernel column); the patches
+    are copied out of it and promoted to that type a block of output rows
+    at a time, about _BLOCK_ELEMENTS elements but at least one row, so one
+    block is all that is ever held at eight bytes per element."""
     I, H, W = x.shape
     O, Iw, K, L = w.shape
     if I != Iw:
@@ -71,9 +76,10 @@ def conv_ref(x: np.ndarray, w: np.ndarray, p: int, s: int) -> np.ndarray:
         xp[:, p : p + H, p : p + W] = x
     oh = (H - K + 2 * p) // s + 1
     ow = (W - L + 2 * p) // s + 1
-    windows = sliding_window_view(xp, (K, L), axis=(1, 2))
-    windows = windows[:, : (oh - 1) * s + 1 : s, : (ow - 1) * s + 1 : s]
-    windows = windows.transpose(1, 2, 0, 3, 4)
+    # windows[y, x, i, ky, kx] = xp[i, y * s + ky, x * s + kx]
+    si, sy, sx = xp.strides
+    windows = as_strided(xp, (oh, ow, I, K, L), (s * sy, s * sx, si, sy, sx),
+                         writeable=False)
     w = w.reshape(O, I * K * L).astype(dtype)
     out = np.empty((O, oh, ow), dtype=np.int64)
     rows = max(1, _BLOCK_ELEMENTS // (ow * I * K * L))
@@ -86,13 +92,17 @@ def conv_ref(x: np.ndarray, w: np.ndarray, p: int, s: int) -> np.ndarray:
 
 def linear_ref(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """w is (w2, w1), x is (w1,); returned in int64. Computed in float64 or
-    int64 by conv_ref's rule, with w promoted a block of rows at a time, so
-    a narrow w is never held at eight bytes per weight."""
+    int64 by conv_ref's rule, with w promoted a block of
+    _BLOCK_ELEMENTS // w1 rows (at least one) at a time, each block's
+    products written into the int64 output, so a narrow w is never held at
+    eight bytes per weight."""
     dtype = _product_dtype(x, w, x.size)
     x = x.astype(dtype)
-    blocks = np.array_split(w, max(1, w.size // _BLOCK_ELEMENTS))
-    out = np.concatenate([block.astype(dtype) @ x for block in blocks])
-    return out.astype(np.int64, copy=False)
+    out = np.empty(len(w), dtype=np.int64)
+    rows = max(1, _BLOCK_ELEMENTS // x.size)
+    for r in range(0, len(w), rows):
+        out[r : r + rows] = w[r : r + rows].astype(dtype) @ x
+    return out
 
 
 def sfu_ref(
@@ -108,11 +118,12 @@ def sfu_ref(
         per_channel = np.array(bn, dtype=object)[np.arange(len(out)) % len(bn)]
         mu, scale_fp, beta = per_channel.T.reshape(3, -1, *[1] * (out.ndim - 1))
         t = (out.astype(object) - mu) * scale_fp
-        out = np.clip(_round_half_even(t, _BN_FRAC) + beta, _SAT_MIN, _SAT_MAX)
-        out = out.astype(np.int64)
+        out = np.minimum(np.maximum(_round_half_even(t, _BN_FRAC) + beta,
+                                    _SAT_MIN), _SAT_MAX).astype(np.int64)
     if quant is not None:
         width, shift = quant
-        out = np.clip(_round_half_even(out, shift), 0, (1 << width) - 1)
+        out = np.minimum(np.maximum(_round_half_even(out, shift), 0),
+                         (1 << width) - 1)
     return out
 
 

@@ -268,6 +268,18 @@ class TestSfu:
         p = BatchNormParams(mu=2, scale=0.5, beta=1)
         assert batchnorm(np.array([10, 2, 3]), p).tolist() == [5, 1, 1]
 
+    def test_clamps_leave_the_input_unwritten(self):
+        # rne_shift returns its own input at shift 0, so a clamp run in
+        # place would write into the caller's array
+        x = np.array([-9, 0, 7, 15, 16, 300], dtype=np.int64)
+        before = x.copy()
+        assert quantize(x, 4, 0).tolist() == [0, 0, 7, 15, 15, 15]
+        assert sfu_stage(x, SfuParams(quantize_width=4)).tolist() == [
+            0, 0, 7, 15, 15, 15]
+        assert oracle.sfu_ref(x, None, (4, 0)).tolist() == [
+            0, 0, 7, 15, 15, 15]
+        assert np.array_equal(x, before)
+
     def test_batchnorm_raises_instead_of_wrapping(self):
         # scale_fp = 2**56: 2**6 * 2**56 still fits and saturates, 2**7 not
         big = BatchNormParams(scale=float(1 << 40))
@@ -832,6 +844,45 @@ class TestPackedReduction:
         want = mac_plane_sums(planes.reshape(64, macs, 1))
         assert np.array_equal(packed_mac_sums(rows, macs, 1), want)
 
+    @pytest.mark.parametrize("mac_size", [1, 63, 64, 65, 200])
+    @pytest.mark.parametrize("planes", [17, 18, 19, 20])
+    def test_all_ones_at_the_float_fold_limit(self, planes, mac_size):
+        # 18 planes is the last the float32 fold takes: every word's
+        # weighted count, up to 64 * (2**18 - 1), is below 2**24
+        assert datapath.FLOAT32_PLANES == 18
+        macs = 70
+        rows = np.full((planes, word_count(macs * mac_size)),
+                       np.uint64(2**64 - 1))
+        assert packed_mac_sums(rows, macs, mac_size).tolist() == [
+            mac_size * (2**planes - 1)] * macs
+
+    @pytest.mark.parametrize("planes", [18, 19])
+    def test_every_low_bit_mask_is_read(self, planes):
+        # MAC boundaries at 65 * i fall on bit i of their word, i = 0..63;
+        # at 19 planes random words' weighted counts pass 2**24, where
+        # float32 would round them
+        rng = np.random.default_rng(6)
+        macs, size = 64, 65
+        rows = rng.integers(0, 2**64, size=(planes, word_count(macs * size)),
+                            dtype=np.uint64)
+        want = mac_plane_sums(unpack_columns(rows, macs * size)
+                              .reshape(planes, macs, size))
+        assert np.array_equal(packed_mac_sums(rows, macs, size), want)
+
+    @pytest.mark.parametrize("block", [1, 24, 1000])
+    @pytest.mark.parametrize("n", [2, 9])
+    def test_fold_blocks_equal_the_plane_sums(self, monkeypatch, n, block):
+        # the row's 40 words and its 101 boundary words folded a word at a
+        # time, in blocks of 6 words (4 planes) or 1 (18), and at 4 planes
+        # in one block
+        rng = np.random.default_rng(block + n)
+        macs, size = 100, 25
+        rows = rng.integers(0, 2**64, size=(2 * n, 40), dtype=np.uint64)
+        want = mac_plane_sums(unpack_columns(rows, macs * size)
+                              .reshape(2 * n, macs, size))
+        monkeypatch.setattr(datapath, "FOLD_BLOCK", block)
+        assert np.array_equal(packed_mac_sums(rows, macs, size), want)
+
     def test_temporaries_stay_within_twice_the_rows(self):
         # AlexNet-conv1-shaped call: 8 planes of 4,608 words, 4,096 MACs of
         # 72 columns. Per-plane int64 prefix arrays would peak near 4x the
@@ -987,3 +1038,35 @@ class TestOperandPlacement:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * state.cols
+
+    @pytest.mark.parametrize("block", [8, 64, 1 << 20])
+    def test_packed_planes_blocks_equal_one_block(self, monkeypatch, block):
+        # a 3,000-position row and (5, 27) filters, in blocks of 8 and 64
+        # positions and in one block; unused bytes keep what they held
+        rng = np.random.default_rng(block)
+        for shape in [(3000,), (5, 27)]:
+            values = rng.integers(0, 16, size=shape, dtype=np.uint8)
+            words = word_count(shape[-1])
+            want = np.full((4, *shape[:-1], words), np.uint64(2**64 - 1))
+            raw = want.view(np.uint8)[..., : -(-shape[-1] // 8)]
+            for bit in range(4):
+                raw[bit] = np.packbits((values >> bit) & 1, axis=-1,
+                                       bitorder="little")
+            monkeypatch.setattr(engine, "PACK_BLOCK", block)
+            got = engine._pack_planes(values, np.full_like(want, 2**64 - 1))
+            assert np.array_equal(got, want)
+
+    def test_packed_planes_mask_a_block_at_a_time(self, monkeypatch):
+        # 2**20 positions in blocks of 2**14: the masking buffer holds one
+        # block, not a second copy of the values
+        monkeypatch.setattr(engine, "PACK_BLOCK", 1 << 14)
+        values = np.random.default_rng(7).integers(0, 16, size=1 << 20,
+                                                   dtype=np.uint8)
+        out = np.zeros((4, word_count(values.size)), dtype=np.uint64)
+        tracemalloc.start()
+        try:
+            engine._pack_planes(values, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * engine.PACK_BLOCK

@@ -140,6 +140,21 @@ class TestExactProducts:
         want = [sum(int(a) * int(b) for a, b in zip(row, x)) for row in w]
         assert got.tolist() == want
 
+    @pytest.mark.parametrize("bits", [8, 28])
+    @pytest.mark.parametrize("block", [1, 12, 1 << 20])
+    def test_blocks_of_weight_rows_match_the_sums(self, monkeypatch, bits,
+                                                  block):
+        # 11 rows of 5 weights: blocks of one row, of two with a short last
+        # block, and all in one; in float64 at 8 bits, in int64 at 28
+        rng = np.random.default_rng(block + bits)
+        x = _operands(rng, bits, False, 5)
+        w = _operands(rng, bits, False, (11, 5))
+        monkeypatch.setattr(oracle, "_BLOCK_ELEMENTS", block)
+        got = oracle.linear_ref(x, w)
+        assert got.dtype == np.int64
+        assert got.tolist() == [sum(int(a) * int(b) for a, b in zip(row, x))
+                                for row in w]
+
     @pytest.mark.parametrize("bits, terms, dtype", [
         (8, 25088, np.float64),    # VGG16's widest MAC at n = 8
         (16, 1 << 20, np.float64),
